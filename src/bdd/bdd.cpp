@@ -192,7 +192,11 @@ BddManager::BddManager(unsigned initial_vars, std::size_t cache_size_log2) {
   node_at(0).var = kInvalidVar;
   ref_at(0).store(1, std::memory_order_relaxed);  // Permanently referenced.
   cache_max_size_ = std::size_t{1} << cache_size_log2;
-  cache_.resize(std::min(cache_max_size_, std::size_t{1} << 12));
+  // 2^8 entries (6 KB): many served models live in a few hundred nodes,
+  // and a resident server builds one manager per cold request, so every
+  // manager pays for its starting table. `maybe_grow_cache` quadruples
+  // it towards `cache_size_log2` once a quarter of it has been stored.
+  cache_.resize(std::min(cache_max_size_, std::size_t{1} << 8));
   cache_mask_ = cache_.size() - 1;
   gc_threshold_ = 1u << 16;
   // Tests and soak harnesses force small pools into collection without

@@ -81,6 +81,27 @@ struct JobState {
       }
     }
   }
+
+  /// Flips `ready`, wakes blocked takers, then fires `on_ready` — the
+  /// one exit every job leaves through. The hook is moved out under the
+  /// lock, so it fires once; the local copy keeps its captures alive
+  /// until it returns, even if the consumer has taken the result and
+  /// dropped the handle meanwhile.
+  void publish() {
+    std::function<void()> on_ready;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ready = true;
+      on_ready = std::move(hooks.on_ready);
+    }
+    cv.notify_all();
+    if (on_ready) {
+      try {
+        on_ready();
+      } catch (...) {
+      }
+    }
+  }
 };
 
 }  // namespace detail
@@ -606,11 +627,7 @@ void Executor::worker_loop() {
       ev.error = job.result.error;
       ev.status = job.result.status;
       job.emit(ev);
-      {
-        std::lock_guard<std::mutex> lock(job.mu);
-        job.ready = true;
-      }
-      job.cv.notify_all();
+      job.publish();
     }
   }
 }
@@ -672,11 +689,7 @@ JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
     finished.kind = JobEvent::Kind::kFinished;
     finished.status = state->result.status;
     state->emit(finished);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->ready = true;
-    }
-    state->cv.notify_all();
+    state->publish();
     return JobHandle(state);
   }
   // kQueued fires before the tasks become visible to workers, so a

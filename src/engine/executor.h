@@ -43,6 +43,11 @@
 // estimating / row-done / finished) are a superset of the facade's
 // `RunHooks` progress ticks. Event callbacks run on worker threads
 // (kQueued on the submitting thread); the callee synchronizes.
+//
+// Readiness: `JobHooks::on_ready` is the one callback a consumer can
+// block on. It fires once per job *after* the result became takeable,
+// whereas kFinished fires *before* — a reader woken by kFinished could
+// probe `done()`, see false, and sleep past the result.
 #pragma once
 
 #include <chrono>
@@ -75,7 +80,9 @@ struct JobEvent {
     kVerifying,   ///< One property checked (`progress` has index/total/ok).
     kEstimating,  ///< Verification done, coverage estimation begins.
     kRowDone,     ///< One signal row estimated (`progress` has percent).
-    kFinished,    ///< Result ready; `cancelled`/`error` summarize it.
+    kFinished,    ///< Run over; `cancelled`/`error` summarize it. Fires
+                  ///< just *before* the result is takeable (on_ready
+                  ///< fires after).
   };
   std::uint64_t job = 0;  ///< Monotonic per-executor job id (submit order).
   Kind kind = Kind::kQueued;
@@ -103,6 +110,15 @@ using JobEventFn = std::function<void(const JobEvent&)>;
 struct JobHooks {
   ProgressFn on_progress;
   JobEventFn on_event;
+  /// Completion notification: called exactly once per job, after the
+  /// kFinished event and after the result became takeable — `done()` is
+  /// already true and `take()` will not block. Runs on the worker that
+  /// finished the job, or on the submitting thread for a job refused at
+  /// admission. It runs outside the job's lock, so `take()` may return
+  /// while the hook is still running: anything it touches must not die
+  /// with the consumer (the worker holds the callable until it
+  /// returns). Exceptions are swallowed, as for `on_event`.
+  std::function<void()> on_ready;
 };
 
 // ---------------------------------------------------------------------------

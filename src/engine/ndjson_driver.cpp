@@ -1,6 +1,10 @@
 #include "engine/ndjson_driver.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cstdint>
 #include <utility>
 
 #include "engine/request_json.h"
@@ -86,6 +90,29 @@ ParsedLine parse_request_line(const std::string& raw,
 // NdjsonDispatcher
 // ---------------------------------------------------------------------------
 
+/// The eventfd behind `ready_fd()`. Writes add to its counter, one read
+/// resets it to zero; both are nonblocking, and a failed write can only
+/// mean the counter is already nonzero (readable) or the fd is missing.
+struct NdjsonDispatcher::ReadySignal {
+  const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+
+  ReadySignal() = default;
+  ReadySignal(const ReadySignal&) = delete;
+  ReadySignal& operator=(const ReadySignal&) = delete;
+  ~ReadySignal() {
+    if (fd >= 0) ::close(fd);
+  }
+
+  void notify() const {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof one);
+  }
+  void consume() const {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd, &count, sizeof count);
+  }
+};
+
 NdjsonDispatcher::NdjsonDispatcher(Executor& executor, std::size_t window,
                                    EmitFn emit)
     : executor_(executor),
@@ -112,13 +139,21 @@ void NdjsonDispatcher::push(ParsedLine line) {
   if (!line.input_error.empty()) {
     p.input_error = std::move(line.input_error);
   } else {
-    p.handle = executor_.submit(std::move(line.request));
+    // Only an event loop that asked for `ready_fd()` gets signalled; the
+    // batch path (push, then drain) makes no system call per job.
+    JobHooks hooks;
+    if (ready_) hooks.on_ready = [signal = ready_] { signal->notify(); };
+    p.handle = executor_.submit(std::move(line.request), std::move(hooks));
   }
   pending_.push_back(std::move(p));
   while (pending_.size() > window_) emit_front();
 }
 
 std::size_t NdjsonDispatcher::flush_ready() {
+  // Consume first: a job that becomes ready after this read writes the
+  // eventfd again (its hook runs after `ready`), and one that became
+  // ready before it is seen by the probes below.
+  if (ready_) ready_->consume();
   std::size_t emitted = 0;
   while (!pending_.empty()) {
     const Pending& front = pending_.front();
@@ -166,6 +201,11 @@ void NdjsonDispatcher::emit_front() {
                  result.status == ResultStatus::kResourceExhausted ||
                  result.status == ResultStatus::kAdmissionRejected;
   if (emit_) emit_(result);
+}
+
+int NdjsonDispatcher::ready_fd() {
+  if (!ready_) ready_ = std::make_shared<const ReadySignal>();
+  return ready_->fd;
 }
 
 int NdjsonDispatcher::exit_code() const {

@@ -25,13 +25,16 @@
 // A dispatcher is single-consumer: one thread pushes lines and receives
 // `emit` callbacks (the batch main loop, or one server connection's
 // reader thread). Many dispatchers may share one executor — that is the
-// server's concurrency model.
+// server's concurrency model. An event loop polls `ready_fd()` next to
+// its input and calls `flush_ready()` when either wakes, so a reply
+// leaves the moment its job (and every job before it) is done.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -126,9 +129,23 @@ class NdjsonDispatcher {
   /// stream, then `drain` flushes), but a long-lived socket does: a
   /// client that keeps the connection open while waiting for replies
   /// would otherwise see nothing until `window` more lines arrive. The
-  /// server's reader ticks this while polling. Returns the number of
-  /// lines emitted.
+  /// server's reader calls it whenever `ready_fd()` or its socket wakes
+  /// it. It consumes the `ready_fd()` signal *before* probing, so a job
+  /// finishing mid-flush re-arms the fd instead of being missed. Returns
+  /// the number of lines emitted.
   std::size_t flush_ready();
+
+  /// Readiness signal for event loops: a nonblocking eventfd that turns
+  /// readable whenever one of this dispatcher's jobs has finished since
+  /// the last `flush_ready()` (written from `JobHooks::on_ready`, i.e.
+  /// only once the result is takeable). The first call creates it, and
+  /// only jobs pushed after that call signal it, so an event loop calls
+  /// this before its first `push`; a dispatcher that never calls it (the
+  /// batch driver) costs its jobs no system call. Input-error lines never
+  /// signal — they are ready at `push`; flush after pushing. -1 when the
+  /// eventfd could not be created (descriptor exhaustion). Owned here;
+  /// do not close it.
+  int ready_fd();
 
   /// Emits every in-flight result, blocking until the last worker
   /// finishes. push/drain may be interleaved freely.
@@ -141,9 +158,6 @@ class NdjsonDispatcher {
   /// and abandoning the drain (the server's SIGTERM path).
   bool drain_for(std::chrono::milliseconds per_job);
 
-  /// Lines pushed but not yet emitted.
-  std::size_t in_flight() const { return pending_.size(); }
-
   /// Aggregated exit code of everything emitted so far, the shared
   /// 0/1/3 contract: 3 = some job was stopped by a resource limit
   /// (trumps 1), 1 = some error or property failure, else 0.
@@ -155,11 +169,19 @@ class NdjsonDispatcher {
     std::string input_error;
   };
 
+  struct ReadySignal;
+
   void emit_front();
 
   Executor& executor_;
   const std::size_t window_;
   EmitFn emit_;
+  /// Null until `ready_fd()` is first called. Shared with every job's
+  /// `on_ready` hook: a worker may still be writing to the eventfd after
+  /// `take()` returned here, so the descriptor closes only once the last
+  /// hook has let go — never under a write, and never while its number
+  /// could be reused by another connection's socket.
+  std::shared_ptr<const ReadySignal> ready_;
   std::deque<Pending> pending_;
   bool any_error_ = false;
   bool any_failure_ = false;

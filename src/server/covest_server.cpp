@@ -97,6 +97,9 @@ struct CovestServer::Impl {
   std::uint64_t next_conn_id = 1;
   std::unordered_map<std::uint64_t, std::thread> conns;
   std::vector<std::uint64_t> finished;  ///< Ready to join (reaped lazily).
+  /// Signalled by each reader as it lands in `finished`; `serve` waits
+  /// on it to join the last readers after shutdown.
+  std::condition_variable conn_cv;
 
   // -- Metrics + exit aggregation -------------------------------------------
   Clock::time_point started_at{};
@@ -170,7 +173,10 @@ struct CovestServer::Impl {
     for (;;) {
       // The timed backstop covers the signal-handler shutdown path:
       // request_shutdown only stores + writes the pipe (it must stay
-      // async-signal-safe), so this thread re-checks on a coarse tick.
+      // async-signal-safe, and notifying a condition variable is not),
+      // so this thread re-checks on a coarse tick. It sits on neither
+      // the reply path nor the drain: it only keeps a window from
+      // opening after a signal, and the destructor notifies directly.
       gc_cv.wait_for(lock, std::chrono::milliseconds(200), [this] {
         return shutting_down.load(std::memory_order_relaxed) ||
                suites_total() - last_maintained >= options.gc_interval;
@@ -289,61 +295,74 @@ void CovestServer::Impl::handle_connection(std::uint64_t id, int fd) {
         engine::parse_request_line(line, options.defaults, "", false));
   };
 
+  // Created before the first push, so every job of this connection
+  // signals it.
+  const int ready_fd = dispatch.ready_fd();
+  if (ready_fd < 0) {
+    // Without its readiness fd the loop below could never learn that a
+    // job finished; refuse the connection rather than hang its replies.
+    const SuiteResult r =
+        status_line(engine::ResultStatus::kAdmissionRejected,
+                    "could not create the connection's readiness eventfd");
+    send_all(fd, engine::to_json(r, json));
+    client_alive = false;
+  }
+
   std::string buffer;
   bool discarding = false;  ///< Oversize line: drop bytes to next '\n'.
   char chunk[4096];
-  pollfd fds[2];
+  // Event-driven: the loop sleeps until the client sends, a job of this
+  // connection finishes (the dispatcher's readiness fd), or shutdown.
+  // There is no timeout — a reply never waits for a tick.
+  pollfd fds[3];
   fds[0] = {fd, POLLIN, 0};
   fds[1] = {wake_rd, POLLIN, 0};
-  // With jobs in flight, poll on a short tick so finished results
-  // stream out while the client holds the connection open — a socket
-  // has no EOF-then-drain moment the way batch stdin does. Idle
-  // connections block indefinitely (the wake pipe ends them).
-  constexpr int kFlushTickMs = 20;
+  fds[2] = {ready_fd, POLLIN, 0};
   while (client_alive) {
-    const int timeout = dispatch.in_flight() == 0 ? -1 : kFlushTickMs;
-    const int rc = ::poll(fds, 2, timeout);
-    if (rc < 0) {
+    if (::poll(fds, 3, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    dispatch.flush_ready();
-    if (rc == 0) continue;  // Tick: results flushed, nothing to read.
     // Shutdown wake: stop reading — buffered-but-unread requests are
     // not accepted during a drain — and fall through to the drain.
     if ((fds[1].revents & POLLIN) != 0 ||
         shutting_down.load(std::memory_order_relaxed)) {
       break;
     }
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // EOF or error: drain what was submitted, then hang up.
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (discarding) {
-        discarding = false;  // The runt tail of an oversize line.
-        continue;
+    if (fds[0].revents != 0) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) {
+        if (n < 0 && errno == EINTR) continue;
+        break;  // EOF or error: drain what was submitted, then hang up.
       }
-      handle_line(line);
-    }
-    if (!discarding && buffer.size() > options.max_line_bytes) {
-      // Emitted immediately (nothing of this line was ever submitted);
-      // the stream resynchronizes at the next newline.
-      const SuiteResult r = status_line(
-          engine::ResultStatus::kAdmissionRejected,
-          "request line exceeds max_line_bytes (" +
-              std::to_string(options.max_line_bytes) + ")");
-      if (client_alive && !send_all(fd, engine::to_json(r, json))) {
-        client_alive = false;
+      buffer.append(chunk, static_cast<std::size_t>(n));
+      std::size_t pos;
+      while ((pos = buffer.find('\n')) != std::string::npos) {
+        std::string line = buffer.substr(0, pos);
+        buffer.erase(0, pos + 1);
+        if (discarding) {
+          discarding = false;  // The runt tail of an oversize line.
+          continue;
+        }
+        handle_line(line);
       }
-      buffer.clear();
-      discarding = true;
+      if (!discarding && buffer.size() > options.max_line_bytes) {
+        // Emitted immediately (nothing of this line was ever submitted);
+        // the stream resynchronizes at the next newline.
+        const SuiteResult r = status_line(
+            engine::ResultStatus::kAdmissionRejected,
+            "request line exceeds max_line_bytes (" +
+                std::to_string(options.max_line_bytes) + ")");
+        if (client_alive && !send_all(fd, engine::to_json(r, json))) {
+          client_alive = false;
+        }
+        buffer.clear();
+        discarding = true;
+      }
     }
+    // Finished jobs (the readiness fd) and input-error lines just pushed
+    // (which never signal it) leave now, in order.
+    dispatch.flush_ready();
   }
 
   // Drain: every submitted job still gets its result line (shutdown
@@ -364,6 +383,7 @@ void CovestServer::Impl::handle_connection(std::uint64_t id, int fd) {
   conn_active.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(conn_mu);
   finished.push_back(id);
+  conn_cv.notify_one();  // A draining `serve` may be waiting to join us.
 }
 
 void CovestServer::Impl::reap_finished() {
@@ -497,15 +517,14 @@ void CovestServer::serve() {
         id, std::thread([this, id, fd] { impl_->handle_connection(id, fd); }));
   }
   // Reject new connections at the socket level, then let every reader
-  // finish its drain and join it.
+  // finish its drain and join it as soon as it says it is done.
   ::close(impl_->listen_fd);
   impl_->listen_fd = -1;
   for (;;) {
     impl_->reap_finished();
     std::unique_lock<std::mutex> lock(impl_->conn_mu);
     if (impl_->conns.empty()) break;
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    impl_->conn_cv.wait(lock, [this] { return !impl_->finished.empty(); });
   }
 }
 

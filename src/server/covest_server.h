@@ -8,6 +8,10 @@
 // newline-delimited JSON `CoverageRequest`s in, one compact JSON
 // `SuiteResult` line per request out, in per-connection submit order —
 // byte-identical to what `covest_batch` prints for the same stream.
+// The reader sleeps in `poll` without a timeout until its client sends,
+// a job of its connection finishes (the dispatcher's `ready_fd`), or
+// shutdown is requested; a result line leaves as soon as its job and
+// every earlier job on the connection are done.
 //
 // Beyond suite requests, a line of the form
 //

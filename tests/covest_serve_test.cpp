@@ -1,11 +1,13 @@
 // Integration tests for covest_serve, the long-lived NDJSON coverage
 // server: wire parity with covest_batch (including under concurrent
-// clients), the warm model cache (byte-identical repeats that skip
-// elaborate/verify), the /metrics surface, governance statuses over the
-// wire, malformed/oversize input robustness, connection-cap admission
-// and the SIGTERM drain contract.
+// clients), the event-driven reply path (no lost wake-ups, pipelined
+// bursts, connection churn), the warm model cache (byte-identical
+// repeats that skip elaborate/verify), the /metrics surface, governance
+// statuses over the wire, malformed/oversize input robustness,
+// connection-cap admission and the SIGTERM drain contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -112,6 +114,124 @@ TEST(CovestServeTest, FourConcurrentClientsMatchSerialBatchByteForByte) {
       EXPECT_EQ(replies[c][i], expected[i]) << "client " << c << " line " << i;
     }
   }
+
+  server.signal(SIGTERM);
+  EXPECT_EQ(server.wait(), 0);
+}
+
+// --------------------------------------------------------------------------
+// Event-driven reply path
+// --------------------------------------------------------------------------
+//
+// A reply leaves when its job finishes: the connection's reader polls the
+// dispatcher's readiness eventfd, with no timeout. A lost wake-up
+// therefore hangs a reply rather than delaying it, and every recv below
+// carries a 5-s bound that turns such a hang into a failure.
+
+TEST(CovestServeTest, SequentialRoundTripsNeverLoseAWakeUp) {
+  const std::string request = request_line("counter.cov");
+  const std::vector<std::string> expected = batch_lines({request});
+  ASSERT_EQ(expected.size(), 1u);
+
+  ServerProcess server;
+  ASSERT_TRUE(server.start(COVEST_SERVE_PATH, {"--port", "0", "--jobs", "2"}));
+  TcpClient client;
+  ASSERT_TRUE(client.connect_to(server.port()));
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(client.send_line(request));
+    ASSERT_EQ(client.recv_line(5'000), expected[0]) << "round trip " << i;
+    if (i % 100 == 0) {
+      // An input-error line has no job, so nothing signals the readiness
+      // fd: the reader must flush it right after reading it.
+      ASSERT_TRUE(client.send_line("{\"op\": \"nope\"}"));
+      const std::string error = client.recv_line(5'000);
+      EXPECT_NE(error.find("unknown op 'nope'"), std::string::npos) << error;
+    }
+  }
+
+  server.signal(SIGTERM);
+  EXPECT_EQ(server.wait(), 1);  // The unknown-op lines are errors.
+}
+
+TEST(CovestServeTest, PipelinedBurstRepliesInOrderAndMatchesBatch) {
+  // Three windows' worth (window = 2 x jobs) in one send: the reader
+  // blocks on the oldest job whenever the window is full, and the rest
+  // stream out as their jobs finish.
+  const char* models[] = {"counter.cov", "arbiter.cov", "handshake.cov",
+                          "shift.cov", "traffic.cov"};
+  constexpr int kWindow = 2 * 2;  // 2 x --jobs.
+  std::vector<std::string> requests;
+  for (int i = 0; i < 3 * kWindow; ++i) {
+    requests.push_back(request_line(models[i % 5]));
+  }
+  const std::vector<std::string> expected = batch_lines(requests);
+  ASSERT_EQ(expected.size(), requests.size());
+
+  ServerProcess server;
+  ASSERT_TRUE(server.start(COVEST_SERVE_PATH, {"--port", "0", "--jobs", "2"}));
+  TcpClient client;
+  ASSERT_TRUE(client.connect_to(server.port()));
+  std::string burst;
+  for (const std::string& r : requests) burst += r + "\n";
+  ASSERT_TRUE(client.send_raw(burst));
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(client.recv_line(5'000), expected[i]) << "line " << i;
+  }
+
+  server.signal(SIGTERM);
+  EXPECT_EQ(server.wait(), 0);
+}
+
+TEST(CovestServeTest, ConnectionChurnNeverCorruptsAPersistentClient) {
+  // Each churned connection leaves a job running after its socket (and
+  // its dispatcher) is gone. The job's readiness write must land in that
+  // dispatcher's still-open eventfd, never in a descriptor number the
+  // kernel has since handed to another socket: stray bytes in the
+  // persistent client's stream would break its byte-exact replies.
+  const std::string request = request_line("counter.cov");
+  const std::string churn_request = request_line("arbiter.cov");
+  const std::vector<std::string> expected = batch_lines({request});
+  ASSERT_EQ(expected.size(), 1u);
+
+  ServerProcess server;
+  ASSERT_TRUE(server.start(COVEST_SERVE_PATH, {"--port", "0", "--jobs", "2"}));
+
+  std::atomic<bool> churning{true};
+  std::atomic<int> round_trips{0};
+  std::thread persistent([&] {
+    TcpClient client;
+    if (!client.connect_to(server.port())) {
+      ADD_FAILURE() << "persistent client could not connect";
+      return;
+    }
+    while (churning.load() || round_trips.load() < 50) {
+      if (!client.send_line(request)) {
+        ADD_FAILURE() << "send failed after " << round_trips.load();
+        return;
+      }
+      const std::string reply = client.recv_line(5'000);
+      if (reply != expected[0]) {
+        ADD_FAILURE() << "round trip " << round_trips.load() << ": " << reply;
+        return;
+      }
+      ++round_trips;
+    }
+  });
+  for (int i = 0; i < 100; ++i) {
+    TcpClient rude;
+    ASSERT_TRUE(rude.connect_to(server.port()));
+    ASSERT_TRUE(rude.send_line(churn_request));
+    rude.close();  // Before the reply.
+  }
+  churning.store(false);
+  persistent.join();
+  EXPECT_GE(round_trips.load(), 50);
+
+  // Still serviceable afterwards, on a fresh connection too.
+  TcpClient after;
+  ASSERT_TRUE(after.connect_to(server.port()));
+  ASSERT_TRUE(after.send_line(request));
+  EXPECT_EQ(after.recv_line(5'000), expected[0]);
 
   server.signal(SIGTERM);
   EXPECT_EQ(server.wait(), 0);

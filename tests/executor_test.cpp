@@ -3,6 +3,7 @@
 // signal-sharded suites), streaming job events, cancellation, structured
 // per-job errors, and the BDD thread-affinity hand-off.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "bdd/bdd.h"
 #include "engine/engine.h"
 #include "engine/executor.h"
+#include "engine/ndjson_driver.h"
 #include "engine/result_json.h"
 #include "engine/session_cache.h"
 #include "model/model_parser.h"
@@ -719,13 +721,18 @@ TEST(ExecutorAdmissionTest, RejectedJobEmitsASingleFinishedEvent) {
   };
   Executor ex(std::move(options));
 
+  // As above: A must be on the worker before B fills the queue, or the
+  // worker could pop A between B's and C's submits and admit C.
+  std::atomic<bool> a_started{false};
   std::atomic<bool> release{false};
   JobHooks gate;
   gate.on_progress = [&](const Progress&) {
+    a_started.store(true);
     while (!release.load()) std::this_thread::yield();
     return true;
   };
   JobHandle a = ex.submit(path_request("counter.cov"), gate);
+  while (!a_started.load()) std::this_thread::yield();
   JobHandle b = ex.submit(path_request("counter.cov"));
   JobHandle c = ex.submit(path_request("counter.cov"));
   const std::uint64_t rejected_job = c.id();
@@ -780,6 +787,193 @@ TEST(ExecutorAdmissionTest, BlockPolicyAppliesBackpressure) {
   EXPECT_TRUE(c_admitted.load());
   EXPECT_EQ(a.take().status, engine::ResultStatus::kOk);
   EXPECT_EQ(b.take().status, engine::ResultStatus::kOk);
+}
+
+// --------------------------------------------------------------------------
+// Completion hook (JobHooks::on_ready)
+// --------------------------------------------------------------------------
+
+/// One job's `on_ready` observations. `handle` is assigned before the job
+/// can finish; the fields are read only once the executor is gone, since
+/// the hook may still be running when `take()` returns.
+struct ReadyProbe {
+  JobHandle handle;
+  std::atomic<int> fired{0};
+  std::atomic<bool> finished_seen{false};
+  std::atomic<bool> after_finished{false};
+  std::atomic<bool> done_in_hook{false};
+  std::thread::id thread;
+
+  JobHooks hooks() {
+    JobHooks h;
+    h.on_event = [this](const JobEvent& e) {
+      if (e.kind == JobEvent::Kind::kFinished) finished_seen.store(true);
+    };
+    h.on_ready = [this] {
+      ++fired;
+      after_finished.store(finished_seen.load());
+      done_in_hook.store(handle.valid() && handle.done());
+      thread = std::this_thread::get_id();
+    };
+    return h;
+  }
+};
+
+TEST(ExecutorReadyHookTest, FiresOnceAfterTheResultIsTakeable) {
+  ReadyProbe probe;
+  std::atomic<bool> published{false};
+  {
+    Executor ex(1);
+    JobHooks hooks = probe.hooks();
+    // Hold the run until the handle is visible to the hook.
+    hooks.on_progress = [&](const Progress&) {
+      while (!published.load()) std::this_thread::yield();
+      return true;
+    };
+    probe.handle = ex.submit(path_request("counter.cov"), hooks);
+    published.store(true);
+    EXPECT_EQ(probe.handle.take().status, engine::ResultStatus::kOk);
+  }
+  EXPECT_EQ(probe.fired.load(), 1);
+  EXPECT_TRUE(probe.done_in_hook.load());
+  EXPECT_TRUE(probe.after_finished.load());
+  EXPECT_NE(probe.thread, std::this_thread::get_id());  // A worker.
+}
+
+TEST(ExecutorReadyHookTest, FiresOnceForAJobCancelledWhileQueued) {
+  ReadyProbe probe;
+  std::atomic<bool> release{false};
+  {
+    Executor ex(1);
+    JobHooks gate;
+    gate.on_progress = [&](const Progress&) {
+      while (!release.load()) std::this_thread::yield();
+      return true;
+    };
+    JobHandle a = ex.submit(path_request("counter.cov"), gate);
+    probe.handle = ex.submit(path_request("arbiter.cov"), probe.hooks());
+    probe.handle.cancel();
+    release.store(true);
+    EXPECT_TRUE(probe.handle.take().cancelled);
+    a.take();
+  }
+  EXPECT_EQ(probe.fired.load(), 1);
+  EXPECT_TRUE(probe.done_in_hook.load());
+  EXPECT_TRUE(probe.after_finished.load());
+}
+
+TEST(ExecutorReadyHookTest, FiresOnceForAReplicatedShardedJob) {
+  // Three worker tasks, one job: only the task that completes the merge
+  // publishes the result, so the hook fires once.
+  ReadyProbe probe;
+  std::atomic<bool> published{false};
+  {
+    Executor ex(3);
+    CoverageRequest req = path_request("arbiter.cov");
+    req.shards = 3;
+    req.shard_mode = engine::ShardMode::kReplicated;
+    JobHooks hooks = probe.hooks();
+    hooks.on_progress = [&](const Progress&) {
+      while (!published.load()) std::this_thread::yield();
+      return true;
+    };
+    probe.handle = ex.submit(req, hooks);
+    published.store(true);
+    EXPECT_EQ(probe.handle.take().status, engine::ResultStatus::kOk);
+  }
+  EXPECT_EQ(probe.fired.load(), 1);
+  EXPECT_TRUE(probe.done_in_hook.load());
+}
+
+TEST(ExecutorReadyHookTest, FiresOnceOnTheSubmitterForAnAdmissionReject) {
+  // A refused job never reaches a worker: the hook runs inside `submit`,
+  // after the single kFinished event, and `submit` returns a done handle.
+  ReadyProbe probe;
+  ExecutorOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  options.admission = engine::AdmissionPolicy::kReject;
+  std::atomic<bool> release{false};
+  {
+    Executor ex(std::move(options));
+    std::atomic<bool> a_started{false};
+    JobHooks gate;
+    gate.on_progress = [&](const Progress&) {
+      a_started.store(true);
+      while (!release.load()) std::this_thread::yield();
+      return true;
+    };
+    JobHandle a = ex.submit(path_request("counter.cov"), gate);
+    while (!a_started.load()) std::this_thread::yield();
+    JobHandle b = ex.submit(path_request("counter.cov"));  // Fills the queue.
+    JobHandle c = ex.submit(path_request("counter.cov"), probe.hooks());
+    EXPECT_TRUE(c.done());
+    EXPECT_EQ(probe.fired.load(), 1);
+    release.store(true);
+    EXPECT_EQ(c.take().status, engine::ResultStatus::kAdmissionRejected);
+    a.take();
+    b.take();
+  }
+  EXPECT_EQ(probe.fired.load(), 1);
+  EXPECT_TRUE(probe.after_finished.load());
+  EXPECT_EQ(probe.thread, std::this_thread::get_id());
+}
+
+TEST(ExecutorReadyHookTest, ThrowingReadyHooksAreSwallowed) {
+  JobHooks throwing;
+  throwing.on_ready = [] { throw std::runtime_error("ready"); };
+  ExecutorOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  options.admission = engine::AdmissionPolicy::kReject;
+  Executor ex(std::move(options));
+
+  // Worker path: the job still delivers, and the worker survives to run
+  // the next one.
+  EXPECT_EQ(ex.submit(path_request("counter.cov"), throwing).take().status,
+            engine::ResultStatus::kOk);
+  EXPECT_EQ(ex.submit(path_request("counter.cov"), throwing).take().status,
+            engine::ResultStatus::kOk);
+
+  // Admission path: the throw must not escape `submit`.
+  std::atomic<bool> a_started{false}, release{false};
+  JobHooks gate;
+  gate.on_progress = [&](const Progress&) {
+    a_started.store(true);
+    while (!release.load()) std::this_thread::yield();
+    return true;
+  };
+  JobHandle a = ex.submit(path_request("counter.cov"), gate);
+  while (!a_started.load()) std::this_thread::yield();
+  JobHandle b = ex.submit(path_request("counter.cov"));
+  JobHandle c = ex.submit(path_request("counter.cov"), throwing);
+  EXPECT_EQ(c.take().status, engine::ResultStatus::kAdmissionRejected);
+  release.store(true);
+  EXPECT_EQ(a.take().status, engine::ResultStatus::kOk);
+  EXPECT_EQ(b.take().status, engine::ResultStatus::kOk);
+}
+
+TEST(ExecutorReadyHookTest, DispatcherReadyFdSignalsFinishedJobs) {
+  // The event-loop contract the server relies on: ask for the fd before
+  // the first push, sleep in poll, flush when it turns readable.
+  Executor ex(1);
+  std::vector<std::string> lines;
+  engine::NdjsonDispatcher dispatch(
+      ex, 4, [&](const SuiteResult& r) { lines.push_back(canonical(r)); });
+  const int fd = dispatch.ready_fd();
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(dispatch.ready_fd(), fd);  // Created once.
+  pollfd p{fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 0), 0);  // Nothing has finished yet.
+
+  engine::ParsedLine line;
+  line.request = path_request("counter.cov");
+  dispatch.push(std::move(line));
+  ASSERT_EQ(::poll(&p, 1, 10000), 1);
+  EXPECT_EQ(dispatch.flush_ready(), 1u);
+  EXPECT_EQ(::poll(&p, 1, 0), 0);  // flush_ready consumed the signal.
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], canonical(Engine().run(path_request("counter.cov"))));
 }
 
 TEST(ExecutorGovernanceTest, WaitForTimesOutThenDelivers) {
