@@ -37,6 +37,13 @@ const Bdd& CoverageEstimator::coverage_space() {
   return *space_;
 }
 
+void CoverageEstimator::seed_reachable(const Bdd& reachable) {
+  if (options_.restrict_to_fair && !fsm_.fairness().empty()) return;
+  const Bdd& init = fsm_.initial_states();
+  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
+  reach_cache_.try_emplace(init.index(), ReachEntry{init, reachable});
+}
+
 Bdd CoverageEstimator::forward_fair(const Bdd& s) {
   Bdd next = fsm_.forward(s);
   if (options_.restrict_to_fair) next &= checker_.fair_states();

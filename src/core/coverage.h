@@ -117,6 +117,14 @@ class CoverageEstimator {
   /// Reachable (∩ fair ∩ ¬dontcare per options) states. Cached.
   const bdd::Bdd& coverage_space();
 
+  /// Hands over `reachable` = reachable(initial states), computed by the
+  /// caller, so the estimator does not run the same fixpoint again. It
+  /// is adopted only when the fair restriction is vacuous (no FAIRNESS,
+  /// or `restrict_to_fair` off): then the fair-restricted traversal from
+  /// the initial states is that very set, as the same canonical BDD
+  /// under every image strategy. Otherwise this is a no-op.
+  void seed_reachable(const bdd::Bdd& reachable);
+
   /// Uncovered states for a covered set: space − covered.
   bdd::Bdd uncovered(const bdd::Bdd& covered);
 

@@ -59,6 +59,17 @@ Bdd ModelChecker::compute(const Formula& f) {
   throw std::logic_error("unhandled CTL operator");
 }
 
+const Bdd& ModelChecker::restrict_to_reachable() {
+  // Engaged at most once, so the returned reference stays valid after
+  // the lock is released.
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (!reachable_) {
+    reachable_ = fsm_.reachable(fsm_.initial_states());
+    care_ = *reachable_;
+  }
+  return *reachable_;
+}
+
 const Bdd& ModelChecker::fair_states() {
   // The optional is engaged at most once, so the returned reference
   // stays valid after the lock is released.
@@ -80,26 +91,26 @@ Bdd ModelChecker::eu(const Bdd& p, const Bdd& q) {
 }
 
 Bdd ModelChecker::eu_plain(const Bdd& p, const Bdd& q) {
-  // lfp Z. q | (p & EX Z). Under kChaining the loop keeps the classic
-  // accumulated-set (Gauss-Seidel) discipline — the whole Z goes back
-  // through the chained clusters each round; otherwise it runs the
-  // frontier (BFS) discipline, which preimages only the newly-added
-  // states (preimage distributes over union, so both converge to the
-  // identical least fixpoint).
+  // lfp Z. (q & care) | (p & care & EX Z). Under kChaining the loop
+  // keeps the classic accumulated-set (Gauss-Seidel) discipline — the
+  // whole Z goes back through the chained clusters each round;
+  // otherwise it runs the frontier (BFS) discipline, which preimages
+  // only the newly-added states (preimage distributes over union, so
+  // both converge to the identical least fixpoint).
+  const Bdd pc = p & care_;
+  Bdd z = q & care_;
   if (fsm_.image_strategy() == image::ImageStrategy::kChaining) {
-    Bdd z = q;
     while (true) {
       covest::governor_tick();
-      const Bdd next = z | (p & fsm_.backward(z));
+      const Bdd next = z | (pc & fsm_.backward(z));
       if (next == z) return z;
       z = next;
     }
   }
-  Bdd z = q;
-  Bdd frontier = q;
+  Bdd frontier = z;
   while (!frontier.is_false()) {
     covest::governor_tick();
-    frontier = (p & fsm_.backward(frontier)) - z;
+    frontier = (pc & fsm_.backward(frontier)) - z;
     z |= frontier;
   }
   return z;
@@ -107,11 +118,12 @@ Bdd ModelChecker::eu_plain(const Bdd& p, const Bdd& q) {
 
 Bdd ModelChecker::eg(const Bdd& p) {
   if (fsm_.fairness().empty()) return eg_plain(p);
-  // Emerson-Lei: gfp Z. p & /\_k EX E[p U (Z & c_k)].
-  Bdd z = p;
+  // Emerson-Lei: gfp Z. p & care & /\_k EX E[p U (Z & c_k)].
+  const Bdd pc = p & care_;
+  Bdd z = pc;
   while (true) {
     covest::governor_tick();
-    Bdd next = p;
+    Bdd next = pc;
     for (const Bdd& c : fsm_.fairness()) {
       next &= fsm_.backward(eu_plain(p, z & c));
     }
@@ -121,8 +133,8 @@ Bdd ModelChecker::eg(const Bdd& p) {
 }
 
 Bdd ModelChecker::eg_plain(const Bdd& p) {
-  // gfp Z. p & EX Z.
-  Bdd z = p;
+  // gfp Z. p & care & EX Z.
+  Bdd z = p & care_;
   while (true) {
     covest::governor_tick();
     const Bdd next = z & fsm_.backward(z);
@@ -142,14 +154,14 @@ CheckResult ModelChecker::check(const Formula& f) {
     // Recurse into the first failing conjunct (property suites are often
     // conjunctions of AG implications); for AG g the classic
     // counterexample is a shortest path to a reachable state violating
-    // the body g; otherwise fall back to a reachable state outside
-    // sat(f).
+    // the body g; otherwise a reachable state outside sat(f). No
+    // reachability fixpoint is needed: shortest_trace only intersects
+    // the target with forward rings from the initial states, which are
+    // reachable (and so inside any care set).
     if (f.op() == CtlOp::kAnd) {
       return check(holds(f.arg(0)) ? f.arg(1) : f.arg(0));
     }
-    const Bdd reach = fsm_.reachable(fsm_.initial_states());
-    const Bdd bad = f.op() == CtlOp::kAG ? reach - sat(f.arg(0))
-                                         : reach - sat(f);
+    const Bdd bad = f.op() == CtlOp::kAG ? !sat(f.arg(0)) : !sat(f);
     result.counterexample =
         fsm::shortest_trace(fsm_, fsm_.initial_states(), bad);
   }

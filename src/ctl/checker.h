@@ -10,6 +10,21 @@
 //   E[p U q]f   = E[p U (q & fair)]
 //   EG_fair p   = Emerson-Lei: gfp Z. p & /\_k EX E[p U (Z & c_k)]
 //
+// Care set: a forward-closed set of states that contains the initial
+// states (every successor of a care state is a care state). Every
+// fixpoint is seeded and stepped inside it — E[p U q] runs from
+// q & care through p & care, EG and Emerson-Lei start from p & care —
+// so `sat(f)` is exact on the care set and unspecified outside it. By
+// induction on the formula that is all any caller needs: `holds` tests
+// only initial states, counterexamples and the coverage estimator only
+// intersect satisfaction sets with states reached forward from the
+// initial states. The care set defaults to all states (`x & true` is a
+// terminal case of apply, so there is one code path); then `sat` has
+// full-space semantics. `restrict_to_reachable` installs the reachable
+// states instead. `engine::Session` opts in at the start of every cold
+// verify phase; tests, the bench programs and any other direct caller
+// keep the full-space checker.
+//
 // Satisfaction sets are memoized per formula node; the coverage estimator
 // reuses the same checker instance so sub-formula results computed during
 // verification are shared with coverage estimation — the memoization the
@@ -49,12 +64,20 @@ struct CheckResult {
 
 class ModelChecker {
  public:
-  explicit ModelChecker(const fsm::SymbolicFsm& fsm) : fsm_(fsm) {}
+  explicit ModelChecker(const fsm::SymbolicFsm& fsm)
+      : fsm_(fsm), care_(fsm.mgr().bdd_true()) {}
 
   const fsm::SymbolicFsm& fsm() const { return fsm_; }
 
-  /// Satisfaction set of `f` over the FSM's state space (memoized).
+  /// Satisfaction set of `f` (memoized); exact on the care set.
   bdd::Bdd sat(const Formula& f);
+
+  /// Computes `reachable(initial_states())` on the first call, installs
+  /// it as the care set and returns it; later calls return the same
+  /// set. Memo entries computed before the call stay valid (they are
+  /// exact everywhere). The fixpoint ticks the ambient governor; when
+  /// it throws, the care set is left as it was.
+  const bdd::Bdd& restrict_to_reachable();
 
   /// True when every initial state satisfies `f` (fair semantics when the
   /// model carries fairness constraints).
@@ -97,6 +120,9 @@ class ModelChecker {
                      FormulaStructuralEq>
       memo_;
   std::optional<bdd::Bdd> fair_;
+  /// All states, or the reachable states once restricted.
+  bdd::Bdd care_;
+  std::optional<bdd::Bdd> reachable_;
 };
 
 }  // namespace covest::ctl

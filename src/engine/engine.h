@@ -325,8 +325,12 @@ struct SuiteResult {
   std::string status_detail;
 
   PhaseStats elaborate;  ///< Parse + FSM elaboration.
-  PhaseStats verify;     ///< Model checking of the suite.
-  PhaseStats estimate;   ///< Coverage estimation + hole reporting.
+  /// Cold runs: the session's one reachability fixpoint, then model
+  /// checking of the suite confined to the reachable states.
+  PhaseStats verify;
+  /// Coverage space, estimation and hole reporting; no plain
+  /// reachability fixpoint (the verify phase computed it).
+  PhaseStats estimate;
   double total_ms = 0.0;
 
   bool all_passed() const { return failures == 0 && error.empty(); }
@@ -375,6 +379,13 @@ struct RunHooks {
 /// one BDD manager; repeated `run` calls share memoized satisfaction
 /// sets and fix-point caches (the reuse the paper recommends in
 /// Section 3).
+///
+/// Reachability: the first cold verify phase computes reachable(init)
+/// once (`ModelChecker::restrict_to_reachable`). The checker then
+/// confines every CTL fixpoint to that set (checker.h's care-set
+/// contract), the estimator adopts it as its reachability fixpoint when
+/// the fair restriction is vacuous, and `SuiteResult::reachable_states`
+/// counts it. Results are byte-identical to a full-space checker.
 ///
 /// Verified-suite split: beyond the checker's per-formula memo, the
 /// session records the *suite-level* verification artifacts — the
@@ -440,7 +451,8 @@ class Session {
   fsm::SymbolicFsm fsm_;
   ctl::ModelChecker checker_;
   core::CoverageEstimator estimator_;
-  /// |reachable(init)| is suite-invariant; computed on the first run.
+  /// |reachable(init)| is suite-invariant; counted from the checker's
+  /// reachable set on the first run that reaches the estimate phase.
   std::optional<double> reachable_count_;
   /// Suite hash -> artifacts of a completed verify phase.
   std::unordered_map<std::uint64_t, VerifiedSuite> verified_;

@@ -449,7 +449,13 @@ bool CovestServer::start(std::string* error) {
     return fail("bind " + impl_->options.host + ":" +
                 std::to_string(impl_->options.port));
   }
-  if (::listen(impl_->listen_fd, 64) != 0) return fail("listen");
+  // The accept loop starts a reader thread per connection, so a burst of
+  // connects can outrun it. A full accept queue makes the kernel drop
+  // the SYN and the client retransmit it a whole second later; a
+  // backlog of 64 did that within 100 back-to-back connects. SOMAXCONN
+  // asks for the largest queue the kernel allows (net.core.somaxconn
+  // caps it).
+  if (::listen(impl_->listen_fd, SOMAXCONN) != 0) return fail("listen");
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
   ::getsockname(impl_->listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);

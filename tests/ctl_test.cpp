@@ -339,7 +339,78 @@ TEST_P(CtlOracleEquivalence, SymbolicMatchesExplicitOnRandomModels) {
   }
 }
 
+// The care-set contract (checker.h): restricted to the reachable states,
+// `sat` is exact there, and everything read off it — `holds` and
+// `check`'s counterexample — matches the full-space checker.
+TEST_P(CtlOracleEquivalence, ReachableCareSetIsExactOnReachableStates) {
+  std::mt19937 rng(GetParam());
+  const bool with_fairness = GetParam() % 3 == 0;
+  const model::Model m = random_model(rng, with_fairness);
+
+  fsm::SymbolicFsm sym(m);
+  ModelChecker full(sym);
+  ModelChecker restricted(sym);
+  const bdd::Bdd& reach = restricted.restrict_to_reachable();
+  EXPECT_EQ(reach, sym.reachable(sym.initial_states()));
+  EXPECT_EQ(&restricted.restrict_to_reachable(), &reach);
+  xstate::ExplicitModel xm(m);
+
+  const auto& vars = sym.current_vars();
+  ASSERT_EQ(std::size_t{1} << vars.size(), xm.num_states());
+
+  for (int trial = 0; trial < 8; ++trial) {
+    const Formula f = collapse_propositional(random_ctl(rng, 3));
+    const bdd::Bdd sat = restricted.sat(f);
+    const std::vector<bool> xsat = xm.sat(f);
+    for (std::size_t s = 0; s < xm.num_states(); ++s) {
+      if (!xm.reachable()[s]) continue;
+      std::vector<bool> assignment(sym.mgr().num_vars(), false);
+      for (std::size_t k = 0; k < vars.size(); ++k) {
+        assignment[vars[k]] = (s >> k) & 1;
+      }
+      ASSERT_EQ(sym.mgr().eval(sat, assignment), xsat[s])
+          << "state " << s << " formula " << to_string(f)
+          << (with_fairness ? " (fair)" : "");
+    }
+    EXPECT_EQ(restricted.holds(f), full.holds(f)) << to_string(f);
+
+    const CheckResult want = full.check(f);
+    const CheckResult got = restricted.check(f);
+    EXPECT_EQ(got.holds, want.holds) << to_string(f);
+    ASSERT_EQ(got.counterexample.has_value(), want.counterexample.has_value())
+        << to_string(f);
+    if (want.counterexample) {
+      EXPECT_EQ(got.counterexample->to_string(sym),
+                want.counterexample->to_string(sym))
+          << to_string(f);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CtlOracleEquivalence, ::testing::Range(0, 30));
+
+TEST(CareSetTest, OnlyUnreachableStatesChange) {
+  // x stays false forever, so x=1 is unreachable: full-space EF x holds
+  // exactly there, while the restricted checker drops it.
+  model::ModelBuilder b("stuck");
+  const Expr x = b.state_bool("x", false);
+  b.next("x", x);
+  fsm::SymbolicFsm sym(b.build());
+  ModelChecker full(sym);
+  ModelChecker restricted(sym);
+  restricted.restrict_to_reachable();
+
+  const Formula ef = Formula::EF(Formula::prop(x));
+  EXPECT_EQ(full.sat(ef), sym.blast_bool(x));
+  EXPECT_TRUE(restricted.sat(ef).is_false());
+  EXPECT_FALSE(full.holds(ef));
+  EXPECT_FALSE(restricted.holds(ef));
+
+  const Formula ag = Formula::AG(Formula::prop(!x));
+  EXPECT_EQ(full.sat(ag), !sym.blast_bool(x));
+  EXPECT_TRUE(full.holds(ag));
+  EXPECT_TRUE(restricted.holds(ag));
+}
 
 }  // namespace
 }  // namespace covest::ctl

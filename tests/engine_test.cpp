@@ -105,6 +105,151 @@ TEST(EngineTest, RowsMatchTheCoreEstimator) {
   EXPECT_EQ(r.signals[0].num_properties, rep.signals[0].num_properties);
 }
 
+/// Renders a trace the way SuiteResult carries it: values in
+/// declaration order.
+engine::TraceResult render_trace(const fsm::SymbolicFsm& fsm,
+                                 const fsm::Trace& trace) {
+  engine::TraceResult out;
+  for (const fsm::TraceStep& step : trace.steps) {
+    engine::TraceResult::Step rendered;
+    for (const fsm::SignalLayout& l : fsm.layouts()) {
+      const auto it = step.values.find(l.name);
+      if (it != step.values.end()) rendered.emplace_back(l.name, it->second);
+    }
+    out.steps.push_back(std::move(rendered));
+  }
+  out.text = trace.to_string(fsm);
+  return out;
+}
+
+/// The suite result of `req` rebuilt from a full-space ModelChecker and a
+/// CoverageEstimator on a fresh FSM, the way Session::run composes them
+/// but without its reachable care set (request properties given as
+/// formulas, empty observe lists, no skip_failing).
+SuiteResult unrestricted_reference(const CoverageRequest& req) {
+  const model::Model& m = *req.model;
+  fsm::SymbolicFsm fsm(m, 0, req.options.image_strategy);
+  ctl::ModelChecker checker(fsm);
+  core::CoverageOptions options = req.options;
+  options.require_holds = false;
+  core::CoverageEstimator est(checker, options);
+
+  SuiteResult r;
+  r.model_name = m.name();
+  r.state_bits = m.state_bit_count();
+  std::vector<ctl::Formula> eligible;
+  for (const PropertySpec& spec : req.properties) {
+    const ctl::Formula f = ctl::collapse_propositional(spec.formula);
+    const ctl::CheckResult check = checker.check(f);
+    engine::PropertyResult pr;
+    pr.ctl_text = ctl::to_string(f);
+    pr.holds = check.holds;
+    pr.skipped = !check.holds;
+    if (check.counterexample) {
+      pr.counterexample = render_trace(fsm, *check.counterexample);
+    }
+    if (check.holds) {
+      eligible.push_back(f);
+    } else {
+      ++r.failures;
+    }
+    r.properties.push_back(std::move(pr));
+  }
+  r.reachable_states = fsm.count_states(fsm.reachable(fsm.initial_states()));
+  r.space_count = fsm.count_states(est.coverage_space());
+  for (const std::string& name : req.signals) {
+    const core::SignalCoverage sc =
+        est.coverage(eligible, core::observe_all_bits(m, name));
+    engine::SignalRow row;
+    row.name = name;
+    row.num_properties = sc.num_properties;
+    row.covered_count = sc.covered_count;
+    row.percent = sc.percent;
+    row.uncovered = est.uncovered_examples(sc.covered, req.uncovered_limit);
+    if (const auto trace = est.trace_to_uncovered(sc.covered)) {
+      row.trace = render_trace(fsm, *trace);
+    }
+    r.signals.push_back(std::move(row));
+  }
+  return r;
+}
+
+std::string no_stats_json(const SuiteResult& r) {
+  engine::JsonOptions opts;
+  opts.include_stats = false;
+  return engine::to_json(r, opts);
+}
+
+TEST(EngineTest, ReachableCareSetKeepsRingSuitesByteIdentical) {
+  // Session::run confines the checker to the reachable states; a
+  // full-space checker must produce the very same bytes, counterexample
+  // of the failing property and hole traces included.
+  for (const unsigned cells : {12u, 24u}) {
+    const circuits::TokenRingSpec spec{cells, 2};
+    for (const image::ImageStrategy strategy :
+         {image::ImageStrategy::kMonolithic,
+          image::ImageStrategy::kPartitioned,
+          image::ImageStrategy::kChaining}) {
+      CoverageRequest req;
+      req.model = circuits::make_token_ring(spec);
+      req.options.image_strategy = strategy;
+      for (const auto& f : circuits::ring_safety_properties(spec)) {
+        req.properties.push_back(PropertySpec::of(f));
+      }
+      // Fails three steps in, once the token reaches station 3 and moves
+      // on; the counterexample is read off the complement of a temporal
+      // body's satisfaction set.
+      req.properties.push_back(
+          PropertySpec::of(ctl::parse_ctl("AG (tok3 -> AX tok3)")));
+      req.signals = {"tok0", "tok1", "v0"};
+      req.want_traces = true;
+
+      const std::string want = no_stats_json(unrestricted_reference(req));
+      const SuiteResult got = Engine().run(req);
+      EXPECT_EQ(got.failures, 1u);
+      EXPECT_EQ(no_stats_json(got), want)
+          << "cells " << cells << " strategy " << static_cast<int>(strategy);
+
+      // A warm repeat in one session replays verify and re-estimates.
+      auto session = Engine().open(req);
+      session->run(req);
+      const SuiteResult warm = session->run(req);
+      EXPECT_EQ(warm.verify.passes, 0u);
+      EXPECT_EQ(no_stats_json(warm), want);
+    }
+  }
+}
+
+TEST(EngineTest, FairnessKeepsItsOwnCoverageSpace) {
+  // Every initial state has a fair path, but once x is set it stays set,
+  // so the reachable x states have none: the fair coverage space, though
+  // traversed from the very initial states the session's reachable set
+  // starts from, is smaller than that set and must not be replaced by it.
+  CoverageRequest req;
+  req.model = model::parse_model(R"(
+MODULE latch;
+VAR  x : bool;
+VAR  y : bool;
+IVAR in : bool;
+INIT x := false;
+INIT y := false;
+NEXT x := x | (y & in);
+NEXT y := in;
+FAIRNESS !x;
+SPEC AG (in -> AX y) OBSERVE y;
+)");
+  // States count the input bit too: all 8 are reachable, and the fair
+  // ones are the x=0 states bar y & in (whose successor sets x).
+  const SuiteResult fair = Engine().run(req);
+  EXPECT_DOUBLE_EQ(fair.reachable_states, 8.0);
+  EXPECT_DOUBLE_EQ(fair.space_count, 3.0);
+
+  req.options.restrict_to_fair = false;
+  const SuiteResult unfair = Engine().run(req);
+  EXPECT_DOUBLE_EQ(unfair.reachable_states, 8.0);
+  EXPECT_DOUBLE_EQ(unfair.space_count, 8.0);
+}
+
 TEST(EngineTest, FailingPropertiesAreSkippedByDefault) {
   CoverageRequest req;
   req.model = model::parse_model(kBrokenSource);

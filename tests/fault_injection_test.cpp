@@ -185,6 +185,38 @@ TEST(FaultInjectionTest, DeadlineSweepAcrossAllModels) {
   }
 }
 
+TEST(FaultInjectionTest, DeadlineInReachabilityStopsVerifyAndRecovers) {
+  InjectorGuard guard;
+  // A cold run's first ticks land in the session's one reachability
+  // fixpoint, which opens the verify phase: the stop is a verify stop
+  // with no property checked, the care set stays uninstalled, and the
+  // same session's next run is byte-identical to a fresh one.
+  for (const image::ImageStrategy strategy :
+       {image::ImageStrategy::kMonolithic, image::ImageStrategy::kPartitioned,
+        image::ImageStrategy::kChaining}) {
+    for (const char* model : kModels) {
+      CoverageRequest req = path_request(model);
+      req.options.image_strategy = strategy;
+      const std::string baseline = canonical(Engine().run(req));
+      for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{2}}) {
+        Session session(Engine::load_model(req), req.options);
+        FaultInjector::arm(FaultInjector::Site::kDeadline, n);
+        const SuiteResult r = session.run(req);
+        FaultInjector::disarm();
+        ASSERT_EQ(r.status, ResultStatus::kDeadlineExceeded)
+            << image::to_string(strategy) << " " << model << " @ tick " << n;
+        EXPECT_EQ(r.status_detail.rfind("verify: ", 0), 0u)
+            << r.status_detail;
+        EXPECT_TRUE(r.properties.empty());
+        EXPECT_TRUE(r.signals.empty());
+        EXPECT_EQ(canonical(session.run(req)), baseline)
+            << image::to_string(strategy) << " " << model << " after tick "
+            << n;
+      }
+    }
+  }
+}
+
 TEST(FaultInjectionTest, GenerousRealLimitsChangeNothing) {
   InjectorGuard guard;
   for (const char* model : kModels) {
