@@ -122,49 +122,6 @@ BENCHMARK(BM_ImageStrategy)
     ->Args({1, 8})->Args({1, 16})->Args({1, 24})
     ->Args({2, 8})->Args({2, 16})->Args({2, 24});
 
-// In-operation parallelism (bdd/parallel.h): one big conjunction plus
-// one relational product over the token ring's transition halves, run
-// inside a parallel shared epoch at each worker count. workers=1 pays
-// the fork/join machinery with no helper threads — the scheduling
-// overhead baseline — so the 2- and 4-worker rows read as speedup over
-// it. The cache is cleared each iteration so the kernels genuinely
-// recurse instead of replaying hits; results stay byte-identical to
-// serial by canonicity, so this measures schedule cost only. (On a
-// 1-core container every row mostly measures the machinery; the
-// speedups are meaningful on real multi-core hardware.)
-void BM_ParallelApply(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  const unsigned cells = static_cast<unsigned>(state.range(1));
-  fsm::SymbolicFsm f(
-      circuits::make_token_ring(circuits::TokenRingSpec{cells, 2}));
-  BddManager& mgr = f.mgr();
-  const std::vector<Bdd>& parts = f.transition_parts();
-  Bdd a = mgr.bdd_true();
-  Bdd b = mgr.bdd_true();
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    (i % 2 == 0 ? a : b) &= parts[i];
-  }
-  Bdd cube = mgr.bdd_true();
-  for (const bdd::Var v : f.next_vars()) cube &= mgr.var(v);
-  for (auto _ : state) {
-    mgr.clear_cache();
-    bdd::ParallelConfig par;
-    par.workers = workers;
-    mgr.begin_shared(1, bdd::TableMode::kLockFree, par);
-    mgr.register_shard_thread();
-    benchmark::DoNotOptimize(mgr.apply_and(a, b).index());
-    benchmark::DoNotOptimize(mgr.and_exists(a, b, cube).index());
-    mgr.end_shared();
-  }
-  state.counters["peak_live_nodes"] =
-      static_cast<double>(mgr.stats().peak_live_nodes);
-}
-BENCHMARK(BM_ParallelApply)
-    ->ArgNames({"workers", "cells"})
-    ->Args({1, 8})->Args({1, 16})->Args({1, 24})
-    ->Args({2, 8})->Args({2, 16})->Args({2, 24})
-    ->Args({4, 8})->Args({4, 16})->Args({4, 24});
-
 // Shared-mode burst: K threads hammer one manager with formula families
 // dense in a tiny variable set, so nearly every make_node lands in the
 // same few subtables — exactly the pattern that serializes on striped

@@ -88,13 +88,6 @@ std::vector<std::string> benchmark_names(const Config& config) {
     names.push_back(std::string("image_strategy/") + strategy +
                     "/cells:" + std::to_string(kRingCells) + jobs_suffix);
   }
-  // In-operation parallelism always runs at jobs:1 so the row isolates
-  // the work-stealing parallel apply from suite-level fan-out.
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    names.push_back("parallel_apply/workers:" + std::to_string(workers) +
-                    "/cells:" + std::to_string(kRingCells) + "/jobs:1");
-  }
   names.push_back("gc_under_load/reclaim:on" + suffix);
   names.push_back("gc_under_load/reclaim:off" + suffix);
   return names;
@@ -222,60 +215,13 @@ Measurement measure_image_strategy(const Config& config, std::size_t workers,
   return m;
 }
 
-/// The in-operation parallelism configuration: the same token-ring
-/// suite at jobs=1, everything identical except
-/// `CoverageOptions::parallel_apply` — so the rows isolate the
-/// work-stealing fork/join inside each BDD operation from suite-level
-/// fan-out. workers:1 runs the fork/join machinery with no helper
-/// threads (the scheduling-overhead baseline); results are
-/// byte-identical to serial throughout, so the ratios are pure
-/// schedule cost / speedup.
-Measurement measure_parallel_apply(const Config& config, std::size_t workers,
-                                   std::string name) {
-  const circuits::TokenRingSpec spec{kRingCells, 2};
-  std::vector<engine::CoverageRequest> requests;
-  requests.reserve(config.repeat);
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    engine::CoverageRequest req;
-    req.model = circuits::make_token_ring(spec);
-    req.signals = {"tok1"};
-    req.uncovered_limit = 0;
-    req.options.parallel_apply = static_cast<std::uint32_t>(workers);
-    requests.push_back(std::move(req));
-  }
-
-  engine::Executor executor{engine::ExecutorOptions{1, nullptr}};
-  const auto t0 = Clock::now();
-  const std::vector<engine::SuiteResult> results =
-      executor.run_all(std::move(requests));
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-  Measurement m;
-  for (const engine::SuiteResult& r : results) {
-    if (!r.error.empty()) {
-      std::fprintf(stderr, "error: %s\n", r.error.c_str());
-      std::exit(1);
-    }
-    m.verify_passes += r.verify.passes;
-  }
-  m.name = std::move(name);
-  m.jobs = 1;
-  m.suites = results.size();
-  m.wall_ms = wall_ms;
-  m.suites_per_sec =
-      wall_ms > 0.0 ? static_cast<double>(results.size()) * 1000.0 / wall_ms
-                    : 0.0;
-  return m;
-}
-
 /// The gc-under-load configuration: the sharded shared-manager workload
 /// with the concurrent collector forced on (a low collection threshold,
 /// so the estimation epochs genuinely pause/collect/reclaim mid-suite)
 /// against reclamation off (a threshold the tiny example models never
 /// reach). Results are byte-identical either way; the ratio is the
-/// whole epoch machinery — pause handshakes, retire batches, grace
-/// accounting and the memo-cache invalidation collections force.
+/// whole collection machinery — stop-the-world pause handshakes,
+/// mark and sweep, and the memo-cache invalidation collections force.
 Measurement measure_gc_under_load(const Config& config, std::size_t workers,
                                   bool reclaim, std::string name) {
   // BddManager reads COVEST_GC_THRESHOLD at construction; sessions are
@@ -516,27 +462,6 @@ int main(int argc, char** argv) {
   std::printf("partitioned vs monolithic on token_ring(%u): %.2fx\n",
               kRingCells, image_speedup);
 
-  // In-operation parallelism: the work-stealing parallel apply at each
-  // worker count on the same ring suite, jobs pinned to 1. workers:1 is
-  // the machinery-overhead baseline; workers:4 over it is the speedup
-  // (or, on a 1-core container, the scheduling cost).
-  Measurement par1 =
-      measure_parallel_apply(config, 1, names[name_index++]);
-  Measurement par2 =
-      measure_parallel_apply(config, 2, names[name_index++]);
-  Measurement par4 =
-      measure_parallel_apply(config, 4, names[name_index++]);
-  for (const Measurement* m : {&par1, &par2, &par4}) {
-    std::printf("%s: %.1f suites/sec\n", m->name.c_str(), m->suites_per_sec);
-    measurements.push_back(*m);
-  }
-  const double parallel_apply_speedup =
-      par1.suites_per_sec > 0.0 ? par4.suites_per_sec / par1.suites_per_sec
-                                : 0.0;
-  std::printf("parallel_apply workers=4 vs workers=1 on token_ring(%u): "
-              "%.2fx\n",
-              kRingCells, parallel_apply_speedup);
-
   // GC under load: the same sharded workload with concurrent epoch
   // collections forced on against reclamation effectively off. The
   // ratio prices the resident-server hygiene — what a deployment pays
@@ -599,9 +524,6 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "  \"partitioned_vs_monolithic_speedup\": %.3f,\n",
                  image_speedup);
-    std::fprintf(out,
-                 "  \"parallel_apply_4_vs_1_speedup\": %.3f,\n",
-                 parallel_apply_speedup);
     std::fprintf(out, "  \"gc_reclaim_on_vs_off_speedup\": %.3f\n}\n",
                  gc_speedup);
     std::fclose(out);

@@ -59,8 +59,8 @@ void usage(std::FILE* to) {
       "               on up to K threads over one shared manager\n"
       "  --table-mode lockfree|striped\n"
       "               shared-manager synchronization: the lock-free\n"
-      "               unique table + wait-free cache (default) or the\n"
-      "               striped-lock baseline; results are byte-identical\n"
+      "               unique table + wait-free cache (default) or\n"
+      "               striped locks; results are byte-identical\n"
       "  --image-strategy monolithic|partitioned|chaining\n"
       "               image computation: one conjoined transition\n"
       "               relation, clustered partials with early\n"
@@ -72,10 +72,6 @@ void usage(std::FILE* to) {
       "  --max-nodes N\n"
       "               per-job BDD node budget; exhaustion emits status\n"
       "               resource_exhausted\n"
-      "  --parallel-apply N\n"
-      "               in-operation parallelism: each job's BDD applies\n"
-      "               fork across N work-stealing workers; results are\n"
-      "               byte-identical to serial\n"
       "  --max-queue N\n"
       "               bound the executor queue; submission blocks for\n"
       "               room (backpressure) instead of growing unbounded\n"
@@ -129,15 +125,6 @@ int main(int argc, char** argv) {
           options.defaults.max_nodes == 0) {
         std::fprintf(stderr,
                      "error: --max-nodes needs a positive integer\n\n");
-        usage(stderr);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--parallel-apply") == 0) {
-      if (i + 1 >= argc ||
-          !parse_count(argv[++i], &options.defaults.parallel_apply) ||
-          options.defaults.parallel_apply == 0) {
-        std::fprintf(stderr,
-                     "error: --parallel-apply needs a positive integer\n\n");
         usage(stderr);
         return 2;
       }

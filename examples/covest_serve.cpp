@@ -72,10 +72,6 @@ void usage(std::FILE* to) {
       "               max_live_nodes wins)\n"
       "  --shards K   default intra-suite estimation sharding (a\n"
       "               request's own shards value wins)\n"
-      "  --parallel-apply N\n"
-      "               default in-operation BDD parallelism (a request's\n"
-      "               own parallel_apply value wins); results stay\n"
-      "               byte-identical to serial\n"
       "  --table-mode lockfree|striped\n"
       "               shared-manager synchronization for sharded jobs\n"
       "  --image-strategy monolithic|partitioned|chaining\n"
@@ -172,8 +168,6 @@ int main(int argc, char** argv) {
                           true) ||
                count_flag("--max-nodes", &options.defaults.max_nodes, true) ||
                count_flag("--shards", &options.defaults.shards, true) ||
-               count_flag("--parallel-apply",
-                          &options.defaults.parallel_apply, true) ||
                count_flag("--cache", &options.cache_sessions, false) ||
                count_flag("--max-connections", &options.max_connections,
                           true) ||

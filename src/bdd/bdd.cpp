@@ -48,10 +48,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
-#include "bdd/parallel.h"
 #include "util/governance.h"
 
 namespace covest::bdd {
@@ -270,19 +268,14 @@ Bdd BddManager::cube(const std::vector<Var>& vars) {
 // Shared (sharded) mode
 // ---------------------------------------------------------------------------
 
-void BddManager::begin_shared(std::size_t max_threads, TableMode table_mode,
-                              const ParallelConfig& parallel) {
+void BddManager::begin_shared(std::size_t max_threads, TableMode table_mode) {
   if (shared_mode_) {
     throw std::logic_error("BddManager::begin_shared: already in shared mode");
   }
   assert(owner_thread_ == std::this_thread::get_id() &&
          "begin_shared must be called by the owning thread");
   assert(!main_ctx_.in_operation && "begin_shared inside an operation");
-  // Pool helpers register as shard threads too: budget their contexts
-  // on top of the client threads the caller declared.
-  const std::size_t pool_helpers =
-      parallel.workers > 1 ? parallel.workers - 1 : 0;
-  shard_max_threads_ = std::max<std::size_t>(1, max_threads) + pool_helpers;
+  shard_max_threads_ = std::max<std::size_t>(1, max_threads);
   table_mode_ = table_mode;
   if (table_mode_ == TableMode::kLockFree) {
     // Pre-size every subtable while the manager is still exclusive: the
@@ -308,25 +301,11 @@ void BddManager::begin_shared(std::size_t max_threads, TableMode table_mode,
   shard_ctxs_.reserve(shard_max_threads_);
   shared_epoch_ = next_epoch_token();
   shared_mode_ = true;
-  if (parallel.workers >= 1) {
-    // Started after the epoch is open so the helper threads can
-    // register; they adopt this thread's governor (start() captures it).
-    par_pool_ = std::make_unique<ParallelPool>(
-        *this, pool_helpers, parallel.fork_threshold, shard_max_threads_);
-    par_pool_->start();
-  }
 }
 
 void BddManager::end_shared() {
   if (!shared_mode_) {
     throw std::logic_error("BddManager::end_shared without begin_shared");
-  }
-  if (par_pool_) {
-    // Helpers must quiesce while the epoch is still open (their exit
-    // path touches no manager state, but an in-flight stolen task
-    // does); their ThreadCtx deltas merge with everyone else's below.
-    par_pool_->stop_and_join();
-    par_pool_.reset();
   }
   shared_mode_ = false;
   for (const std::unique_ptr<ThreadCtx>& tc : shard_ctxs_) {
@@ -354,16 +333,11 @@ void BddManager::end_shared() {
     }
   }
   shard_ctxs_.clear();
-  // Every registered thread is joined, so grace is trivially satisfied:
-  // drain all outstanding retire batches. A leftover collection request
-  // must not leak into the next epoch either (no collector can still be
-  // running — a collector finishes inside some thread's lifetime).
+  // A leftover collection request must not leak into the next epoch (no
+  // collector can still be running — a collector finishes inside some
+  // registered thread's lifetime, and the caller joined them all).
   assert(!pause_requested_.load(std::memory_order_relaxed) &&
          "end_shared with a collection pause still up");
-  {
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    drain_retire_batches_locked(/*only_expired=*/false);
-  }
   gc_requested_.store(false, std::memory_order_relaxed);
   shared_epoch_ = next_epoch_token();
   owner_thread_ = std::this_thread::get_id();
@@ -498,8 +472,10 @@ NodeIndex BddManager::make_node(Var v, NodeIndex low, NodeIndex high) {
   return n | out_complement;
 }
 
-// Lock-free insert-if-absent. Chains only grow by prepending during an
-// epoch (no removal, no rehash), which buys three properties at once:
+// Lock-free insert-if-absent. Within one operation chains only grow by
+// prepending (no rehash during an epoch; collections unlink and free
+// only inside a pause, when no operation is running), which buys three
+// properties at once:
 //  * a failed CAS can re-check exactly the delta `[new head, old head)`
 //    for a duplicate instead of the whole chain,
 //  * bucket heads never revisit an old value, so the CAS cannot ABA,
@@ -618,10 +594,8 @@ NodeIndex BddManager::allocate_node_shared(ThreadCtx& tc) {
     return tc.arena_next++;
   }
   std::lock_guard<std::mutex> lock(alloc_mu_);
-  // Allocation pressure is the natural place to return quiesced retire
-  // batches to the free list (and to ask for a collection when the pool
-  // keeps growing anyway): every grower passes through here.
-  drain_retire_batches_locked(/*only_expired=*/true);
+  // Allocation pressure is the natural place to ask for a collection
+  // when the pool keeps growing: every grower passes through here.
   if (free_head_ == kInvalidIndex) {
     const std::size_t occupancy =
         static_cast<std::size_t>(allocated()) - 1 - free_count_;
@@ -629,8 +603,8 @@ NodeIndex BddManager::allocate_node_shared(ThreadCtx& tc) {
       gc_requested_.store(true, std::memory_order_seq_cst);
     }
   }
-  // Prefer recycling a batch off the free list (slots GC'd before this
-  // shared epoch or reclaimed after a grace period): repeated shared
+  // Prefer recycling a batch off the free list (slots swept by any
+  // earlier collection, in this epoch or before it): repeated shared
   // epochs must not grow the pool while reusable capacity exists.
   // Free-list slots are unreachable from any live edge, so no thread's
   // stamps can refer to them — except the persistent exclusive context,
@@ -830,7 +804,8 @@ void BddManager::clear_cache() {
   if (shared_mode_) {
     // O(1) and safe concurrently: in-flight lookups that read the old
     // epoch may still hit pre-bump entries, but every memoized edge
-    // stays valid — nothing is freed until a grace period elapses. The
+    // stays valid — this bump frees nothing, and slots are freed only
+    // inside a collection pause, when no lookup is in flight. The
     // wrap-to-zero normalization needs the physical sweep, which is
     // only legal while everyone is paused; shared_collect owns that
     // case, so here we just skip the bump past zero.
@@ -1028,28 +1003,26 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
 }
 
 // ---------------------------------------------------------------------------
-// Shared-mode reclamation (epoch-based deferred free)
+// Shared-mode reclamation (stop-the-world collection, immediate free)
 // ---------------------------------------------------------------------------
 //
 // Protocol summary (details on each member in bdd.h):
 //   * Every public operation passes through an OpGate. On the 0 -> 1
-//     op_depth transition the gate announces the thread's view of
-//     reclaim_epoch_, parks while a collection pause is up, and
-//     volunteers to collect when the allocation path asked for it.
+//     op_depth transition the gate parks while a collection pause is up
+//     and volunteers to collect when the allocation path asked for it.
 //   * The elected collector raises pause_requested_, waits for every
 //     other registered thread to reach op_depth == 0, and then has the
 //     structure to itself: it marks from refcounted roots, unlinks dead
-//     nodes from their subtables, and moves their slots onto a retire
-//     batch stamped with the current reclamation epoch.
-//   * Retired slots return to the free list only after a grace period:
-//     batch E is freeable once every non-passive registered thread has
-//     announced seen_epoch >= E + 1 (its announcement's seq_cst read of
-//     reclaim_epoch_ synchronizes with the collector's bump, so the
-//     sweep's writes are visible and the thread demonstrably started
-//     its current window after the collection).
+//     nodes from their subtables, resets their fields, bumps the cache
+//     epoch and links their slots straight onto the free list.
+//   * Between operations a thread names nodes only through refcounted
+//     handles, which the mark treats as roots, so no thread can hold a
+//     swept slot when the pause lifts; the pause release (a seq_cst
+//     store under pause_mu_) orders the sweep's writes before every
+//     thread's next operation.
 //   * All handshake accesses are seq_cst operations on atomics — no
-//     fences over plain memory — for the same TSan-friendliness reasons
-//     as the task deques (see parallel.h).
+//     fences over plain memory — so TSan models the Dekker pattern
+//     exactly as written.
 
 void BddManager::shared_op_enter(ThreadCtx& tc) {
   for (;;) {
@@ -1064,9 +1037,6 @@ void BddManager::shared_op_enter(ThreadCtx& tc) {
       // parked). Reading false here therefore proves any collection
       // that proceeds will have observed this whole gate — we never
       // run an operation concurrently with a sweep.
-      tc.seen_epoch.store(reclaim_epoch_.load(std::memory_order_seq_cst),
-                          std::memory_order_seq_cst);
-      tc.passive.store(false, std::memory_order_relaxed);
       if (gc_requested_.load(std::memory_order_seq_cst)) {
         // Volunteer: step back to the boundary, collect, re-enter.
         tc.op_depth.fetch_sub(1, std::memory_order_seq_cst);
@@ -1118,8 +1088,7 @@ std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
 
   // Exclusive access from here to the pause release. Mark from
   // refcounted roots, exactly like exclusive gc(): any node a handle
-  // can reach is live; parallel-apply helpers hold no roots between
-  // tasks (fully-strict joins end inside the client's gate).
+  // can reach is live.
   next_generation(tc);
   std::size_t live = 0;
   const NodeIndex end = allocated();
@@ -1130,25 +1099,31 @@ std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
     }
   }
 
-  // Sweep: unlink dead nodes and retire their slots. subtable_remove
-  // must run before the field reset — the bucket is recomputed from
-  // low/high. Resetting `next` after removal is safe: the node is no
-  // longer linked, and later removals walk the repaired chain.
-  RetireBatch batch;
-  for (NodeIndex n = 1; n < end; ++n) {
-    if (tc.stamps[n].gen == tc.generation || node_at(n).var == kInvalidVar) {
-      continue;
+  // Sweep: unlink dead nodes and free their slots. subtable_remove must
+  // run before the field reset — the bucket is recomputed from
+  // low/high. Arena and recycled slots still belong to their threads;
+  // they carry kInvalidVar and are skipped like free-list slots.
+  std::size_t freed = 0;
+  {
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    for (NodeIndex n = 1; n < end; ++n) {
+      if (tc.stamps[n].gen == tc.generation ||
+          node_at(n).var == kInvalidVar) {
+        continue;
+      }
+      subtable_remove(node_at(n).var, n);
+      node_at(n).var = kInvalidVar;
+      node_at(n).low = kInvalidIndex;
+      node_at(n).high = kInvalidIndex;
+      node_at(n).next = free_head_;
+      ref_at(n).store(0, std::memory_order_relaxed);
+      free_head_ = n;
+      ++free_count_;
+      ++freed;
     }
-    subtable_remove(node_at(n).var, n);
-    node_at(n).var = kInvalidVar;
-    node_at(n).low = kInvalidIndex;
-    node_at(n).high = kInvalidIndex;
-    node_at(n).next = kInvalidIndex;
-    ref_at(n).store(0, std::memory_order_relaxed);
-    batch.slots.push_back(n);
   }
 
-  // Invalidate memoized results that may point at retired nodes: O(1)
+  // Invalidate memoized results that may point at freed nodes: O(1)
   // epoch bump, with the (once per ~2^32) wrap paying for a physical
   // sweep of both caches — legal here precisely because everyone is
   // paused.
@@ -1165,27 +1140,8 @@ std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
     next_epoch = 1;
   }
   cache_epoch_.store(next_epoch, std::memory_order_relaxed);
-
-  // Every thread is at a boundary, so batches from previous collections
-  // have trivially satisfied their grace period — drain them all, then
-  // enqueue the fresh batch (it still waits out a full grace period
-  // through the allocation path's expired-only drains).
-  const std::size_t retired = batch.slots.size();
-  {
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    drain_retire_batches_locked(/*only_expired=*/false);
-    if (!batch.slots.empty()) {
-      batch.epoch = reclaim_epoch_.load(std::memory_order_relaxed);
-      retire_batches_.push_back(std::move(batch));
-    }
-  }
-
-  reclaim_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  tc.seen_epoch.store(reclaim_epoch_.load(std::memory_order_seq_cst),
-                      std::memory_order_seq_cst);
   gc_requested_.store(false, std::memory_order_seq_cst);
 
-  stats_.retired_nodes += retired;
   ++stats_.shared_gc_runs;
   stats_.live_nodes = live;
   stats_.allocated_nodes = allocated() - 1;
@@ -1198,67 +1154,7 @@ std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
     pause_requested_.store(false, std::memory_order_seq_cst);
   }
   pause_cv_.notify_all();
-  return retired;
-}
-
-void BddManager::drain_retire_batches_locked(bool only_expired) {
-  // Caller holds alloc_mu_. Lock order: alloc_mu_ before shard_reg_mu_
-  // (matches the collector, which takes neither while holding the other
-  // except through this function).
-  if (retire_batches_.empty()) return;
-  std::uint64_t safe_epoch = std::numeric_limits<std::uint64_t>::max();
-  if (only_expired) {
-    std::lock_guard<std::mutex> reg(shard_reg_mu_);
-    for (const std::unique_ptr<ThreadCtx>& tcp : shard_ctxs_) {
-      if (tcp->passive.load(std::memory_order_seq_cst)) continue;
-      safe_epoch = std::min(
-          safe_epoch, tcp->seen_epoch.load(std::memory_order_seq_cst));
-    }
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < retire_batches_.size(); ++i) {
-    RetireBatch& b = retire_batches_[i];
-    if (only_expired && b.epoch + 1 > safe_epoch) {
-      // Compact in place; a kept leading batch must not be
-      // move-assigned onto itself (self-move empties the vector and
-      // silently leaks every slot in it).
-      if (kept != i) retire_batches_[kept] = std::move(b);
-      ++kept;
-      continue;
-    }
-    stats_.reclaimed_nodes += b.slots.size();
-    for (NodeIndex n : b.slots) {
-      node_at(n).next = free_head_;
-      free_head_ = n;
-      ++free_count_;
-    }
-  }
-  retire_batches_.resize(kept);
-}
-
-void BddManager::quiescent_point() {
-  if (!shared_mode_) return;
-  ThreadCtx& tc = shard_ctx();
-  if (tc.op_depth.load(std::memory_order_relaxed) != 0) return;
-  if (pause_requested_.load(std::memory_order_seq_cst)) {
-    std::unique_lock<std::mutex> lock(pause_mu_);
-    pause_cv_.wait(lock, [this] {
-      return !pause_requested_.load(std::memory_order_seq_cst);
-    });
-  }
-  // Announce after any park so the freshest epoch is published; a
-  // stale-but-current announcement only delays reclamation, never
-  // unblocks it early.
-  tc.seen_epoch.store(reclaim_epoch_.load(std::memory_order_seq_cst),
-                      std::memory_order_seq_cst);
-  if (gc_requested_.load(std::memory_order_seq_cst)) {
-    shared_collect(tc, /*force=*/false);
-  }
-}
-
-void BddManager::mark_thread_passive() {
-  if (!shared_mode_) return;
-  shard_ctx().passive.store(true, std::memory_order_seq_cst);
+  return freed;
 }
 
 void BddManager::set_gc_threshold(std::size_t threshold) {

@@ -96,22 +96,23 @@
 //        below needs no cross-thread coordination.
 //      - External reference counts are atomics, so handles may be
 //        copied/destroyed on any registered thread.
-//    Memory reclamation inside a shared epoch is epoch-based deferred
-//    reclamation with cooperative pauses: every public node-touching
+//    Memory reclamation inside a shared epoch is a stop-the-world
+//    collection that frees what it sweeps. Every public node-touching
 //    entry point passes an `OpGate` that counts the thread into its
-//    operation (`op_depth`) and announces the reclamation epoch it has
-//    observed (`seen_epoch`). A collection (`gc()` from any registered
+//    operation (`op_depth`). A collection (`gc()` from any registered
 //    thread, or a volunteer when pool occupancy crosses the GC
-//    threshold) raises `pause_requested_`, waits until every
-//    registered thread is between operations (raw unreferenced
-//    intermediates only exist *inside* an operation; pool helper
-//    threads are covered too, because every stolen task is joined
-//    before its forking operation returns), then marks from the
-//    refcounted roots and sweeps dead nodes onto a *retire batch*
-//    stamped with the global reclamation epoch. Retired slots rejoin
-//    the free list only after a full grace period — every
-//    non-passive registered thread has entered an operation after the
-//    collection — so a reader can never observe a recycled slot.
+//    threshold) raises `pause_requested_` and waits until every other
+//    registered thread has `op_depth == 0` (a Dekker handshake with
+//    the gate, see `shared_op_enter`). Raw unreferenced intermediates
+//    only exist *inside* an operation; between operations a thread
+//    names nodes only through refcounted handles, which the mark
+//    treats as roots. So, inside the pause, the collector marks from
+//    the roots, unlinks every dead node from its unique chain, resets
+//    its fields, bumps the computed-cache epoch and links its slot
+//    straight onto the free list: no thread can still hold a swept
+//    slot when the pause lifts, and the release of the pause orders
+//    the sweep before every thread's next operation. A slot may thus
+//    be reused by the very next allocation after the pause.
 //    `clear_cache` is an O(1) atomic epoch bump. `new_var`, reordering
 //    and `live_node_count` still throw `std::logic_error` while shared
 //    mode is on. Each registered thread sees the exact same canonical
@@ -166,7 +167,6 @@ constexpr NodeIndex edge_not(NodeIndex e) { return e ^ kComplementBit; }
 constexpr bool edge_is_terminal(NodeIndex e) { return edge_node(e) == 0; }
 
 class BddManager;
-class ParallelPool;
 
 /// How a shared-mode epoch synchronizes the unique tables and the
 /// computed cache (see the header comment). Exclusive mode ignores it:
@@ -178,28 +178,6 @@ enum class TableMode {
   /// cache. The default: same-variable `make_node` bursts no longer
   /// serialize on a stripe.
   kLockFree,
-};
-
-/// Work-stealing parallel-apply configuration for a shared epoch (see
-/// bdd/parallel.h). When `workers >= 1` the epoch routes apply
-/// (AND/OR/XOR/ITE), exists/forall and and_exists through fork/join
-/// recursion over a Chase–Lev task-deque pool; results are
-/// byte-identical to the serial cores by canonicity. `workers - 1`
-/// helper threads are spawned (so `workers == 1` exercises the forking
-/// machinery single-threaded) and counted against the epoch's
-/// registration capacity automatically.
-struct ParallelConfig {
-  /// 8 keeps subproblems spanning fewer than 8 levels sequential — fine
-  /// enough to feed thieves on every model in the corpus, coarse enough
-  /// that leaf recursion dominates task bookkeeping.
-  static constexpr std::uint32_t kDefaultForkThreshold = 8;
-
-  /// Total worker threads for in-operation parallelism; 0 = serial
-  /// recursion (today's behavior).
-  std::size_t workers = 0;
-  /// Fork a cofactor split only when at least this many variable levels
-  /// remain below the split point: 0 = always fork, huge = never fork.
-  std::uint32_t fork_threshold = kDefaultForkThreshold;
 };
 
 /// RAII handle to a BDD edge. While at least one `Bdd` references a node,
@@ -292,11 +270,6 @@ struct BddStats {
   std::size_t complement_canonicalizations = 0;
   /// Cooperative shared-mode collections (pause + mark + sweep).
   std::size_t shared_gc_runs = 0;
-  /// Dead nodes moved onto retire batches by shared-mode collections.
-  std::size_t retired_nodes = 0;
-  /// Retired nodes whose grace period expired and that rejoined the
-  /// free list (<= retired_nodes; the rest drain at `end_shared`).
-  std::size_t reclaimed_nodes = 0;
 
   /// Computed-cache hit rate over the current cache epoch, in [0, 1].
   double cache_hit_rate() const {
@@ -422,11 +395,12 @@ class BddManager {
   // -- Memory management ---------------------------------------------------------
 
   /// Mark-and-sweep collection rooted at live handles. Invalidates nothing
-  /// that is still referenced. Returns the number of nodes freed (in
-  /// shared mode: moved onto an epoch-stamped retire batch; they rejoin
-  /// the free list after a grace period). Legal in both modes; in
-  /// shared mode the caller must be a registered thread between
-  /// operations, and the collection runs under a cooperative pause.
+  /// that is still referenced. Returns the number of nodes freed; freed
+  /// slots go straight back to the free list in both modes. Legal in
+  /// both modes; in shared mode the caller must be a registered thread
+  /// between operations, and the collection runs under a stop-the-world
+  /// pause (every other registered thread between operations, holding
+  /// only refcounted roots), so immediate reuse is safe.
   std::size_t gc();
 
   /// Clears the computed cache; exposed mainly for benchmarking
@@ -446,23 +420,6 @@ class BddManager {
   /// pools into collection that way).
   void set_gc_threshold(std::size_t threshold);
   std::size_t gc_threshold() const noexcept { return gc_threshold_; }
-
-  /// Announces that the calling registered thread is between operations
-  /// and has observed the current reclamation epoch — the shared-mode
-  /// quiescent state. Call it at natural scheduling boundaries (the
-  /// engine calls it next to `governor_tick()` in its fix-point row
-  /// loops): it parks the thread for the duration of any in-progress
-  /// collection and volunteers to run a requested one. No-op in
-  /// exclusive mode or inside an operation.
-  void quiescent_point();
-
-  /// Marks the calling registered thread passive: it promises not to
-  /// touch the manager again until its next operation (which clears
-  /// the flag). Passive threads are skipped by the grace-period scan,
-  /// so a thread that finished its chunk early — or a pool helper that
-  /// only ever executes stolen tasks inside other threads' operations —
-  /// cannot stall reclamation forever. No-op in exclusive mode.
-  void mark_thread_passive();
 
   /// Node budget: when nonzero, growing the pool past `budget` occupied
   /// slots throws covest::ResourceExhausted instead of allocating.
@@ -522,25 +479,15 @@ class BddManager {
   /// operation. Until `end_shared`, `new_var`, reordering and
   /// `live_node_count` throw `std::logic_error`; `gc` and
   /// `clear_cache` are legal from registered threads (cooperative
-  /// pause + deferred reclamation, see the header comment). Under
+  /// pause + immediate free, see the header comment). Under
   /// `TableMode::kLockFree` the subtables are pre-sized here and the
   /// epoch never resizes them.
-  ///
-  /// `parallel.workers >= 1` additionally starts a work-stealing pool
-  /// for in-operation parallelism (bdd/parallel.h): `workers - 1`
-  /// helper threads register as shard threads (on top of
-  /// `max_threads`), steal forked cofactor subproblems, and are joined
-  /// by `end_shared`. The run's ambient RunGovernor (if any) is adopted
-  /// by the helpers, so deadlines and node budgets fire inside a
-  /// parallel operation with the usual structured exceptions.
   void begin_shared(std::size_t max_threads,
-                    TableMode table_mode = TableMode::kLockFree,
-                    const ParallelConfig& parallel = {});
+                    TableMode table_mode = TableMode::kLockFree);
 
   /// Leaves shared mode: merges the per-thread statistics, returns
-  /// unused arena slots to the free list, drains every outstanding
-  /// retire batch (grace is trivially satisfied once the threads are
-  /// joined), and rebinds exclusive ownership to the calling thread.
+  /// unused arena slots to the free list, and rebinds exclusive
+  /// ownership to the calling thread.
   /// All registered threads must have finished (the caller joins them
   /// first).
   void end_shared();
@@ -593,7 +540,6 @@ class BddManager {
 
  private:
   friend class Bdd;
-  friend class ParallelPool;  ///< Dispatches stolen tasks into par_*_rec.
 
   // 16 bytes; the traversal stamps live in the per-thread contexts so
   // the hot recursion paths keep four nodes per cache line.
@@ -632,13 +578,10 @@ class BddManager {
     std::vector<NodeIndex> recycled;  ///< Free-list slots claimed in bulk.
     BddStats stats;            ///< Shared-mode counter deltas.
 
-    // Reclamation protocol state (all seq_cst at the sites that matter:
-    // the gate/collector handshake is a Dekker-style store-load pattern,
-    // spelled with operations rather than fences so TSan models it —
-    // same rationale as the TaskDeque in parallel.h).
-    std::atomic<std::uint32_t> op_depth{0};  ///< Public-op nesting depth.
-    std::atomic<std::uint64_t> seen_epoch{0};  ///< Last epoch announced.
-    std::atomic<bool> passive{false};  ///< Skipped by the grace scan.
+    /// Public-op nesting depth. seq_cst at every site: the
+    /// gate/collector handshake is a Dekker-style store-load pattern,
+    /// spelled with operations rather than fences so TSan models it.
+    std::atomic<std::uint32_t> op_depth{0};
   };
 
   struct Subtable {
@@ -751,20 +694,12 @@ class BddManager {
 
   // -- Shared-mode reclamation -----------------------------------------------
 
-  /// Dead slots from one collection, freeable once every non-passive
-  /// registered thread has announced `seen_epoch >= epoch + 1`.
-  struct RetireBatch {
-    std::uint64_t epoch = 0;
-    std::vector<NodeIndex> slots;
-  };
-
   /// RAII gate every public node-touching entry point passes through.
   /// Exclusive mode: the old `maybe_gc(); OperationGuard` pair (the
   /// `allow_gc` flag preserves the historical set of auto-GC points —
   /// inspection entries never triggered collection and still don't).
-  /// Shared mode: counts the thread into the operation, announcing the
-  /// observed reclamation epoch and parking across collection pauses on
-  /// the outermost entry (`shared_op_enter`).
+  /// Shared mode: counts the thread into the operation, parking across
+  /// collection pauses on the outermost entry (`shared_op_enter`).
   class OpGate {
    public:
     OpGate(BddManager& mgr, ThreadCtx& tc, bool allow_gc = true)
@@ -793,23 +728,16 @@ class BddManager {
     bool was_in_operation_;
   };
 
-  /// Outermost-entry protocol: announce the observed epoch, park if a
-  /// collection is pausing the epoch, volunteer for a requested one.
+  /// Outermost-entry protocol: park if a collection is pausing the
+  /// epoch, volunteer for a requested one.
   void shared_op_enter(ThreadCtx& tc);
   /// Cooperative collection: pause (wait for every registered thread to
   /// reach an operation boundary), mark from refcounted roots, sweep
-  /// dead nodes onto a retire batch, invalidate the computed cache,
-  /// advance the reclamation epoch, resume. `force` waits for the
-  /// collector election (explicit `gc()`); volunteers use try-lock and
-  /// simply return when another thread is already collecting. Returns
-  /// the number of nodes retired.
+  /// dead nodes straight onto the free list, invalidate the computed
+  /// cache, resume. `force` waits for the collector election (explicit
+  /// `gc()`); volunteers use try-lock and simply return when another
+  /// thread is already collecting. Returns the number of nodes freed.
   std::size_t shared_collect(ThreadCtx& tc, bool force);
-  /// Returns retire-batch slots to the free list. `only_expired`
-  /// restricts to batches whose grace period has passed (the arena
-  /// refill path); the collector and `end_shared` drain everything
-  /// (their callers guarantee global quiescence). Caller holds
-  /// `alloc_mu_`.
-  void drain_retire_batches_locked(bool only_expired);
 
   // -- Thread contexts -------------------------------------------------------
 
@@ -890,24 +818,6 @@ class BddManager {
   NodeIndex exists_rec(NodeIndex f, NodeIndex cube);
   NodeIndex and_exists_rec(NodeIndex f, NodeIndex g, NodeIndex cube);
 
-  // Work-stealing variants of the cores above (bdd/parallel.cpp): same
-  // terminal rules, canonicalizations and cache keys, but cofactor
-  // splits above the granularity threshold fork one side as a stealable
-  // task. Entered only when `par_enabled()`.
-  NodeIndex par_ite_rec(NodeIndex f, NodeIndex g, NodeIndex h);
-  NodeIndex par_and_rec(NodeIndex f, NodeIndex g);
-  NodeIndex par_or_rec(NodeIndex f, NodeIndex g) {
-    return edge_not(par_and_rec(edge_not(f), edge_not(g)));
-  }
-  NodeIndex par_xor_rec(NodeIndex f, NodeIndex g);
-  NodeIndex par_exists_rec(NodeIndex f, NodeIndex cube);
-  NodeIndex par_and_exists_rec(NodeIndex f, NodeIndex g, NodeIndex cube);
-  /// True when a shared epoch with a parallel pool is active.
-  bool par_enabled() const noexcept {
-    return shared_mode_ && par_pool_ != nullptr;
-  }
-  /// Fork when at least `fork_threshold` levels remain below the split.
-  bool par_should_fork(unsigned top_level) const noexcept;
   NodeIndex compose_rec(NodeIndex f, Var v, NodeIndex g, unsigned v_level);
   NodeIndex simplify_rec(NodeIndex f, NodeIndex care);
   NodeIndex permute_rec(ThreadCtx& tc, NodeIndex f,
@@ -943,8 +853,9 @@ class BddManager {
   /// 0 is reserved for "never valid". Atomic because shared-mode
   /// `clear_cache`/collections bump it concurrently with lookups; all
   /// accesses are relaxed — a validation against a stale epoch value
-  /// only re-admits a memo that was correct when stored (nothing is
-  /// freed until the grace period, which orders after the bump).
+  /// only re-admits a memo that was correct when stored (slots are
+  /// freed only inside a collection pause, whose release orders the
+  /// bump before every thread's next operation).
   std::atomic<std::uint32_t> cache_epoch_{1};
   NodeIndex free_head_ = kInvalidIndex;
   std::size_t free_count_ = 0;
@@ -966,13 +877,10 @@ class BddManager {
                                     ///< across managers reusing an address.
   std::size_t shard_max_threads_ = 0;
   TableMode table_mode_ = TableMode::kLockFree;
-  /// Work-stealing pool for the current shared epoch (nullptr when the
-  /// epoch is serial-only). Created by `begin_shared`, stopped and
-  /// destroyed by `end_shared`.
-  std::unique_ptr<ParallelPool> par_pool_;
   std::vector<std::unique_ptr<ThreadCtx>> shard_ctxs_;
   std::mutex shard_reg_mu_;  ///< Guards `shard_ctxs_` (registration/lookup).
-  std::mutex alloc_mu_;      ///< Guards pool growth + arena refills.
+  std::mutex alloc_mu_;  ///< Guards pool growth, arena refills and the
+                         ///< free list while shared.
   static constexpr std::size_t kUniqueStripes = 64;
   static constexpr std::size_t kCacheStripes = 64;
   static constexpr NodeIndex kArenaBlock = 256;  ///< Slots per arena refill.
@@ -992,22 +900,16 @@ class BddManager {
   /// Collector election: exactly one thread runs a collection at a
   /// time. Volunteers try-lock; explicit `gc()` blocks.
   std::mutex gc_mu_;
-  /// Raised by the elected collector; every gate/quiescent point parks
+  /// Raised by the elected collector; every operation gate parks
   /// on `pause_cv_` while it is up. Cleared under `pause_mu_` before
   /// the notify so parked threads cannot miss the wakeup.
   std::atomic<bool> pause_requested_{false};
   std::mutex pause_mu_;
   std::condition_variable pause_cv_;
   /// Set by the arena-refill path when occupancy crosses the GC
-  /// threshold; the next thread through a gate or quiescent point
-  /// volunteers to collect.
+  /// threshold; the next thread through an operation gate volunteers
+  /// to collect.
   std::atomic<bool> gc_requested_{false};
-  /// Global reclamation epoch: bumped once per collection. A retire
-  /// batch stamped E is freeable once every non-passive registered
-  /// thread announces seen_epoch >= E + 1.
-  std::atomic<std::uint64_t> reclaim_epoch_{1};
-  /// Outstanding retire batches, oldest first. Guarded by `alloc_mu_`.
-  std::vector<RetireBatch> retire_batches_;
   /// Set when a shared-mode `clear_cache` wraps `cache_epoch_` past zero
   /// without a paused physical sweep; the next collection's stop window
   /// clears both caches and resets this.

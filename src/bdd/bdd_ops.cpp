@@ -98,22 +98,19 @@ NodeIndex BddManager::xor_rec(NodeIndex f, NodeIndex g) {
 Bdd BddManager::apply_and(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   OpGate gate(*this, ctx());
-  return Bdd(this, par_enabled() ? par_and_rec(f.index(), g.index())
-                                 : and_rec(f.index(), g.index()));
+  return Bdd(this, and_rec(f.index(), g.index()));
 }
 
 Bdd BddManager::apply_or(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   OpGate gate(*this, ctx());
-  return Bdd(this, par_enabled() ? par_or_rec(f.index(), g.index())
-                                 : or_rec(f.index(), g.index()));
+  return Bdd(this, or_rec(f.index(), g.index()));
 }
 
 Bdd BddManager::apply_xor(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   OpGate gate(*this, ctx());
-  return Bdd(this, par_enabled() ? par_xor_rec(f.index(), g.index())
-                                 : xor_rec(f.index(), g.index()));
+  return Bdd(this, xor_rec(f.index(), g.index()));
 }
 
 Bdd BddManager::apply_not(const Bdd& f) {
@@ -188,9 +185,7 @@ NodeIndex BddManager::ite_rec(NodeIndex f, NodeIndex g, NodeIndex h) {
 Bdd BddManager::apply_ite(const Bdd& f, const Bdd& g, const Bdd& h) {
   assert(f.manager() == this && g.manager() == this && h.manager() == this);
   OpGate gate(*this, ctx());
-  return Bdd(this, par_enabled()
-                       ? par_ite_rec(f.index(), g.index(), h.index())
-                       : ite_rec(f.index(), g.index(), h.index()));
+  return Bdd(this, ite_rec(f.index(), g.index(), h.index()));
 }
 
 // ---------------------------------------------------------------------------
@@ -234,18 +229,14 @@ NodeIndex BddManager::exists_rec(NodeIndex f, NodeIndex cube) {
 Bdd BddManager::exists(const Bdd& f, const Bdd& cube) {
   assert(f.manager() == this && cube.manager() == this);
   OpGate gate(*this, ctx());
-  return Bdd(this, par_enabled() ? par_exists_rec(f.index(), cube.index())
-                                 : exists_rec(f.index(), cube.index()));
+  return Bdd(this, exists_rec(f.index(), cube.index()));
 }
 
 Bdd BddManager::forall(const Bdd& f, const Bdd& cube) {
   assert(f.manager() == this && cube.manager() == this);
   OpGate gate(*this, ctx());
   // Duality: forall(f) = !exists(!f); shares the kOpExists cache.
-  return Bdd(this,
-             par_enabled()
-                 ? edge_not(par_exists_rec(edge_not(f.index()), cube.index()))
-                 : edge_not(exists_rec(edge_not(f.index()), cube.index())));
+  return Bdd(this, edge_not(exists_rec(edge_not(f.index()), cube.index())));
 }
 
 // ---------------------------------------------------------------------------
@@ -299,10 +290,7 @@ NodeIndex BddManager::and_exists_rec(NodeIndex f, NodeIndex g, NodeIndex cube) {
 Bdd BddManager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   assert(f.manager() == this && g.manager() == this && cube.manager() == this);
   OpGate gate(*this, ctx());
-  return Bdd(this,
-             par_enabled()
-                 ? par_and_exists_rec(f.index(), g.index(), cube.index())
-                 : and_exists_rec(f.index(), g.index(), cube.index()));
+  return Bdd(this, and_exists_rec(f.index(), g.index(), cube.index()));
 }
 
 // ---------------------------------------------------------------------------

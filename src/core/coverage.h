@@ -59,11 +59,6 @@ struct CoverageOptions {
   /// (image/image.h). Results are byte-identical across strategies;
   /// only the intermediates — and so the wall time — differ.
   image::ImageStrategy image_strategy = image::ImageStrategy::kPartitioned;
-  /// Work-stealing parallelism *inside* each BDD operation
-  /// (bdd/parallel.h): total worker threads for apply/exists/
-  /// and_exists fork/join recursion; 0 = serial. Byte-identical to the
-  /// serial path by canonicity at every worker count.
-  std::size_t parallel_apply = 0;
 };
 
 /// Coverage of one observed signal for a property suite.

@@ -49,8 +49,6 @@ PhaseStats snapshot(bdd::BddManager& mgr, double ms) {
   p.passes = 1;  // This session ran the phase once; merges may sum.
   p.node_budget = mgr.max_live_nodes();
   p.shared_gc_runs = st.shared_gc_runs;
-  p.retired_nodes = st.retired_nodes;
-  p.reclaimed_nodes = st.reclaimed_nodes;
   return p;
 }
 
@@ -112,48 +110,6 @@ namespace {
 core::CoverageOptions lenient(core::CoverageOptions options) {
   options.require_holds = false;
   return options;
-}
-
-/// Opens a shared epoch with a work-stealing pool (bdd/parallel.h) for
-/// one phase when the request asks for in-operation parallelism, and
-/// registers the calling thread as its single client. The epoch must be
-/// closed — `close()` explicitly, or destruction on the unwind path —
-/// before any snapshot: `live_node_count` is exclusive-only. No-op when
-/// `parallel_apply` is 0 or the manager is already shared (the sharded
-/// fan-out passes its own ParallelConfig to begin_shared instead).
-class ParallelPhase {
- public:
-  ParallelPhase(bdd::BddManager& mgr, const CoverageRequest& request) {
-    if (request.options.parallel_apply >= 1 && !mgr.in_shared_mode()) {
-      bdd::ParallelConfig par;
-      par.workers = request.options.parallel_apply;
-      mgr.begin_shared(1, request.table_mode, par);
-      mgr.register_shard_thread();
-      mgr_ = &mgr;
-    }
-  }
-  ~ParallelPhase() { close(); }
-  ParallelPhase(const ParallelPhase&) = delete;
-  ParallelPhase& operator=(const ParallelPhase&) = delete;
-
-  void close() {
-    if (mgr_ != nullptr) {
-      mgr_->end_shared();
-      mgr_ = nullptr;
-    }
-  }
-
- private:
-  bdd::BddManager* mgr_ = nullptr;
-};
-
-/// The sharded fan-out's epoch configuration: estimator threads are the
-/// clients; `parallel_apply` workers' worth of helpers steal from all
-/// of them through one pool.
-bdd::ParallelConfig parallel_config(const CoverageRequest& request) {
-  bdd::ParallelConfig par;
-  par.workers = request.options.parallel_apply;
-  return par;
 }
 
 /// Structural hash of a resolved suite — the key of the session's
@@ -344,10 +300,6 @@ SuiteResult Session::run(const CoverageRequest& request,
   } else {
     const auto t_verify = Clock::now();
     try {
-      // Model checking routes through the same apply/exists kernels as
-      // estimation, so the phase parallelizes the same way. The epoch
-      // closes (unwind or scope exit) before any snap().
-      ParallelPhase par(fsm_.mgr(), request);
       // The reachability fixpoint is part of verification: the checker
       // confines every CTL fixpoint to the reachable states (exact
       // there, which is all holds, counterexamples and coverage read),
@@ -357,7 +309,6 @@ SuiteResult Session::run(const CoverageRequest& request,
       estimator_.seed_reachable(checker_.restrict_to_reachable());
       for (std::size_t i = 0; i < specs.size(); ++i) {
         governor->tick();  // Phase-boundary deadline check.
-        fsm_.mgr().quiescent_point();  // Reclamation grace announcement.
         const auto t_prop = Clock::now();
         const ctl::CheckResult check = checker_.check(formulas[i]);
         PropertyResult pr;
@@ -381,7 +332,6 @@ SuiteResult Session::run(const CoverageRequest& request,
         p.item = result.properties.back().ctl_text;
         p.ok = check.holds;
         if (!progress(p)) {
-          par.close();  // snapshot() needs the manager exclusive.
           result.cancelled = true;
           result.status = ResultStatus::kCancelled;
           result.verify = snap(ms_since(t_verify));
@@ -419,7 +369,6 @@ SuiteResult Session::run(const CoverageRequest& request,
   // traversal can still hit the deadline or budget here.
   const auto t_estimate = Clock::now();
   try {
-    ParallelPhase par(fsm_.mgr(), request);
     if (!reachable_count_) {
       reachable_count_ = fsm_.count_states(checker_.restrict_to_reachable());
     }
@@ -438,14 +387,10 @@ SuiteResult Session::run(const CoverageRequest& request,
 
   const std::size_t fan_out = effective_shards(request.shards, names.size());
   if (fan_out <= 1) {
-    // Serial estimation: one row at a time on the calling thread. With
-    // parallel_apply the rows still run in request order — only each
-    // row's BDD operations fan out to the pool.
+    // Serial estimation: one row at a time on the calling thread.
     try {
-      ParallelPhase par(fsm_.mgr(), request);
       for (std::size_t i = 0; i < names.size(); ++i) {
         governor->tick();  // Per-row deadline check.
-        fsm_.mgr().quiescent_point();  // Reclamation grace announcement.
         SignalRow row = estimate_row(request, names[i], specs, formulas,
                                      result.properties);
 
@@ -457,7 +402,6 @@ SuiteResult Session::run(const CoverageRequest& request,
         p.percent = row.percent;
         result.signals.push_back(std::move(row));
         if (!progress(p)) {
-          par.close();  // snapshot() needs the manager exclusive.
           result.cancelled = true;
           result.status = ResultStatus::kCancelled;
           result.estimate = snap(ms_since(t_estimate));
@@ -489,9 +433,7 @@ SuiteResult Session::run(const CoverageRequest& request,
     std::vector<std::exception_ptr> failures(fan_out);
     std::atomic<bool> stop{false};
     std::atomic<bool> cancelled{false};
-    // With parallel_apply the estimator threads are the epoch's clients
-    // and the pool's helpers steal from all of them at once.
-    mgr.begin_shared(fan_out, request.table_mode, parallel_config(request));
+    mgr.begin_shared(fan_out, request.table_mode);
     {
       std::vector<std::thread> estimators;
       estimators.reserve(fan_out);
@@ -508,7 +450,6 @@ SuiteResult Session::run(const CoverageRequest& request,
             for (std::size_t i = first; i < last; ++i) {
               if (stop.load(std::memory_order_relaxed)) break;
               governor->tick();  // Per-row deadline check.
-              mgr.quiescent_point();  // Reclamation grace announcement.
               SignalRow row = estimate_row(request, names[i], specs,
                                            formulas, result.properties);
 
@@ -534,9 +475,6 @@ SuiteResult Session::run(const CoverageRequest& request,
                 break;
               }
             }
-            // Done with this chunk: a finished shard's stale epoch view
-            // must not stall reclamation for siblings still estimating.
-            mgr.mark_thread_passive();
           } catch (...) {
             failures[s] = std::current_exception();
             stop.store(true, std::memory_order_relaxed);

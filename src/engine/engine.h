@@ -281,14 +281,10 @@ struct PhaseStats {
   std::size_t partial_relations = 0;
   std::size_t clusters = 0;
   std::size_t largest_cluster = 0;
-  /// Shared-mode reclamation counters (bdd::BddStats), cumulative for
-  /// the manager: collections run inside shared epochs, dead slots
-  /// moved onto retire batches, and slots actually returned to the free
-  /// list after their grace period. All zero for serial runs (and then
-  /// omitted from the JSON stats).
+  /// Collections run inside shared epochs (bdd::BddStats), cumulative
+  /// for the manager. Zero for serial runs (and then omitted from the
+  /// JSON stats).
   std::size_t shared_gc_runs = 0;
-  std::size_t retired_nodes = 0;
-  std::size_t reclaimed_nodes = 0;
 };
 
 /// Structured outcome of a whole suite run.

@@ -73,10 +73,6 @@ ParsedLine parse_request_line(const std::string& raw,
       (flags_win || job.request.max_live_nodes == 0)) {
     job.request.max_live_nodes = defaults.max_nodes;
   }
-  if (defaults.parallel_apply > 0 &&
-      (flags_win || job.request.options.parallel_apply == 0)) {
-    job.request.options.parallel_apply = defaults.parallel_apply;
-  }
   if (defaults.table_mode) {
     job.request.table_mode = *defaults.table_mode;
   }

@@ -149,11 +149,6 @@ std::string to_json(const CoverageRequest& request,
                                                                 : "lockfree");
   w.field_string("image_strategy",
                  image::to_string(request.options.image_strategy));
-  // Omitted when 0 (= serial, the default), so pre-parallel documents
-  // and their goldens stay byte-identical.
-  if (request.options.parallel_apply != 0) {
-    w.field_count("parallel_apply", request.options.parallel_apply);
-  }
   // Governance limits are omitted when unset, so pre-governance
   // documents (and their goldens) stay byte-identical.
   if (request.deadline_ms != 0) {
@@ -351,11 +346,6 @@ CoverageRequest request_from_json(const std::string& text) {
         schema_fail(
             "'image_strategy' must be 'monolithic', 'partitioned' or "
             "'chaining'");
-      }
-    } else if (key == "parallel_apply") {
-      request.options.parallel_apply = as_count(value, "parallel_apply");
-      if (request.options.parallel_apply == 0) {
-        schema_fail("'parallel_apply' must be >= 1 (omit for serial)");
       }
     } else {
       schema_fail("unknown key '" + key + "'");

@@ -39,7 +39,6 @@ bool SessionKey::matches(const SessionKey& other) const {
          options.exclude_dontcares == other.options.exclude_dontcares &&
          options.require_holds == other.options.require_holds &&
          options.image_strategy == other.options.image_strategy &&
-         options.parallel_apply == other.options.parallel_apply &&
          source == other.source;
 }
 
@@ -61,10 +60,6 @@ SessionKey SessionCache::key_of(std::string source,
       (options.exclude_dontcares ? 2u : 0u) |
       (options.require_holds ? 4u : 0u) |
       (static_cast<unsigned>(options.image_strategy) << 3));
-  // Parallel-apply sessions keyed apart: a lease's epochs spawn worker
-  // pools, and mixing the worker count keeps warm replays of a request
-  // shape on a session with the same shape.
-  mix(options.parallel_apply);
   mix(max_live_nodes);
 
   SessionKey key;

@@ -202,14 +202,16 @@ struct CovestServer::Impl {
     // 6-significant-digit ostringstream formatting flips a double
     // uptime into scientific notation after ~16.7 minutes (1e+06 ms),
     // corrupting the metrics line for any numeric consumer.
-    const std::uint64_t uptime =
-        static_cast<std::uint64_t>(ms_since(started_at));
+    // The rate divides by the unrounded uptime: a server that finishes
+    // its first suite within a millisecond of starting still reports a
+    // positive rate.
+    const double uptime_ms = ms_since(started_at);
+    const std::uint64_t uptime = static_cast<std::uint64_t>(uptime_ms);
     const std::uint64_t total = n_ok + n_cancelled + n_deadline + n_exhausted +
                                 n_admission + n_error;
     const double per_sec =
-        uptime > 0 ? 1000.0 * static_cast<double>(total) /
-                         static_cast<double>(uptime)
-                   : 0.0;
+        uptime_ms > 0.0 ? 1000.0 * static_cast<double>(total) / uptime_ms
+                        : 0.0;
     std::ostringstream os;
     os << std::fixed << std::setprecision(3);
     os << "{\"metrics\":{";

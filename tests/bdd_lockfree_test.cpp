@@ -1,20 +1,26 @@
 // Direct battery for the lock-free shared-mode structures (bdd.h
 // TableMode::kLockFree): the CAS-chained unique table under
 // same-variable `make_node` bursts, the wait-free lossy computed cache
-// under deliberate overwrite races, and the hard (throwing) form of the
-// exclusive-only structural-mutation contract. Built for the sanitizer
+// under deliberate overwrite races, the hard (throwing) form of the
+// exclusive-only structural-mutation contract, and epoch churn over a
+// real model (repeated epochs plateau; a new manager never inherits a
+// dead one's thread-local context cache). Built for the sanitizer
 // CI matrix alongside shared_shard_stress_test: every assertion here
 // runs under TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "circuits/circuits.h"
+#include "fsm/symbolic_fsm.h"
 
 namespace covest::bdd {
 namespace {
@@ -317,6 +323,106 @@ TEST(BddLockFreeTest, TraversalsRunConcurrentlyWithBursts) {
   }
   mgr.end_shared();
   EXPECT_TRUE(mgr.check_canonical());
+}
+
+// --------------------------------------------------------------------------
+// Epoch churn over a real model
+// --------------------------------------------------------------------------
+
+/// One result per shared-mode entry point class, plus the fix-point that
+/// chains them. Handles stay valid across epochs (no gc runs between).
+struct Battery {
+  Bdd conj;       ///< apply_and
+  Bdd parity;     ///< apply_xor
+  Bdd mux;        ///< apply_ite
+  Bdd projected;  ///< exists
+  Bdd rel_prod;   ///< and_exists
+  Bdd reachable;  ///< the fix-point built from all of the above
+};
+
+/// Runs the battery on operands derived from the FSM's own transition
+/// parts — real model structure, not toy formulas.
+Battery run_battery(fsm::SymbolicFsm& fsm) {
+  BddManager& mgr = fsm.mgr();
+  const std::vector<Bdd>& parts = fsm.transition_parts();
+  Bdd a = mgr.bdd_true();
+  Bdd b = mgr.bdd_true();
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    (i % 2 == 0 ? a : b) &= parts[i];
+  }
+  Bdd cube = mgr.bdd_true();
+  for (const Var v : fsm.next_vars()) cube &= mgr.var(v);
+
+  Battery out;
+  out.conj = mgr.apply_and(a, b);
+  out.parity = mgr.apply_xor(a, b);
+  out.mux = mgr.apply_ite(fsm.initial_states(), a, b);
+  out.projected = mgr.exists(out.conj, cube);
+  out.rel_prod = mgr.and_exists(a, b, cube);
+  out.reachable = fsm.reachable(fsm.initial_states());
+  return out;
+}
+
+/// The same battery inside a one-thread lock-free shared epoch. The
+/// computed cache is cleared first so every recursion genuinely re-runs
+/// through the shared-mode paths instead of replaying cache hits.
+Battery run_shared(fsm::SymbolicFsm& fsm) {
+  BddManager& mgr = fsm.mgr();
+  mgr.clear_cache();
+  mgr.begin_shared(1);
+  mgr.register_shard_thread();
+  Battery out = run_battery(fsm);
+  mgr.end_shared();
+  return out;
+}
+
+void expect_identical(const Battery& got, const Battery& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.conj, want.conj) << label << ": and";
+  EXPECT_EQ(got.parity, want.parity) << label << ": xor";
+  EXPECT_EQ(got.mux, want.mux) << label << ": ite";
+  EXPECT_EQ(got.projected, want.projected) << label << ": exists";
+  EXPECT_EQ(got.rel_prod, want.rel_prod) << label << ": and_exists";
+  EXPECT_EQ(got.reachable, want.reachable) << label << ": reachable";
+}
+
+TEST(BddLockFreeTest, RepeatedSharedEpochsOverAModelDoNotGrowThePool) {
+  circuits::TokenRingSpec spec;
+  spec.cells = 16;
+  fsm::SymbolicFsm fsm(circuits::make_token_ring(spec));
+  const Battery first = run_shared(fsm);
+  fsm.mgr().live_node_count();  // Refreshes stats().allocated_nodes.
+  const std::size_t after_first = fsm.mgr().stats().allocated_nodes;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    expect_identical(run_shared(fsm), first,
+                     "epoch " + std::to_string(epoch));
+  }
+  // Every recomputation canonicalizes onto already-allocated nodes; the
+  // slack is one arena block.
+  fsm.mgr().live_node_count();
+  EXPECT_LE(fsm.mgr().stats().allocated_nodes, after_first + 256);
+  EXPECT_TRUE(fsm.mgr().check_canonical());
+}
+
+// Regression: the per-thread shard-ctx cache was keyed on (manager
+// address, per-manager epoch counter). A new manager allocated at a
+// dead manager's address false-hit once its counter climbed back to
+// the cached value, returning a ThreadCtx* into freed memory. The
+// epoch token is process-global now; this loop is the use-after-free
+// reproducer (each round's first epoch collided with the previous
+// round's cached epoch), kept hot for ASan/TSan.
+TEST(BddLockFreeTest, ManagerChurnDoesNotAliasThreadCtxCaches) {
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    circuits::TokenRingSpec spec;
+    spec.cells = 8;
+    auto fsm = std::make_unique<fsm::SymbolicFsm>(
+        circuits::make_token_ring(spec));
+    const Battery baseline = run_battery(*fsm);
+    expect_identical(run_shared(*fsm), baseline,
+                     "round " + std::to_string(round));
+    EXPECT_TRUE(fsm->mgr().check_canonical());
+  }
 }
 
 }  // namespace

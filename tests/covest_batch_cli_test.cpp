@@ -187,6 +187,17 @@ TEST(CovestBatchCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run_batch("--max-queue 0 /dev/null").exit_code, 2);
 }
 
+TEST(CovestBatchCliTest, ParallelApplyFlagIsUnknown) {
+  // No in-operation parallelism flag exists: it must fail as an unknown
+  // option, never be silently accepted.
+  const RunOutcome r = run_shell(std::string(COVEST_BATCH_TOOL_PATH) +
+                                 " --parallel-apply 2 /dev/null 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--parallel-apply'"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(CovestBatchCliTest, ResourceLimitedJobsExitThreeWithStatusLines) {
   // A starved node budget must not abort the batch: the limited job
   // gets a structured status line, the healthy job still completes, and

@@ -12,9 +12,8 @@
 //   * identical covered-state counts and coverage percentages for every
 //     signal row,
 // and, on a sub-sample of seeds, that the sharded runs (both
-// table_mode=lockfree and table_mode=striped) and the parallel-apply
-// replays (serial and sharded, both table modes) stay byte-identical
-// to the serial run.
+// table_mode=lockfree and table_mode=striped) stay byte-identical to
+// the serial run.
 //
 // Reproduction: every failure message carries its seed; set
 // COVEST_DIFF_SEED=<n> to re-run exactly that seed (and only it),
@@ -300,22 +299,6 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
       EXPECT_EQ(canonical(r), expect)
           << (table_mode == bdd::TableMode::kLockFree ? "lockfree"
                                                       : "striped");
-    }
-
-    // Parallel-apply parity: the work-stealing kernels (bdd/parallel.h)
-    // must not perturb a single byte whatever the schedule — serial row
-    // order with in-operation parallelism, and the sharded fan-out with
-    // a shared pool, under both table modes.
-    for (const bdd::TableMode table_mode :
-         {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-      SCOPED_TRACE(table_mode == bdd::TableMode::kLockFree ? "lockfree"
-                                                           : "striped");
-      CoverageRequest par = g.request;
-      par.options.parallel_apply = 2;
-      par.table_mode = table_mode;
-      EXPECT_EQ(canonical(session->run(par)), expect) << "parallel serial";
-      par.shards = 3;
-      EXPECT_EQ(canonical(session->run(par)), expect) << "parallel sharded";
     }
 
     // Image-strategy parity: the baseline above ran under the default

@@ -309,74 +309,6 @@ TEST(FaultInjectionTest, StrategySweepsKeepStructuredStatusesAndPrefixes) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel apply
-// ---------------------------------------------------------------------------
-
-/// Deadline and allocation injections landing inside the work-stealing
-/// parallel kernels (bdd/parallel.h). Helper threads tick the governor
-/// at every task boundary, so the exact trigger schedule is not
-/// deterministic the way the serial sweeps above are — the contract
-/// held here is schedule-independent: every armed run ends in a
-/// structured status (or a clean run when warm caches absorb the work
-/// before the counter fires), never a crash, hang or corrupted pool,
-/// and the SAME session then completes a clean run byte-identical to an
-/// uninjected parallel run — which itself must match the serial bytes.
-/// Both table modes.
-TEST(FaultInjectionTest, ParallelApplyInjectionsSurfaceStructurally) {
-  InjectorGuard guard;
-  for (const bdd::TableMode mode :
-       {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    CoverageRequest req = path_request("arbiter.cov");
-    req.options.parallel_apply = 2;
-    req.table_mode = mode;
-    const std::string fresh = canonical(Engine().run(req));
-    EXPECT_EQ(fresh, canonical(Engine().run(path_request("arbiter.cov"))))
-        << "parallel apply diverged from serial bytes";
-
-    Session session(Engine::load_model(req));
-    // Allocation first, while the session is cold: the estimate phase
-    // is guaranteed to allocate, so small fire_at values must land.
-    bool alloc_hit = false;
-    for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{40}}) {
-      FaultInjector::arm(FaultInjector::Site::kAllocation, n);
-      const SuiteResult r = session.run(req);
-      FaultInjector::disarm();
-      if (r.status == ResultStatus::kResourceExhausted) {
-        alloc_hit = true;
-        EXPECT_FALSE(r.status_detail.empty());
-      }
-      EXPECT_TRUE(r.status == ResultStatus::kResourceExhausted ||
-                  canonical(r) == fresh)
-          << canonical(r);
-      EXPECT_TRUE(r.error.empty()) << r.error;
-      EXPECT_EQ(canonical(session.run(req)), fresh)
-          << "after allocation " << n;
-    }
-    EXPECT_TRUE(alloc_hit) << "sweep never hit an allocation";
-
-    // Deadline ticks fire on the injection counter regardless of the
-    // real (absent) budget; n=1 lands at the first phase boundary,
-    // larger n reach the ticks inside the parallel recursion itself.
-    bool deadline_hit = false;
-    for (const std::uint64_t n :
-         {std::uint64_t{1}, std::uint64_t{5}, std::uint64_t{25},
-          std::uint64_t{125}}) {
-      FaultInjector::arm(FaultInjector::Site::kDeadline, n);
-      const SuiteResult r = session.run(req);
-      FaultInjector::disarm();
-      if (r.status == ResultStatus::kDeadlineExceeded) deadline_hit = true;
-      EXPECT_TRUE(r.status == ResultStatus::kDeadlineExceeded ||
-                  canonical(r) == fresh)
-          << canonical(r);
-      EXPECT_TRUE(r.error.empty()) << r.error;
-      EXPECT_EQ(canonical(session.run(req)), fresh) << "after tick " << n;
-    }
-    EXPECT_TRUE(deadline_hit) << "sweep never hit a deadline tick";
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Admission rejections
 // ---------------------------------------------------------------------------
 

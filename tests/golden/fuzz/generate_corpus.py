@@ -102,14 +102,9 @@ w('bad_request/deadline_wrong_type.json', '{"deadline_ms": "soon"}')
 w('bad_request/max_nodes_zero.json', '{"max_live_nodes": 0}')
 w('bad_request/max_nodes_fractional.json', '{"max_live_nodes": 2.5}')
 w('bad_request/max_nodes_wrong_type.json', '{"max_live_nodes": true}')
-# parallel_apply follows the same count grammar: >= 1 when present,
-# serial is spelled by omission.
-w('bad_request/parallel_apply_zero.json', '{"parallel_apply": 0}')
-w('bad_request/parallel_apply_negative.json', '{"parallel_apply": -2}')
-w('bad_request/parallel_apply_fractional.json', '{"parallel_apply": 1.5}')
-w('bad_request/parallel_apply_wrong_type.json', '{"parallel_apply": "all"}')
-w('bad_request/parallel_apply_misspelled.json',
-  '{"model_path": "m.cov", "parallel_aply": 2}')
+# No in-operation parallelism field exists: an unknown key.
+w('bad_request/parallel_apply_removed.json',
+  '{"model_path": "m.cov", "parallel_apply": 2}')
 # Duplicate keys (grammar-valid; the schema rejects two-jobs-at-once),
 # including duplicates buried in nested objects.
 w('bad_request/duplicate_top_level.json',
@@ -153,8 +148,6 @@ w('good_request/image_strategy_chaining.json',
   '{"model_path": "m.cov", "image_strategy": "chaining"}')
 w('good_request/deadline_and_budget.json',
   '{"model_path": "m.cov", "deadline_ms": 500, "max_live_nodes": 100000}')
-w('good_request/parallel_apply.json',
-  '{"model_path": "m.cov", "shards": 2, "parallel_apply": 4}')
 
 for d in ('bad_json', 'bad_request', 'good_json', 'good_request'):
     print(d, len(os.listdir(os.path.join(base, d))))

@@ -41,7 +41,6 @@ CoverageRequest sample_request() {
   req.want_traces = true;
   req.shards = 3;
   req.table_mode = bdd::TableMode::kStriped;  // Non-default round-trips.
-  req.options.parallel_apply = 3;
   req.deadline_ms = 1500;
   req.max_live_nodes = 250000;
   return req;
@@ -65,7 +64,6 @@ void expect_same_request(const CoverageRequest& a, const CoverageRequest& b) {
   EXPECT_EQ(a.shards, b.shards);
   EXPECT_EQ(a.shard_mode, b.shard_mode);
   EXPECT_EQ(a.table_mode, b.table_mode);
-  EXPECT_EQ(a.options.parallel_apply, b.options.parallel_apply);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.max_live_nodes, b.max_live_nodes);
 }
@@ -126,7 +124,6 @@ TEST(RequestJsonTest, MinimalInputGetsDefaults) {
   EXPECT_EQ(req.shards, 1u);
   EXPECT_EQ(req.shard_mode, engine::ShardMode::kSharedManager);
   EXPECT_EQ(req.table_mode, bdd::TableMode::kLockFree);
-  EXPECT_EQ(req.options.parallel_apply, 0u);  // Serial, by omission.
   EXPECT_EQ(req.deadline_ms, 0u);       // Unlimited, spelled by omission.
   EXPECT_EQ(req.max_live_nodes, 0u);
 }
@@ -270,20 +267,17 @@ TEST(FuzzCorpusTest, GovernanceLimitsRoundTripThroughTheCorpusForm) {
   EXPECT_EQ(unlimited.find("max_live_nodes"), std::string::npos) << unlimited;
 }
 
-TEST(FuzzCorpusTest, ParallelApplyRoundTripsThroughTheCorpusForm) {
-  const CoverageRequest par = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "parallel_apply.json"));
-  EXPECT_EQ(par.options.parallel_apply, 4u);
-  EXPECT_EQ(par.shards, 2u);
-  // Canonical form keeps the key (non-default)...
-  const std::string json = engine::to_json(par);
-  EXPECT_NE(json.find("\"parallel_apply\": 4"), std::string::npos) << json;
-  // ...and a serial request serializes no parallel_apply at all, so
-  // pre-parallel goldens stay byte-identical.
-  const std::string serial =
-      engine::to_json(engine::request_from_json(R"({"model_path": "m.cov"})"));
-  EXPECT_EQ(serial.find("parallel_apply"), std::string::npos) << serial;
+TEST(FuzzCorpusTest, RemovedParallelApplyFieldIsAnUnknownKey) {
+  // No in-operation parallelism field exists: it gets the usual
+  // unknown-key schema error, never silent acceptance.
+  const std::string text =
+      read_file(corpus_files("bad_request")[0].parent_path() /
+                "parallel_apply_removed.json");
+  CoverageRequest out;
+  std::string error;
+  EXPECT_FALSE(engine::parse_request(text, &out, &error));
+  EXPECT_NE(error.find("unknown key 'parallel_apply'"), std::string::npos)
+      << error;
 }
 
 TEST(RequestJsonTest, HostileNestingDepthIsRejectedNotACrash) {
@@ -405,7 +399,6 @@ TEST_F(GoldenRequestTest, FullRequestWithInlineModelAndSharding) {
   req.skip_failing = true;
   req.uncovered_limit = 2;
   req.shards = 2;
-  req.options.parallel_apply = 2;
   check_round_trip("request_sharded_inline.json", req);
 }
 
