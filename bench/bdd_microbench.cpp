@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the BDD substrate: the operations
 // that dominate both model checking and coverage estimation — plus the
-// shared-mode table-mode comparison (striped locks vs the lock-free
-// unique table + wait-free cache) under same-variable make_node bursts.
+// shared-mode tables (striped locks) under same-variable make_node
+// bursts.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -124,17 +124,15 @@ BENCHMARK(BM_ImageStrategy)
 
 // Shared-mode burst: K threads hammer one manager with formula families
 // dense in a tiny variable set, so nearly every make_node lands in the
-// same few subtables — exactly the pattern that serializes on striped
-// locks and that the CAS-chained table is built for. The two variants
-// differ only in TableMode, so their ratio is the synchronization cost.
-// (On a 1-core container both mostly measure scheduling; the comparison
-// is meaningful on real multi-core hardware.)
-void shared_burst_run(bdd::TableMode mode, std::size_t threads) {
+// same few subtables and contends for the same stripe locks — the worst
+// case for the shared tables. (On a 1-core host this mostly measures
+// scheduling; it is meaningful on real multi-core hardware.)
+void shared_burst_run(std::size_t threads) {
   constexpr unsigned kVars = 6;
   BddManager mgr(kVars);
   std::vector<Bdd> vars;
   for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
-  mgr.begin_shared(threads, mode);
+  mgr.begin_shared(threads);
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
@@ -158,18 +156,10 @@ void shared_burst_run(bdd::TableMode mode, std::size_t threads) {
 void BM_SharedMakeNodeBurstStriped(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    shared_burst_run(bdd::TableMode::kStriped, threads);
+    shared_burst_run(threads);
   }
 }
 BENCHMARK(BM_SharedMakeNodeBurstStriped)->Arg(2)->Arg(4);
-
-void BM_SharedMakeNodeBurstLockFree(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    shared_burst_run(bdd::TableMode::kLockFree, threads);
-  }
-}
-BENCHMARK(BM_SharedMakeNodeBurstLockFree)->Arg(2)->Arg(4);
 
 void BM_SiftingReorder(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));

@@ -1,8 +1,7 @@
 // Suite-throughput benchmark for the engine layer: how many coverage
 // suites per second the `engine::Executor` sustains at different worker
-// counts, plus the intra-suite sharding comparison — shared_manager
-// (verify once, estimate on K threads over one manager) against
-// replicated (K independent sessions, each re-verifying).
+// counts, plus intra-suite sharding (verify once, estimate on K threads
+// over one shared manager).
 // `bench/run_bench.sh` runs it over the example-model manifest and
 // writes BENCH_engine.json so the engine layer has a perf trajectory PR
 // over PR (the BDD layer has had one since PR 1).
@@ -20,11 +19,9 @@
 // Each configuration runs `N` copies of every model's default suite
 // through one executor and measures wall time; the suites are
 // independent jobs with worker-local BDD managers, so the jobs=K
-// configurations measure the real fan-out path, not a simulation. The
-// sharding entries also record summed verify passes: the work-saved
-// story (shared_manager verifies each suite once; replicated K times)
-// is visible even on hardware where wall-clock parallelism is not —
-// the emitted note flags single-core containers, where jobs=4 can read
+// configurations measure the real fan-out path, not a simulation. Every
+// entry also records summed verify passes (one per suite, sharded or
+// not). The emitted note flags single-core hosts, where jobs=4 can read
 // *slower* than jobs=2 on pure scheduling overhead.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -54,7 +51,7 @@ using Clock = std::chrono::steady_clock;
 struct Config {
   std::size_t repeat = 8;
   std::vector<std::size_t> jobs = {1, 2, 4};
-  std::size_t shards = 4;  ///< Shard count of the sharding comparison.
+  std::size_t shards = 4;  ///< Shard count of the sharded entries.
   bool list = false;       ///< Print benchmark names and exit.
   std::string out_path;
   std::vector<std::string> models;
@@ -78,9 +75,9 @@ std::vector<std::string> benchmark_names(const Config& config) {
       *std::max_element(config.jobs.begin(), config.jobs.end());
   const std::string suffix = "/shards:" + std::to_string(config.shards) +
                              "/jobs:" + std::to_string(shard_workers);
-  names.push_back("sharded_suite/mode:shared_manager/table:lockfree" + suffix);
+  // The name predates the single sharded path and is kept so the
+  // committed BENCH_engine.json row stays comparable.
   names.push_back("sharded_suite/mode:shared_manager/table:striped" + suffix);
-  names.push_back("sharded_suite/mode:replicated" + suffix);
   const std::string jobs_suffix = "/jobs:" + std::to_string(shard_workers);
   names.push_back("server_loopback/cache:off" + jobs_suffix);
   names.push_back("server_loopback/cache:on" + jobs_suffix);
@@ -120,9 +117,7 @@ struct Measurement {
 };
 
 Measurement measure(const Config& config, std::size_t workers,
-                    std::size_t shards, engine::ShardMode mode,
-                    std::string name,
-                    bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
+                    std::size_t shards, std::string name) {
   std::vector<engine::CoverageRequest> requests;
   requests.reserve(config.models.size() * config.repeat);
   for (std::size_t r = 0; r < config.repeat; ++r) {
@@ -131,8 +126,6 @@ Measurement measure(const Config& config, std::size_t workers,
       req.model_path = path;
       req.uncovered_limit = 0;  // Keep the measurement estimation-pure.
       req.shards = shards;
-      req.shard_mode = mode;
-      req.table_mode = table_mode;
       requests.push_back(std::move(req));
     }
   }
@@ -227,9 +220,7 @@ Measurement measure_gc_under_load(const Config& config, std::size_t workers,
   // BddManager reads COVEST_GC_THRESHOLD at construction; sessions are
   // created inside measure(), so the env var scopes the whole run.
   ::setenv("COVEST_GC_THRESHOLD", reclaim ? "64" : "1000000000", 1);
-  Measurement m =
-      measure(config, workers, config.shards,
-              engine::ShardMode::kSharedManager, std::move(name));
+  Measurement m = measure(config, workers, config.shards, std::move(name));
   ::unsetenv("COVEST_GC_THRESHOLD");
   return m;
 }
@@ -365,9 +356,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = benchmark_names(config);
   std::size_t name_index = 0;
   for (const std::size_t workers : config.jobs) {
-    const Measurement m =
-        measure(config, workers, 1, engine::ShardMode::kSharedManager,
-                names[name_index++]);
+    const Measurement m = measure(config, workers, 1, names[name_index++]);
     std::printf("jobs=%zu: %zu suites in %.1f ms  (%.1f suites/sec)\n",
                 m.jobs, m.suites, m.wall_ms, m.suites_per_sec);
     measurements.push_back(m);
@@ -383,43 +372,16 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
   }
 
-  // Intra-suite sharding: shared_manager (verify once per suite) vs
-  // replicated (every shard re-verifies) — and, within shared_manager,
-  // the table-mode comparison: the lock-free unique table/wait-free
-  // cache against the striped-lock baseline. verify_passes makes the
-  // saved work visible even where single-core wall-clock cannot show
-  // it; the table-mode ratio needs real cores to mean anything.
+  // Intra-suite sharding: each suite verifies once, then estimates its
+  // rows on up to `shards` threads over one shared manager.
   const std::size_t shard_workers =
       *std::max_element(config.jobs.begin(), config.jobs.end());
-  Measurement shared = measure(config, shard_workers, config.shards,
-                               engine::ShardMode::kSharedManager,
-                               names[name_index++], bdd::TableMode::kLockFree);
-  Measurement shared_striped =
-      measure(config, shard_workers, config.shards,
-              engine::ShardMode::kSharedManager, names[name_index++],
-              bdd::TableMode::kStriped);
-  Measurement replicated =
-      measure(config, shard_workers, config.shards,
-              engine::ShardMode::kReplicated, names[name_index++]);
-  for (const Measurement* m : {&shared, &shared_striped, &replicated}) {
-    std::printf("%s: %.1f suites/sec, %zu verify passes\n", m->name.c_str(),
-                m->suites_per_sec, m->verify_passes);
-    measurements.push_back(*m);
-  }
-  const double shard_speedup =
-      replicated.suites_per_sec > 0.0
-          ? shared.suites_per_sec / replicated.suites_per_sec
-          : 0.0;
-  std::printf("shared_manager vs replicated at shards=%zu: %.2fx "
-              "(verify passes %zu vs %zu)\n",
-              config.shards, shard_speedup, shared.verify_passes,
-              replicated.verify_passes);
-  const double table_speedup =
-      shared_striped.suites_per_sec > 0.0
-          ? shared.suites_per_sec / shared_striped.suites_per_sec
-          : 0.0;
-  std::printf("lockfree vs striped at shards=%zu: %.2fx\n", config.shards,
-              table_speedup);
+  const Measurement sharded =
+      measure(config, shard_workers, config.shards, names[name_index++]);
+  std::printf("%s: %.1f suites/sec, %zu verify passes\n",
+              sharded.name.c_str(), sharded.suites_per_sec,
+              sharded.verify_passes);
+  measurements.push_back(sharded);
 
   // Server loopback: the covest_serve wire path end to end. The cache:on
   // column is the warm-cache story — after round one every suite leases
@@ -510,15 +472,9 @@ int main(int argc, char** argv) {
                    "  \"note\": \"1 hardware thread: parallel "
                    "configurations (jobs>1, shards>1) measure scheduling "
                    "overhead, not speedup; jobs=4 may read slower than "
-                   "jobs=2. verify_passes is the hardware-independent "
-                   "signal: shared_manager verifies each suite once, "
-                   "replicated once per shard.\",\n");
+                   "jobs=2.\",\n");
     }
     std::fprintf(out, "  \"speedup_max_jobs_vs_1\": %.3f,\n", speedup);
-    std::fprintf(out, "  \"shared_vs_replicated_speedup\": %.3f,\n",
-                 shard_speedup);
-    std::fprintf(out, "  \"lockfree_vs_striped_speedup\": %.3f,\n",
-                 table_speedup);
     std::fprintf(out, "  \"warm_cache_vs_cold_speedup\": %.3f,\n",
                  cache_speedup);
     std::fprintf(out,

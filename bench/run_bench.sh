@@ -3,26 +3,20 @@
 #   BENCH_bdd.json    — BDD microbenchmarks (google-benchmark JSON:
 #                       cpu_time in ns per op, plus peak_live_nodes /
 #                       cache_hit_rate counters), including the
-#                       shared-mode table-mode burst comparison
-#                       (BM_SharedMakeNodeBurstStriped vs
-#                       BM_SharedMakeNodeBurstLockFree)
+#                       shared-mode burst (BM_SharedMakeNodeBurstStriped)
 #   BENCH_engine.json — engine-layer suite throughput (suites/sec over
 #                       the example-model manifest at --jobs 1, 2, 4,
 #                       via bench/engine_throughput and the executor),
-#                       plus the intra-suite sharding comparison:
-#                       shard_mode shared_manager (verify once, rows on
-#                       K threads over one shared BddManager; measured
-#                       under both table_mode=lockfree and striped) vs
-#                       replicated (every shard re-verifies), plus the
-#                       server_loopback family: the covest_serve wire
+#                       plus intra-suite sharding (verify once, rows
+#                       on K threads over one shared BddManager), plus
+#                       the server_loopback family: the covest_serve wire
 #                       path end to end (an in-process CovestServer on
 #                       127.0.0.1), cache:off against cache:on — the
 #                       warm-model-cache speedup. On boxes with few
 #                       hardware threads the wall-clock columns mostly
 #                       measure scheduling overhead — the file carries
-#                       a "note" and the per-entry verify_passes
-#                       counters, which show the work saved regardless
-#                       of core count.
+#                       a "note", and the per-entry verify_passes
+#                       counters confirm each suite verified once.
 #
 # Usage: bench/run_bench.sh [build_dir] [output_json]
 #        bench/run_bench.sh --check-stale [build_dir] [bench_json]
@@ -125,7 +119,7 @@ echo "wrote ${OUT_JSON}"
 
 # Engine-layer suite throughput: every example model's default suite,
 # repeated, fanned out through the executor at 1/2/4 workers, then the
-# shards=4 shared_manager-vs-replicated comparison.
+# shards=4 sharded run.
 "${BUILD_DIR}/engine_throughput" \
   --repeat "${ENGINE_REPEAT}" \
   --jobs 1,2,4 \

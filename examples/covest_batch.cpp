@@ -57,10 +57,6 @@ void usage(std::FILE* to) {
       "  --jobs N     worker threads (default 1; 0 = hardware threads)\n"
       "  --shards K   verify each suite once, estimate its signal rows\n"
       "               on up to K threads over one shared manager\n"
-      "  --table-mode lockfree|striped\n"
-      "               shared-manager synchronization: the lock-free\n"
-      "               unique table + wait-free cache (default) or\n"
-      "               striped locks; results are byte-identical\n"
       "  --image-strategy monolithic|partitioned|chaining\n"
       "               image computation: one conjoined transition\n"
       "               relation, clustered partials with early\n"
@@ -133,18 +129,6 @@ int main(int argc, char** argv) {
           options.max_queue == 0) {
         std::fprintf(stderr,
                      "error: --max-queue needs a positive integer\n\n");
-        usage(stderr);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--table-mode") == 0) {
-      const char* mode = i + 1 < argc ? argv[++i] : "";
-      if (std::strcmp(mode, "lockfree") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kLockFree;
-      } else if (std::strcmp(mode, "striped") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kStriped;
-      } else {
-        std::fprintf(stderr,
-                     "error: --table-mode needs 'lockfree' or 'striped'\n\n");
         usage(stderr);
         return 2;
       }

@@ -72,8 +72,6 @@ void usage(std::FILE* to) {
       "               max_live_nodes wins)\n"
       "  --shards K   default intra-suite estimation sharding (a\n"
       "               request's own shards value wins)\n"
-      "  --table-mode lockfree|striped\n"
-      "               shared-manager synchronization for sharded jobs\n"
       "  --image-strategy monolithic|partitioned|chaining\n"
       "               default image computation strategy for every job\n"
       "               (results are byte-identical across strategies)\n"
@@ -179,18 +177,6 @@ int main(int argc, char** argv) {
       options.gc_interval = gc_interval;
     } else if (std::strcmp(arg, "--gc-sift") == 0) {
       options.gc_sift = true;
-    } else if (std::strcmp(arg, "--table-mode") == 0) {
-      const char* mode = i + 1 < argc ? argv[++i] : "";
-      if (std::strcmp(mode, "lockfree") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kLockFree;
-      } else if (std::strcmp(mode, "striped") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kStriped;
-      } else {
-        std::fprintf(stderr,
-                     "error: --table-mode needs 'lockfree' or 'striped'\n\n");
-        usage(stderr);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--image-strategy") == 0) {
       const char* name = i + 1 < argc ? argv[++i] : "";
       image::ImageStrategy strategy;

@@ -4,26 +4,18 @@
 // Shared-mode memory model, in one place:
 //
 //  * A node's fields (var/low/high) are written exactly once, before the
-//    node is *published*. Publication is a release edge matched by an
-//    acquire on the consumer side, and its shape depends on the epoch's
-//    TableMode:
-//      - kLockFree: the node is linked into its unique-subtable chain
-//        by a release `compare_exchange` on the bucket head; readers
-//        acquire-load the head (and each chain link). A bucket head
-//        only ever moves by prepending during an epoch — nothing is
-//        removed or rehashed — so CAS retries cannot ABA, and a reader
-//        that loses a race at worst walks a longer chain. The computed
-//        cache publishes through the seqlock stamp of its LfCacheEntry
-//        (release store of the even stamp, acquire load on the reader).
-//      - kStriped: the stripe mutexes double as the publication fence
-//        (the PR-4 scheme, kept selectable for benchmarking).
-//    Either way a thread can only learn a node's index through one of
-//    those release/acquire channels (or through a root handle created
-//    before the threads were spawned), so every cross-thread read of
-//    node fields is ordered after the initializing writes. Live node
-//    fields are never mutated while shared mode is on (reordering stays
-//    exclusive-mode); shared-mode collections mutate only *dead* nodes,
-//    and only while every other thread is paused at an operation
+//    node is *published*. Publication is a striped mutex: a node is
+//    linked into its unique-subtable chain under its variable's stripe
+//    lock (`var % kUniqueStripes`), and a memo naming it is stored under
+//    its cache slot's stripe lock (`slot % kCacheStripes`). The lock
+//    release is the release edge, and the reader's acquire of the same
+//    stripe is the matching acquire. A thread can only learn a node's
+//    index through one of those stripes (or through a root handle
+//    created before the threads were spawned), so every cross-thread
+//    read of node fields is ordered after the initializing writes. Live
+//    node fields are never mutated while shared mode is on (reordering
+//    stays exclusive-mode); shared-mode collections mutate only *dead*
+//    nodes, and only while every other thread is paused at an operation
 //    boundary (see the reclamation section at the end of this file).
 //  * Segment pointers are published the same way: a segment is
 //    installed under `alloc_mu_` before any slot inside it is handed
@@ -39,8 +31,8 @@
 //    handle that was live at the pause has completed its increment
 //    before its owner reached the boundary (program order within the
 //    owning thread plus the seq_cst quiescence handshake).
-//  * Everything in the lock-free paths is either an std::atomic_ref /
-//    std::atomic operation or a plain access ordered by one of the
+//  * Everything shared is either guarded by one of those mutexes, an
+//    std::atomic operation, or a plain access ordered by one of the
 //    edges above, so a clean TSan run over the concurrency battery is
 //    meaningful evidence, not luck.
 #include "bdd/bdd.h"
@@ -268,7 +260,7 @@ Bdd BddManager::cube(const std::vector<Var>& vars) {
 // Shared (sharded) mode
 // ---------------------------------------------------------------------------
 
-void BddManager::begin_shared(std::size_t max_threads, TableMode table_mode) {
+void BddManager::begin_shared(std::size_t max_threads) {
   if (shared_mode_) {
     throw std::logic_error("BddManager::begin_shared: already in shared mode");
   }
@@ -276,27 +268,6 @@ void BddManager::begin_shared(std::size_t max_threads, TableMode table_mode) {
          "begin_shared must be called by the owning thread");
   assert(!main_ctx_.in_operation && "begin_shared inside an operation");
   shard_max_threads_ = std::max<std::size_t>(1, max_threads);
-  table_mode_ = table_mode;
-  if (table_mode_ == TableMode::kLockFree) {
-    // Pre-size every subtable while the manager is still exclusive: the
-    // lock-free epoch never resizes (rehashing would move chain links
-    // under concurrent readers), so give each table headroom now. An
-    // epoch that outgrows the headroom degrades to longer chains.
-    for (Var v = 0; v < subtables_.size(); ++v) {
-      std::size_t target = subtables_[v].buckets.size();
-      while (subtables_[v].count * 4 >= target) target *= 2;
-      if (target != subtables_[v].buckets.size()) rehash_subtable(v, target);
-    }
-    // The wait-free cache mirrors the exclusive cache's current
-    // (adaptively grown) size. Entries persist across epochs; their
-    // stored epoch word keeps them exactly as valid as striped/
-    // exclusive entries would be (clear_cache and gc bump the epoch).
-    if (lf_cache_size_ != cache_.size()) {
-      lf_cache_ = std::make_unique<LfCacheEntry[]>(cache_.size());
-      lf_cache_size_ = cache_.size();
-      lf_cache_mask_ = lf_cache_size_ - 1;
-    }
-  }
   shard_ctxs_.clear();
   shard_ctxs_.reserve(shard_max_threads_);
   shared_epoch_ = next_epoch_token();
@@ -443,12 +414,8 @@ NodeIndex BddManager::make_node(Var v, NodeIndex low, NodeIndex high) {
 
   ThreadCtx& tc = shard_ctx();
   if (out_complement != 0) ++tc.stats.complement_canonicalizations;
-  if (table_mode_ == TableMode::kLockFree) {
-    return make_node_lockfree(tc, v, low, high) | out_complement;
-  }
-
-  // Striped mode: the variable's stripe lock covers lookup, insertion and
-  // resize, and doubles as the fence publishing the new node's fields.
+  // The variable's stripe lock covers lookup, insertion and resize, and
+  // doubles as the fence publishing the new node's fields.
   std::lock_guard<std::mutex> lock(unique_mu_[v % kUniqueStripes]);
   Subtable& st = subtables_[v];
   const std::size_t bucket = subtable_bucket(v, low, high);
@@ -470,69 +437,6 @@ NodeIndex BddManager::make_node(Var v, NodeIndex low, NodeIndex high) {
   ++st.count;
   maybe_resize_subtable(v);
   return n | out_complement;
-}
-
-// Lock-free insert-if-absent. Within one operation chains only grow by
-// prepending (no rehash during an epoch; collections unlink and free
-// only inside a pause, when no operation is running), which buys three
-// properties at once:
-//  * a failed CAS can re-check exactly the delta `[new head, old head)`
-//    for a duplicate instead of the whole chain,
-//  * bucket heads never revisit an old value, so the CAS cannot ABA,
-//  * readers walking a chain can never step onto a freed slot.
-// A thread that loses the publication race for an equal key resets its
-// speculative slot and keeps it in the thread-local recycle list — the
-// pool does not leak, and `end_shared` returns unused slots to the
-// free list as usual.
-NodeIndex BddManager::make_node_lockfree(ThreadCtx& tc, Var v, NodeIndex low,
-                                         NodeIndex high) {
-  Subtable& st = subtables_[v];
-  const std::size_t bucket = subtable_bucket(v, low, high);
-  std::atomic_ref<NodeIndex> head_ref(st.buckets[bucket]);
-  // The acquire pairs with the release CAS of whichever thread
-  // published the head node — and, through the release sequence of the
-  // RMW chain, with every earlier publication on this bucket — so the
-  // plain reads of node fields (and of the segment pointers behind
-  // `node_at`) below are ordered after their initializing writes.
-  const NodeIndex head = head_ref.load(std::memory_order_acquire);
-  for (NodeIndex n = head; n != kInvalidIndex;
-       n = std::atomic_ref<NodeIndex>(node_at(n).next)
-               .load(std::memory_order_acquire)) {
-    if (node_at(n).low == low && node_at(n).high == high) {
-      ++tc.stats.unique_hits;
-      return n;
-    }
-  }
-  // Miss: build the node privately, then publish with a release CAS.
-  const NodeIndex n = allocate_node_shared(tc);
-  Node& node = node_at(n);
-  node.var = v;
-  node.low = low;
-  node.high = high;
-  node.next = head;  // Plain writes: the slot is invisible until the CAS.
-  NodeIndex expected = head;
-  while (!head_ref.compare_exchange_weak(expected, n,
-                                         std::memory_order_release,
-                                         std::memory_order_acquire)) {
-    // Other threads prepended; only the delta can hold a duplicate.
-    for (NodeIndex m = expected; m != node.next;
-         m = std::atomic_ref<NodeIndex>(node_at(m).next)
-                 .load(std::memory_order_acquire)) {
-      if (node_at(m).low == low && node_at(m).high == high) {
-        // Lost the race to an equal node: recycle the speculative slot
-        // (fields back to the free-slot shape end_shared asserts).
-        node = Node{};
-        tc.recycled.push_back(n);
-        ++tc.stats.unique_hits;
-        return m;
-      }
-    }
-    node.next = expected;  // Still private; retry atop the new head.
-  }
-  ++tc.stats.unique_misses;
-  std::atomic_ref<std::size_t>(st.count)
-      .fetch_add(1, std::memory_order_relaxed);
-  return n;
 }
 
 NodeIndex BddManager::allocate_node() {
@@ -659,8 +563,7 @@ void BddManager::rehash_subtable(Var v, std::size_t new_buckets) {
 }
 
 void BddManager::maybe_resize_subtable(Var v) {
-  // Exclusive mode and striped shared mode (under the stripe lock)
-  // only; a lock-free epoch pre-sizes instead (see begin_shared).
+  // Exclusive mode, or shared mode under the variable's stripe lock.
   Subtable& st = subtables_[v];
   if (st.count < st.buckets.size()) return;
   rehash_subtable(v, st.buckets.size() * 2);
@@ -816,7 +719,7 @@ void BddManager::clear_cache() {
     if (e + 1 == 0) {
       // Wrapped without a paused sweep: pre-wrap stamps could alias once
       // the counter climbs back. Ask for a collection — its paused window
-      // physically clears both caches (cache_wrap_dirty_ makes it sweep
+      // physically clears the cache (cache_wrap_dirty_ makes it sweep
       // even though the counter never rests at zero).
       cache_wrap_dirty_.store(true, std::memory_order_relaxed);
       gc_requested_.store(true, std::memory_order_seq_cst);
@@ -824,17 +727,12 @@ void BddManager::clear_cache() {
     return;
   }
   // O(1): entries from older epochs simply stop matching. Only the
-  // (once per ~2^32 clears) epoch wrap pays for a physical sweep — of
-  // BOTH caches: a surviving lock-free entry stamped with a pre-wrap
-  // epoch would otherwise false-hit when the counter climbs back to it.
+  // (once per ~2^32 clears) epoch wrap pays for a physical sweep.
   const std::uint32_t next =
       cache_epoch_.load(std::memory_order_relaxed) + 1;
   cache_epoch_.store(next, std::memory_order_relaxed);
   if (next == 0) {
     for (CacheEntry& e : cache_) e.epoch = 0;
-    lf_cache_.reset();  // Reallocated (zeroed) at the next begin_shared.
-    lf_cache_size_ = 0;
-    lf_cache_mask_ = 0;
     cache_epoch_.store(1, std::memory_order_relaxed);
   }
   // The hit-rate counters describe one cache epoch; restart them with it.
@@ -881,36 +779,9 @@ bool BddManager::cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
   ThreadCtx& tc = shard_ctx();
   ++tc.stats.cache_lookups;
 
-  if (table_mode_ == TableMode::kLockFree) {
-    // Wait-free read: one stamped snapshot, no retry. The acquire load
-    // of an even stamp pairs with the storing thread's release of that
-    // stamp, ordering the payload reads — and the node initializations
-    // behind `result` — after their writes. A torn snapshot (odd
-    // stamp, or the stamp moved under the payload) is simply a miss;
-    // the caller recomputes and arrives at the same canonical edge.
-    LfCacheEntry& e = lf_cache_[hash & lf_cache_mask_];
-    const std::uint32_t s1 = e.seq.load(std::memory_order_acquire);
-    if ((s1 & 1u) != 0) return false;
-    const std::uint64_t ab = e.key_ab.load(std::memory_order_relaxed);
-    const std::uint64_t cop = e.key_cop.load(std::memory_order_relaxed);
-    const std::uint64_t er = e.epoch_result.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (e.seq.load(std::memory_order_relaxed) != s1) return false;
-    // Snapshot is consistent: now (and only now) validate the full key,
-    // so an overwrite race can cost a recomputation but never alias.
-    if (ab != ((static_cast<std::uint64_t>(a) << 32) | b) ||
-        cop != ((static_cast<std::uint64_t>(c) << 32) | op) ||
-        (er >> 32) != cache_epoch_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    *out = static_cast<NodeIndex>(er);
-    ++tc.stats.cache_hits;
-    return true;
-  }
-
-  // Striped mode: the stripe lock also publishes the nodes behind
-  // `e.result` — whoever stored the entry held this mutex after
-  // creating those nodes.
+  // Shared mode: the stripe lock also publishes the nodes behind
+  // `e.result` — whoever stored the entry held this mutex after creating
+  // those nodes.
   const std::size_t slot = hash & cache_mask_;
   std::lock_guard<std::mutex> lock(cache_mu_[slot % kCacheStripes]);
   const CacheEntry& e = cache_[slot];
@@ -952,44 +823,7 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
     return;
   }
 
-  if (table_mode_ == TableMode::kLockFree) {
-    // Wait-free write: claim the entry with one CAS to an odd stamp; a
-    // writer that loses (or finds another writer mid-store) just skips
-    // — the cache is lossy by contract, and the value being dropped is
-    // a memo, not state. The acquire on the claiming CAS keeps the
-    // payload stores after it; the release of the even stamp publishes
-    // them (and the nodes behind `result`) to any reader that acquires
-    // the stamp.
-    LfCacheEntry& e = lf_cache_[hash & lf_cache_mask_];
-    std::uint32_t s = e.seq.load(std::memory_order_relaxed);
-    if ((s & 1u) != 0) return;
-    if (!e.seq.compare_exchange_strong(s, s + 1, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      return;
-    }
-    // Release fence before the payload stores: a reader whose relaxed
-    // payload loads observe any of these writes synchronizes (via its
-    // own acquire fence) with this fence, and therefore sees the odd
-    // stamp written above — so its stamp re-check fails and the torn
-    // snapshot is discarded. Without this edge, weakly-ordered hardware
-    // could make a payload store visible before the claim, letting a
-    // reader pair an old key with a new result.
-    std::atomic_thread_fence(std::memory_order_release);
-    e.key_ab.store((static_cast<std::uint64_t>(a) << 32) | b,
-                   std::memory_order_relaxed);
-    e.key_cop.store((static_cast<std::uint64_t>(c) << 32) | op,
-                    std::memory_order_relaxed);
-    e.epoch_result.store(
-        (static_cast<std::uint64_t>(
-             cache_epoch_.load(std::memory_order_relaxed))
-         << 32) |
-            result,
-        std::memory_order_relaxed);
-    e.seq.store(s + 2, std::memory_order_release);
-    return;
-  }
-
-  // Striped mode: the table never grows (growth would move entries under
+  // Shared mode: the table never grows (growth would move entries under
   // concurrent readers); entries race only for their stripe lock.
   const std::size_t slot = hash & cache_mask_;
   std::lock_guard<std::mutex> lock(cache_mu_[slot % kCacheStripes]);
@@ -1125,17 +959,11 @@ std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
 
   // Invalidate memoized results that may point at freed nodes: O(1)
   // epoch bump, with the (once per ~2^32) wrap paying for a physical
-  // sweep of both caches — legal here precisely because everyone is
+  // sweep of the cache — legal here precisely because everyone is
   // paused.
   std::uint32_t next_epoch = cache_epoch_.load(std::memory_order_relaxed) + 1;
   if (next_epoch == 0 || cache_wrap_dirty_.load(std::memory_order_relaxed)) {
     for (CacheEntry& e : cache_) e.epoch = 0;
-    for (std::size_t i = 0; i < lf_cache_size_; ++i) {
-      lf_cache_[i].seq.store(0, std::memory_order_relaxed);
-      lf_cache_[i].key_ab.store(0, std::memory_order_relaxed);
-      lf_cache_[i].key_cop.store(0, std::memory_order_relaxed);
-      lf_cache_[i].epoch_result.store(0, std::memory_order_relaxed);
-    }
     cache_wrap_dirty_.store(false, std::memory_order_relaxed);
     next_epoch = 1;
   }

@@ -75,21 +75,11 @@
 //        slots from per-thread arenas refilled in blocks under one
 //        allocation mutex.
 //      - The per-variable unique subtables and the computed cache are
-//        synchronized according to the epoch's `TableMode`:
-//          `kLockFree` (the default) — insert-if-absent via a
-//          `compare_exchange` on the bucket head, publication by
-//          release/acquire edges instead of mutex fences, and a
-//          wait-free lossy computed cache of seqlock-stamped entries
-//          (racing writers may overwrite; readers revalidate the full
-//          key and treat any tear as a miss — nothing ever blocks).
-//          Subtables are pre-sized at `begin_shared` and never resized
-//          during the epoch, so lookups are tombstone-free and safe
-//          against concurrent growth; an overfull table degrades to
-//          longer chains, never to a data race.
-//          `kStriped` — the PR-4 baseline: a striped lock array per
-//          structure (`var % kUniqueStripes`, cache slot %
-//          kCacheStripes); the mutexes double as the publication
-//          fence. Kept selectable for benchmarking the trade-off.
+//        guarded by striped lock arrays (`var % kUniqueStripes`, cache
+//        slot % `kCacheStripes`); the mutexes double as the publication
+//        fence. The computed cache is the same table exclusive mode
+//        uses, so a memo stored before `begin_shared` (typically by the
+//        verify phase) is one lookup away inside the epoch.
 //      - All traversal scratch (generation stamps, work stack,
 //        sat-count memo, support marks) moves into per-thread contexts
 //        created at registration, so the generation-stamp protocol
@@ -117,8 +107,8 @@
 //    and `live_node_count` still throw `std::logic_error` while shared
 //    mode is on. Each registered thread sees the exact same canonical
 //    BDDs, so results are bit-identical to an exclusive-mode
-//    computation under either table mode — collections only remove
-//    unreachable nodes, which canonicity makes unobservable.
+//    computation — collections only remove unreachable nodes, which
+//    canonicity makes unobservable.
 #pragma once
 
 #include <array>
@@ -167,18 +157,6 @@ constexpr NodeIndex edge_not(NodeIndex e) { return e ^ kComplementBit; }
 constexpr bool edge_is_terminal(NodeIndex e) { return edge_node(e) == 0; }
 
 class BddManager;
-
-/// How a shared-mode epoch synchronizes the unique tables and the
-/// computed cache (see the header comment). Exclusive mode ignores it:
-/// the unsynchronized fast paths always apply there.
-enum class TableMode {
-  /// Striped mutexes (the PR-4 baseline, kept for comparison).
-  kStriped,
-  /// CAS-chained lock-free unique table + wait-free lossy computed
-  /// cache. The default: same-variable `make_node` bursts no longer
-  /// serialize on a stripe.
-  kLockFree,
-};
 
 /// RAII handle to a BDD edge. While at least one `Bdd` references a node,
 /// that node and all its descendants survive garbage collection.
@@ -473,17 +451,13 @@ class BddManager {
   // -- Shared (sharded) mode ---------------------------------------------------
 
   /// Enters shared mode: up to `max_threads` registered threads may
-  /// build nodes and traverse concurrently, synchronized per
-  /// `table_mode` (lock-free by default; striped locks selectable for
-  /// comparison). Must be called from the owning thread, outside any
-  /// operation. Until `end_shared`, `new_var`, reordering and
-  /// `live_node_count` throw `std::logic_error`; `gc` and
-  /// `clear_cache` are legal from registered threads (cooperative
-  /// pause + immediate free, see the header comment). Under
-  /// `TableMode::kLockFree` the subtables are pre-sized here and the
-  /// epoch never resizes them.
-  void begin_shared(std::size_t max_threads,
-                    TableMode table_mode = TableMode::kLockFree);
+  /// build nodes and traverse concurrently under the striped locks.
+  /// Must be called from the owning thread, outside any operation.
+  /// Until `end_shared`, `new_var`, reordering and `live_node_count`
+  /// throw `std::logic_error`; `gc` and `clear_cache` are legal from
+  /// registered threads (cooperative pause + immediate free, see the
+  /// header comment).
+  void begin_shared(std::size_t max_threads);
 
   /// Leaves shared mode: merges the per-thread statistics, returns
   /// unused arena slots to the free list, and rebinds exclusive
@@ -499,16 +473,14 @@ class BddManager {
   void register_shard_thread();
 
   bool in_shared_mode() const noexcept { return shared_mode_; }
-  /// Table mode of the current (or most recent) shared epoch.
-  TableMode shared_table_mode() const noexcept { return table_mode_; }
 
   // -- Test instrumentation ----------------------------------------------------
 
   /// Raw computed-cache probe/publish, bypassing the recursive
   /// operations. `op` is opaque to the cache, so tests can drive
   /// synthetic keys at racing threads and assert that a lookup never
-  /// returns a value whose full key does not match (the wait-free
-  /// cache's key-revalidation contract). Not for production use.
+  /// returns a value whose full key does not match. Not for production
+  /// use.
   bool debug_cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
                         NodeIndex c, NodeIndex* out) {
     return cache_find(op, a, b, c, out);
@@ -599,23 +571,6 @@ class BddManager {
     std::uint32_t epoch = 0;
   };
 
-  /// One wait-free computed-cache entry (TableMode::kLockFree). The
-  /// seqlock stamp makes racing overwrites lossy instead of blocking:
-  /// a writer claims the entry with one CAS to an odd stamp (and simply
-  /// skips the store if it loses — the cache is allowed to drop
-  /// entries), stores the payload, and releases with stamp+2; a reader
-  /// takes one stamped snapshot and treats any tear (odd stamp, or the
-  /// stamp moving under the payload reads) as a miss, never retrying.
-  /// The key packs injectively into two words and is compared in full
-  /// after the snapshot validates, so a colliding overwrite can cost a
-  /// recomputation but can never return the wrong node.
-  struct alignas(32) LfCacheEntry {
-    std::atomic<std::uint32_t> seq{0};  ///< Odd while a writer owns it.
-    std::atomic<std::uint64_t> key_ab{0};        ///< (a << 32) | b.
-    std::atomic<std::uint64_t> key_cop{0};       ///< (c << 32) | op.
-    std::atomic<std::uint64_t> epoch_result{0};  ///< (epoch << 32) | result.
-  };
-
   enum Op : std::uint32_t {
     kOpAnd = 1,
     kOpXor,
@@ -676,8 +631,6 @@ class BddManager {
 
   // Node pool plumbing.
   NodeIndex make_node(Var v, NodeIndex low, NodeIndex high);
-  NodeIndex make_node_lockfree(ThreadCtx& tc, Var v, NodeIndex low,
-                               NodeIndex high);
   NodeIndex allocate_node();
   NodeIndex allocate_node_shared(ThreadCtx& tc);
   void subtable_insert(Var v, NodeIndex n);
@@ -876,7 +829,6 @@ class BddManager {
                                     ///< caches can't leak across epochs — or
                                     ///< across managers reusing an address.
   std::size_t shard_max_threads_ = 0;
-  TableMode table_mode_ = TableMode::kLockFree;
   std::vector<std::unique_ptr<ThreadCtx>> shard_ctxs_;
   std::mutex shard_reg_mu_;  ///< Guards `shard_ctxs_` (registration/lookup).
   std::mutex alloc_mu_;  ///< Guards pool growth, arena refills and the
@@ -885,16 +837,9 @@ class BddManager {
   static constexpr std::size_t kCacheStripes = 64;
   static constexpr NodeIndex kArenaBlock = 256;  ///< Slots per arena refill.
   /// Striped locks: unique subtables by `var % kUniqueStripes`, computed
-  /// cache by `slot % kCacheStripes`. Only taken in shared striped mode.
+  /// cache by `slot % kCacheStripes`. Only taken in shared mode.
   std::array<std::mutex, kUniqueStripes> unique_mu_;
   std::array<std::mutex, kCacheStripes> cache_mu_;
-  /// Wait-free computed cache (TableMode::kLockFree), sized to match
-  /// `cache_` at `begin_shared` so the lock-free epoch inherits the
-  /// exclusive cache's adaptive footprint. Entries outlive epochs; the
-  /// per-entry epoch word keeps `clear_cache`/`gc` invalidation O(1).
-  std::unique_ptr<LfCacheEntry[]> lf_cache_;
-  std::size_t lf_cache_mask_ = 0;
-  std::size_t lf_cache_size_ = 0;
 
   // -- Shared-mode reclamation state -----------------------------------------
   /// Collector election: exactly one thread runs a collection at a
@@ -912,7 +857,7 @@ class BddManager {
   std::atomic<bool> gc_requested_{false};
   /// Set when a shared-mode `clear_cache` wraps `cache_epoch_` past zero
   /// without a paused physical sweep; the next collection's stop window
-  /// clears both caches and resets this.
+  /// clears the cache and resets this.
   std::atomic<bool> cache_wrap_dirty_{false};
 };
 

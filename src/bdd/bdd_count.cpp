@@ -7,7 +7,7 @@
 // visited state and memos live in flat per-thread context arrays, so
 // none of these paths allocates per call once warmed up — and in shared
 // mode every registered thread traverses in its own context, with no
-// cross-thread coordination regardless of the epoch's TableMode.
+// cross-thread coordination.
 #include <algorithm>
 #include <cassert>
 #include <cmath>

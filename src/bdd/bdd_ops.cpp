@@ -15,11 +15,10 @@
 //
 // The recursions call cache_find/cache_store and make_node through the
 // mode-dispatched paths in bdd.cpp: unsynchronized in exclusive mode,
-// lock-free CAS/seqlock or striped mutexes in shared mode. Because the
-// shared-mode computed cache is *lossy* (a racing writer may drop or
-// overwrite an entry), every recursion below must be — and is — correct
-// with a cache that forgets arbitrarily: a miss recomputes and lands on
-// the same canonical edge.
+// striped mutexes in shared mode. Because the computed cache is *lossy*
+// (a colliding or racing store may overwrite an entry), every recursion
+// below must be — and is — correct with a cache that forgets
+// arbitrarily: a miss recomputes and lands on the same canonical edge.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>

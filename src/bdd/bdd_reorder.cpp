@@ -21,7 +21,7 @@ namespace covest::bdd {
 
 void BddManager::swap_adjacent_levels(unsigned lvl) {
   // Reordering rewrites node fields in place — the one thing no shared
-  // epoch (striped or lock-free) can tolerate. Hard error, not just a
+  // epoch can tolerate. Hard error, not just a
   // debug assert: a release-build scheduler bug must fail loudly too.
   require_exclusive("swap_adjacent_levels");
   assert(lvl + 1 < level_to_var_.size());

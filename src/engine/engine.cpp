@@ -46,7 +46,7 @@ PhaseStats snapshot(bdd::BddManager& mgr, double ms) {
   p.live_nodes = mgr.live_node_count();
   p.peak_live_nodes = st.peak_live_nodes;
   p.cache_hit_rate = st.cache_hit_rate();
-  p.passes = 1;  // This session ran the phase once; merges may sum.
+  p.passes = 1;  // This session ran the phase once.
   p.node_budget = mgr.max_live_nodes();
   p.shared_gc_runs = st.shared_gc_runs;
   return p;
@@ -433,7 +433,7 @@ SuiteResult Session::run(const CoverageRequest& request,
     std::vector<std::exception_ptr> failures(fan_out);
     std::atomic<bool> stop{false};
     std::atomic<bool> cancelled{false};
-    mgr.begin_shared(fan_out, request.table_mode);
+    mgr.begin_shared(fan_out);
     {
       std::vector<std::thread> estimators;
       estimators.reserve(fan_out);

@@ -85,20 +85,6 @@ struct PropertySpec {
   }
 };
 
-/// How a sharded request (shards > 1) is executed.
-enum class ShardMode {
-  /// One session, one shared BddManager: the model is parsed, elaborated
-  /// and verified exactly once, and only the per-signal estimation rows
-  /// fan out across up to `shards` estimator threads (bdd.h shared
-  /// mode). The default — verification cost is paid once per suite.
-  kSharedManager,
-  /// Each shard is an independent executor task with its own manager
-  /// and re-verifies the whole suite (verification cost × shards, zero
-  /// lock contention). Kept for benchmarking the trade-off against
-  /// kSharedManager; results are byte-identical either way.
-  kReplicated,
-};
-
 /// Hard cap on estimator threads per suite: an untrusted request's
 /// `shards` value must bound thread creation, not the other way around.
 inline constexpr std::size_t kMaxEstimatorThreads = 32;
@@ -111,8 +97,8 @@ std::size_t effective_shards(std::size_t requested, std::size_t rows);
 /// Contiguous chunk [first, last) of `total` rows owned by `shard` of
 /// `shards`. Chunked (not strided) assignment keeps
 /// concatenation-in-shard-order equal to request order even for partial
-/// (cancelled) shards. Shared by the session's in-manager fan-out and
-/// the executor's replicated sharding.
+/// (cancelled) shards. The session's estimator fan-out splits rows by
+/// it.
 std::pair<std::size_t, std::size_t> shard_chunk_range(std::size_t total,
                                                       std::size_t shard,
                                                       std::size_t shards);
@@ -162,8 +148,8 @@ struct CoverageRequest {
 
   // -- Policy ---------------------------------------------------------------
   /// Estimator policy. `options.image_strategy` travels as the
-  /// top-level `"image_strategy"` JSON field (like `table_mode`), not
-  /// inside the `"options"` object.
+  /// top-level `"image_strategy"` JSON field, not inside the
+  /// `"options"` object.
   core::CoverageOptions options;
   /// When false (default), properties that fail verification are skipped:
   /// they contribute nothing to coverage, matching Definition 3's
@@ -176,18 +162,11 @@ struct CoverageRequest {
   bool want_traces = false;
   /// Intra-suite signal sharding: split the signal rows across up to
   /// this many estimator threads (see `effective_shards` for the
-  /// clamp). Under the default `ShardMode::kSharedManager`,
-  /// `Session::run` itself fans the rows out over one shared manager
-  /// after verifying the suite exactly once; rows are merged back in
-  /// request order and are bit-identical to the serial path.
+  /// clamp). `Session::run` verifies the suite exactly once, then fans
+  /// the rows out over its one manager in bdd.h shared mode; rows are
+  /// merged back in request order and are bit-identical to the serial
+  /// path.
   std::size_t shards = 1;
-  ShardMode shard_mode = ShardMode::kSharedManager;
-  /// How the shared manager of a `kSharedManager` fan-out synchronizes
-  /// its unique tables and computed cache: the lock-free CAS table
-  /// (default) or the striped-lock baseline (kept for benchmarking;
-  /// results are byte-identical either way). Ignored when the run
-  /// never enters shared mode (serial or replicated).
-  bdd::TableMode table_mode = bdd::TableMode::kLockFree;
 
   // -- Resource governance ----------------------------------------------------
   /// Wall-clock budget for the whole run in milliseconds (0 = none).
@@ -197,7 +176,7 @@ struct CoverageRequest {
   /// or the coarse tick inside the BDD fix-point loops — and yields the
   /// partial result with `ResultStatus::kDeadlineExceeded`.
   std::uint64_t deadline_ms = 0;
-  /// Node budget for this run's BddManager(s), 0 = unlimited (see
+  /// Node budget for this run's BddManager, 0 = unlimited (see
   /// bdd::BddManager::set_max_live_nodes for the exact semantics).
   /// Exhaustion yields `ResultStatus::kResourceExhausted` with the
   /// count and budget recorded in the failing phase's stats.
@@ -264,11 +243,9 @@ struct PhaseStats {
   std::size_t live_nodes = 0;
   std::size_t peak_live_nodes = 0;
   double cache_hit_rate = 0.0;  ///< Computed-cache hit rate, cumulative.
-  /// How many times this phase actually executed for the job: 1 for a
-  /// serial or shared-manager run (the whole point of the shared-manager
-  /// sharding is verify.passes == 1), one per shard that elaborated for
-  /// a replicated sharded run, 0 when the phase never ran (errors,
-  /// early cancellation).
+  /// How many times this phase actually executed for the job: 1 when it
+  /// ran (a sharded run too — sharding verifies once), 0 when it never
+  /// ran (errors, early cancellation, or a warm-cache replay).
   std::size_t passes = 0;
   /// The manager's `max_live_nodes` budget during the run; 0 when
   /// unbudgeted (and then omitted from the JSON stats).

@@ -18,8 +18,8 @@ namespace covest::engine {
 
 namespace detail {
 
-/// Shared state of one submitted job. Workers fill `shard_results`; the
-/// last shard to finish merges them into `result` and flips `ready`.
+/// Shared state of one submitted job. The worker that runs it fills
+/// `result` and flips `ready`.
 struct JobState {
   std::uint64_t id = 0;
   CoverageRequest request;
@@ -29,37 +29,25 @@ struct JobState {
   /// every job (the executor destructor drains before Impl dies).
   SessionCache* cache = nullptr;
 
-  /// Executor tasks for this job: 1 for serial and shared-manager
-  /// sharded jobs (the session fans estimation threads out itself),
-  /// the clamped shard count for replicated sharding.
-  std::size_t shard_count = 1;
   /// Shard count reported on events: the effective estimator-thread
-  /// count for shared-manager jobs (set by the worker once the signal
-  /// rows are resolved, before any estimation event fires), else
-  /// `shard_count`.
+  /// count (set by the worker once the signal rows are resolved, before
+  /// any estimation event fires); 1 until then.
   std::size_t event_shards = 1;
   /// The job-wide deadline clock, started at submission so queue time
-  /// counts; all of the job's tasks (and, through the thread-local
-  /// scope, every estimator thread they spawn) tick against it.
+  /// counts; the worker (and, through the thread-local scope, every
+  /// estimator thread its session spawns) ticks against it.
   std::shared_ptr<covest::RunGovernor> governor;
   std::atomic<bool> cancel{false};
-  /// A shard hit an error: sibling shards abort early — their rows
-  /// would be dropped anyway, because an errored job reports error-only
-  /// exactly like the serial path. Distinct from `cancel` so the merged
-  /// result does not masquerade as user-cancelled.
-  std::atomic<bool> failed{false};
-  std::atomic<bool> started{false};
 
   mutable std::mutex mu;
   std::condition_variable cv;
   bool ready = false;
   bool taken = false;
-  std::size_t shards_done = 0;
-  std::vector<SuiteResult> shard_results;
-  /// One session per shard that actually elaborated; keeps every manager
-  /// behind the merged result's `covered` handles alive, and is the list
-  /// `take()` rebinds to the consuming thread.
-  std::vector<std::shared_ptr<Session>> sessions;
+  /// The job's own session when it was not leased from the warm cache:
+  /// the manager behind `result`'s `covered` handles, which `take()`
+  /// rebinds to the consuming thread. Written by the worker before
+  /// `publish`, read by `take()` after it.
+  std::shared_ptr<Session> session;
   SuiteResult result;
 
   /// Events are a fire-and-forget tap: a throwing callback must not
@@ -133,7 +121,7 @@ void validate_request(const CoverageRequest& request, const model::Model& m,
 }
 
 /// Returns a leased (or leasable, freshly elaborated) session to the
-/// warm cache on every exit path of `run_shard`. Destruction happens on
+/// warm cache on every exit path of `run_job`. Destruction happens on
 /// the worker thread, which owns the manager and is therefore the only
 /// thread allowed to measure `live_node_count` — the occupancy figure
 /// recorded with the parked entry.
@@ -150,43 +138,26 @@ struct LeaseReturn {
   }
 };
 
-/// The contiguous chunk of `names` owned by `shard` of `shards`
-/// (replicated mode only; the shared-manager path chunks row indices
-/// through the same engine::shard_chunk_range).
-std::vector<std::string> shard_chunk(const std::vector<std::string>& names,
-                                     std::size_t shard, std::size_t shards) {
-  const auto [first, last] = shard_chunk_range(names.size(), shard, shards);
-  return {names.begin() + first, names.begin() + last};
-}
-
-/// Runs one task of one job on the calling (worker) thread.
-///
-/// For a serial or shared-manager job this is the job's only task: the
-/// session is built ONCE, verification runs ONCE, and (for shards > 1)
-/// `Session::run` fans the estimation rows out across estimator threads
-/// over the session's shared BDD manager. For a replicated sharded job
-/// (ShardMode::kReplicated) each task builds its own session and
-/// re-verifies, exactly as before PR 4 — the benchmark baseline.
+/// Runs one job on the calling (worker) thread: the session is built
+/// ONCE, verification runs ONCE, and (for shards > 1) `Session::run`
+/// fans the estimation rows out across estimator threads over the
+/// session's shared BDD manager.
 ///
 /// Everything symbolic — manager, FSM, session — is owned by this job;
-/// only the JobState slots are shared with other workers. Never throws.
-SuiteResult run_shard(JobState& job, std::size_t shard) {
+/// only the JobState slots are shared with other threads. Never throws.
+SuiteResult run_job(JobState& job) {
   const auto t0 = Clock::now();
   SuiteResult result;
 
-  if (job.cancel.load(std::memory_order_relaxed) ||
-      job.failed.load(std::memory_order_relaxed)) {
+  if (job.cancel.load(std::memory_order_relaxed)) {
     result.cancelled = true;
     result.status = ResultStatus::kCancelled;
     return result;
   }
 
-  if (!job.started.exchange(true)) {
-    JobEvent started;
-    started.kind = JobEvent::Kind::kStarted;
-    started.shard = shard;
-    job.emit(started);
-  }
+  JobEvent started;
+  started.kind = JobEvent::Kind::kStarted;
+  job.emit(started);
 
   // Install the job's deadline governor for everything below: the
   // session adopts it instead of creating its own, so parse and
@@ -194,25 +165,14 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
   covest::RunGovernor::Scope governor_scope(job.governor.get());
   const char* stage = "parse";
   try {
-    // Replicated sharding splits the *signals* across independent tasks
-    // (each re-verifies on its own manager); the shared-manager path
-    // hands the whole row list to one session and lets it fan the rows
-    // out across estimator threads. Gate on the requested MODE, not the
-    // clamped task count: a replicated request on a 1-worker executor
-    // collapses to one serial task — it must not silently fall through
-    // to the shared-manager fan-out it opted out of.
-    const bool replicated =
-        job.request.shard_mode == ShardMode::kReplicated;
-
     // Warm model cache: lease a parked session keyed by the raw source
     // bytes + elaboration options instead of re-parsing/elaborating.
-    // Replicated jobs bypass it (re-elaboration is that mode's point),
-    // as do in-memory models (no stable bytes to key on).
+    // In-memory models bypass it (no stable bytes to key on).
     std::shared_ptr<Session> session;
     std::optional<model::Model> parsed;
     SessionKey cache_key;
-    const bool leasable = job.cache != nullptr && !replicated &&
-                          !job.request.model.has_value();
+    const bool leasable =
+        job.cache != nullptr && !job.request.model.has_value();
     if (leasable) {
       std::string source;
       if (!job.request.model_source.empty()) {
@@ -248,25 +208,11 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
         resolve_signal_names(job.request, m);
     job.governor->tick();  // Parse-phase deadline boundary.
 
-    CoverageRequest shard_request = job.request;
-    if (replicated) {
-      shard_request.signals = job.shard_count > 1
-                                  ? shard_chunk(names, shard, job.shard_count)
-                                  : names;
-      shard_request.shards = 1;  // Each replica estimates serially.
-    } else {
-      shard_request.signals = names;
-      job.event_shards = std::max<std::size_t>(
-          1, effective_shards(job.request.shards, names.size()));
-    }
-    // A trailing shard of a small suite may own no rows; the suite's
-    // verification outcome comes from shard 0, so there is nothing to do.
-    if (shard != 0 && shard_request.signals.empty()) return result;
+    CoverageRequest run_request = job.request;
+    run_request.signals = names;
+    job.event_shards = effective_shards(job.request.shards, names.size());
 
-    // Fail-fast validation runs once, on the shard that carries the
-    // suite-level result; a defect any shard would hit (bad CTL, unknown
-    // signal) surfaces as shard 0's — and thus the job's — error.
-    if (shard == 0) validate_request(job.request, m, names);
+    validate_request(job.request, m, names);
 
     stage = "elaborate";
     if (!session) {
@@ -276,9 +222,8 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
     const double elaborate_ms = ms_since(t0);
     job.governor->tick();  // Elaborate-phase deadline boundary.
 
-    // The facade's elaborate tick (shard 0 carries the serial progress
-    // contract; other shards only report through events).
-    if (shard == 0 && job.hooks.on_progress) {
+    // The facade's elaborate tick.
+    if (job.hooks.on_progress) {
       Progress p;
       p.phase = Progress::Phase::kElaborate;
       p.index = p.total = 1;
@@ -299,18 +244,17 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
     // Touched by the worker (verify ticks) and, in a sharded run, the
     // session's estimator threads (row callbacks) — hence atomic.
     std::atomic<bool> estimating{false};
-    const std::size_t row_count = shard_request.signals.size();
-    const bool sharded_rows = !replicated && job.event_shards > 1;
-    const auto emit_estimating = [&job, shard, &estimating, row_count] {
+    const std::size_t row_count = names.size();
+    const bool sharded_rows = job.event_shards > 1;
+    const auto emit_estimating = [&job, &estimating, row_count] {
       if (estimating.exchange(true)) return;
       JobEvent ev;
       ev.kind = JobEvent::Kind::kEstimating;
-      ev.shard = shard;
       ev.progress.phase = Progress::Phase::kEstimate;
-      ev.progress.total = row_count;  ///< This task's rows.
+      ev.progress.total = row_count;
       job.emit(ev);
     };
-    session_hooks.on_progress = [&job, shard, &estimating, &emit_estimating,
+    session_hooks.on_progress = [&job, &estimating, &emit_estimating,
                                  sharded_rows](const Progress& p) {
       if (p.phase == Progress::Phase::kVerify ||
           p.phase == Progress::Phase::kEstimate) {
@@ -328,7 +272,6 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
           ev.kind = p.phase == Progress::Phase::kVerify
                         ? JobEvent::Kind::kVerifying
                         : JobEvent::Kind::kRowDone;
-          ev.shard = shard;
           ev.progress = p;
           job.emit(ev);
         }
@@ -338,12 +281,11 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
         }
       }
       bool keep_going = true;
-      if (shard == 0 && job.hooks.on_progress) {
+      if (job.hooks.on_progress) {
         keep_going = job.hooks.on_progress(p);
         if (!keep_going) job.cancel.store(true, std::memory_order_relaxed);
       }
-      return keep_going && !job.cancel.load(std::memory_order_relaxed) &&
-             !job.failed.load(std::memory_order_relaxed);
+      return keep_going && !job.cancel.load(std::memory_order_relaxed);
     };
     if (sharded_rows) {
       session_hooks.on_shard_row = [&job, &emit_estimating](
@@ -354,12 +296,11 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
         ev.shard = chunk;
         ev.progress = p;
         job.emit(ev);
-        return !job.cancel.load(std::memory_order_relaxed) &&
-               !job.failed.load(std::memory_order_relaxed);
+        return !job.cancel.load(std::memory_order_relaxed);
       };
     }
 
-    result = session->run(shard_request, session_hooks);
+    result = session->run(run_request, session_hooks);
     result.elaborate.ms = elaborate_ms;
     // Parse + elaborate never ran on a hit — the warm half of the
     // contract `covest_serve_test` asserts (`verify.passes == 0` is the
@@ -375,15 +316,15 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
       // contract documented on ExecutorOptions::session_cache).
       for (SignalRow& row : result.signals) row.covered = bdd::Bdd();
     } else {
-      std::lock_guard<std::mutex> lock(job.mu);
-      job.sessions.push_back(std::move(session));
+      // The result's `covered` handles keep the session (and so its
+      // manager) alive; `take()` rebinds the manager to the consumer.
+      result.retain = session;
+      job.session = std::move(session);
     }
   } catch (const covest::DeadlineExceeded& e) {
     // Expired before Session::run could convert it (parse/elaborate
     // boundaries above; inside the run the session returns the status
-    // as data). A structured status, not an error — so no `failed`
-    // fail-fast: replicated siblings share the job governor and expire
-    // at their own next tick.
+    // as data).
     result = SuiteResult{};
     result.status = ResultStatus::kDeadlineExceeded;
     result.status_detail = std::string(stage) + ": " + e.what();
@@ -396,68 +337,18 @@ SuiteResult run_shard(JobState& job, std::size_t shard) {
     result.elaborate.node_budget = e.budget();
     result.total_ms = ms_since(t0);
   } catch (const std::exception& e) {
+    // Error-only: a defect reports no partial suite.
+    result = SuiteResult{};
     result.error = e.what();
     result.status = ResultStatus::kError;
     result.total_ms = ms_since(t0);
-    job.failed.store(true, std::memory_order_relaxed);
   } catch (...) {
+    result = SuiteResult{};
     result.error = "unknown error in coverage worker";
     result.status = ResultStatus::kError;
     result.total_ms = ms_since(t0);
-    job.failed.store(true, std::memory_order_relaxed);
   }
   return result;
-}
-
-/// Merges the per-shard results (called under job.mu once every shard is
-/// done). Shard 0 carries the suite-level fields; rows concatenate in
-/// shard order, which is request order by construction.
-SuiteResult merge_shards(JobState& job) {
-  SuiteResult merged = std::move(job.shard_results[0]);
-  for (std::size_t s = 1; s < job.shard_results.size(); ++s) {
-    SuiteResult& r = job.shard_results[s];
-    for (SignalRow& row : r.signals) merged.signals.push_back(std::move(row));
-    if (merged.error.empty() && !r.error.empty()) merged.error = r.error;
-    merged.cancelled = merged.cancelled || r.cancelled;
-    // First non-ok status wins (shard order == request order), matching
-    // the sharded error rule below and the in-session "first shard's
-    // defect wins" rule.
-    if (merged.status == ResultStatus::kOk &&
-        r.status != ResultStatus::kOk) {
-      merged.status = r.status;
-      merged.status_detail = std::move(r.status_detail);
-    }
-    merged.total_ms = std::max(merged.total_ms, r.total_ms);
-    // Report the CPU actually spent: every replicated shard elaborates
-    // and re-verifies the whole suite, so phase times — and the `passes`
-    // counters, the observable "verification ran K times" record — sum
-    // across shards (node counts stay shard 0's; pools are per-manager
-    // and do not add up meaningfully). Shared-manager jobs never get
-    // here with more than one result: their single session verified
-    // once and reports passes == 1.
-    merged.elaborate.ms += r.elaborate.ms;
-    merged.verify.ms += r.verify.ms;
-    merged.estimate.ms += r.estimate.ms;
-    merged.elaborate.passes += r.elaborate.passes;
-    merged.verify.passes += r.verify.passes;
-    merged.estimate.passes += r.estimate.passes;
-  }
-  if (!merged.error.empty()) {
-    // Error-only, exactly like the serial path (which fails before
-    // producing any rows): partial rows from sibling shards that
-    // finished before the error propagated are dropped, and the abort
-    // of those siblings must not read as a user cancellation.
-    SuiteResult error_only;
-    error_only.error = std::move(merged.error);
-    error_only.status = ResultStatus::kError;
-    error_only.total_ms = merged.total_ms;
-    return error_only;
-  }
-  // One retain for all shard managers: the merged rows' covered handles
-  // span several managers, each owned by one of these sessions.
-  merged.retain =
-      std::make_shared<std::vector<std::shared_ptr<Session>>>(job.sessions);
-  return merged;
 }
 
 }  // namespace
@@ -499,18 +390,15 @@ SuiteResult JobHandle::take() const {
     throw std::runtime_error("JobHandle::take: result already taken");
   }
   state_->taken = true;
-  // Hand the symbolic state over to the consuming thread: the workers
-  // are done with these managers, and the caller may keep composing with
-  // the result's covered-set handles.
-  for (const std::shared_ptr<Session>& s : state_->sessions) {
-    s->fsm().mgr().rebind_to_current_thread();
-  }
+  // Hand the symbolic state over to the consuming thread: the worker is
+  // done with this manager, and the caller may keep composing with the
+  // result's covered-set handles.
+  if (state_->session) state_->session->fsm().mgr().rebind_to_current_thread();
   SuiteResult result = std::move(state_->result);
   // Session lifetime now rides on the result's `retain` alone: a live
-  // JobHandle must not pin a finished job's BDD managers, or a batch
+  // JobHandle must not pin a finished job's BDD manager, or a batch
   // that holds its handles keeps every node pool resident at once.
-  state_->sessions.clear();
-  state_->shard_results.clear();
+  state_->session.reset();
   return result;
 }
 
@@ -519,17 +407,12 @@ SuiteResult JobHandle::take() const {
 // ---------------------------------------------------------------------------
 
 struct Executor::Impl {
-  struct Task {
-    std::shared_ptr<JobState> job;
-    std::size_t shard = 0;
-  };
-
   std::mutex mu;
   std::condition_variable cv;
   /// Signalled by workers when they pop a task; blocked (kBlock-policy)
   /// submitters wait on it for queue room.
   std::condition_variable space_cv;
-  std::deque<Task> queue;
+  std::deque<std::shared_ptr<JobState>> queue;
   bool stopping = false;
   /// Maintenance window: while set, workers stop popping tasks; the
   /// maintainer waits on `idle_cv` for `active_tasks` to hit zero and
@@ -584,7 +467,7 @@ Executor::~Executor() {
 
 void Executor::worker_loop() {
   for (;;) {
-    Impl::Task task;
+    std::shared_ptr<JobState> job;
     {
       std::unique_lock<std::mutex> lock(impl_->mu);
       impl_->cv.wait(lock, [this] {
@@ -593,42 +476,34 @@ void Executor::worker_loop() {
       });
       // Drain semantics: accepted work still runs during shutdown.
       if (impl_->queue.empty()) return;
-      task = std::move(impl_->queue.front());
+      job = std::move(impl_->queue.front());
       impl_->queue.pop_front();
       ++impl_->active_tasks;
     }
     impl_->space_cv.notify_all();  // A bounded queue just gained room.
 
-    JobState& job = *task.job;
-    SuiteResult shard_result = run_shard(job, task.shard);
+    SuiteResult result = run_job(*job);
     {
-      // The lease (if any) was returned inside run_shard; a waiting
+      // The lease (if any) was returned inside run_job; a waiting
       // maintenance window may proceed once the last task lands here.
       std::lock_guard<std::mutex> lock(impl_->mu);
       --impl_->active_tasks;
     }
     impl_->idle_cv.notify_all();
 
-    bool finished = false;
     {
-      std::lock_guard<std::mutex> lock(job.mu);
-      job.shard_results[task.shard] = std::move(shard_result);
-      if (++job.shards_done == job.shard_count) {
-        job.result = merge_shards(job);
-        finished = true;
-      }
+      std::lock_guard<std::mutex> lock(job->mu);
+      job->result = std::move(result);
     }
-    if (finished) {
-      // kFinished fires before the result becomes takeable, so the
-      // event stream is complete once a waiter unblocks.
-      JobEvent ev;
-      ev.kind = JobEvent::Kind::kFinished;
-      ev.cancelled = job.result.cancelled;
-      ev.error = job.result.error;
-      ev.status = job.result.status;
-      job.emit(ev);
-      job.publish();
-    }
+    // kFinished fires before the result becomes takeable, so the event
+    // stream is complete once a waiter unblocks.
+    JobEvent ev;
+    ev.kind = JobEvent::Kind::kFinished;
+    ev.cancelled = job->result.cancelled;
+    ev.error = job->result.error;
+    ev.status = job->result.status;
+    job->emit(ev);
+    job->publish();
   }
 }
 
@@ -638,18 +513,6 @@ JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
   state->hooks = std::move(hooks);
   state->executor_event = impl_->on_event;
   state->cache = impl_->session_cache.get();
-  // A shared-manager sharded job is ONE task: the session spawns its own
-  // estimator threads after verifying once (`effective_shards` bounds
-  // them by the row count, so an absurd request cannot spawn unbounded
-  // threads). Replicated sharding still multiplies tasks and is clamped
-  // to the pool width — extra replicas could not run concurrently and
-  // would only multiply the re-verification cost.
-  state->shard_count =
-      state->request.shard_mode == ShardMode::kReplicated
-          ? std::clamp<std::size_t>(state->request.shards, 1, threads_.size())
-          : 1;
-  state->event_shards = state->shard_count;
-  state->shard_results.resize(state->shard_count);
   // The deadline clock starts now: queue wait counts, as a server's
   // admission-to-response budget would.
   state->governor =
@@ -671,7 +534,7 @@ JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
     impl_->jobs.push_back(state);
     if (!reject && impl_->max_queue_depth != 0 &&
         impl_->admission == AdmissionPolicy::kReject &&
-        impl_->queue.size() + state->shard_count > impl_->max_queue_depth) {
+        impl_->queue.size() >= impl_->max_queue_depth) {
       reject = true;
     }
   }
@@ -692,8 +555,8 @@ JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
     state->publish();
     return JobHandle(state);
   }
-  // kQueued fires before the tasks become visible to workers, so a
-  // job's event stream always starts with it.
+  // kQueued fires before the job becomes visible to workers, so its
+  // event stream always starts with it.
   JobEvent queued;
   queued.kind = JobEvent::Kind::kQueued;
   state->emit(queued);
@@ -701,19 +564,15 @@ JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
     std::unique_lock<std::mutex> lock(impl_->mu);
     if (impl_->max_queue_depth != 0 &&
         impl_->admission == AdmissionPolicy::kBlock) {
-      // Backpressure: hold the submitter until the queue has room. An
-      // empty queue always admits (a job wider than the whole bound
-      // must not deadlock), and shutdown releases the wait — accepted
-      // work still runs under the destructor's drain semantics.
-      impl_->space_cv.wait(lock, [this, &state] {
-        return impl_->stopping || impl_->queue.empty() ||
-               impl_->queue.size() + state->shard_count <=
-                   impl_->max_queue_depth;
+      // Backpressure: hold the submitter until the queue has room.
+      // Shutdown releases the wait — accepted work still runs under the
+      // destructor's drain semantics.
+      impl_->space_cv.wait(lock, [this] {
+        return impl_->stopping ||
+               impl_->queue.size() < impl_->max_queue_depth;
       });
     }
-    for (std::size_t s = 0; s < state->shard_count; ++s) {
-      impl_->queue.push_back(Impl::Task{state, s});
-    }
+    impl_->queue.push_back(state);
   }
   impl_->cv.notify_all();
   return JobHandle(state);

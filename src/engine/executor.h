@@ -19,21 +19,16 @@
 // submit order regardless of which worker finishes first, and every row
 // of every result is bit-identical to the serial `Engine::run` path.
 //
-// Signal sharding: a request with `shards = K > 1` under the default
-// `ShardMode::kSharedManager` stays ONE job on ONE worker — the model
-// is parsed, elaborated and verified exactly once — and only the
-// per-signal estimation rows fan out across `effective_shards`
-// estimator threads sharing that session's BddManager. The legacy
-// `ShardMode::kReplicated` instead splits the rows across up to K
-// independent tasks that each re-verify on their own manager (kept as
-// the benchmark baseline; `BENCH_engine.json` records both). Either
-// way, chunks concatenate back in request order and completed runs are
-// bit-identical to serial; a *cancelled* sharded run keeps each chunk's
+// Signal sharding: every job is one task on one worker, sharded or
+// not. A request with `shards = K > 1` is parsed, elaborated and
+// verified exactly once; then `Session::run` fans the per-signal
+// estimation rows out across `effective_shards` estimator threads that
+// share the session's BddManager (bdd.h shared mode, striped locks).
+// Chunks concatenate back in request order, and completed runs are
+// bit-identical to serial. A *cancelled* sharded run keeps each chunk's
 // prefix, so the partial row list may have interior gaps (row order is
 // still request order) — unlike the serial path, whose partial result
-// is always one prefix. `SuiteResult` phase stats expose the
-// difference: `verify.passes` is 1 for a shared-manager run and the
-// number of elaborated shards for a replicated one.
+// is always one prefix.
 //
 // Errors: nothing a job does throws out of a worker. Model/CTL parse
 // errors, unknown signals and missing model sources all surface as
@@ -76,7 +71,7 @@ struct JobState;
 struct JobEvent {
   enum class Kind {
     kQueued,      ///< Accepted by `submit` (fires on the submitting thread).
-    kStarted,     ///< A worker began elaborating the job's first shard.
+    kStarted,     ///< A worker began elaborating the job.
     kVerifying,   ///< One property checked (`progress` has index/total/ok).
     kEstimating,  ///< Verification done, coverage estimation begins.
     kRowDone,     ///< One signal row estimated (`progress` has percent).
@@ -86,7 +81,8 @@ struct JobEvent {
   };
   std::uint64_t job = 0;  ///< Monotonic per-executor job id (submit order).
   Kind kind = Kind::kQueued;
-  std::size_t shard = 0;   ///< Shard (estimator chunk) that produced it.
+  std::size_t shard = 0;   ///< Estimator chunk that produced it (0 for
+                           ///< everything but sharded kRowDone events).
   std::size_t shards = 1;  ///< Effective shards of this job (kQueued may
                            ///< still report 1: rows aren't resolved yet).
   Progress progress;       ///< Valid for kVerifying/kEstimating/kRowDone.
@@ -104,9 +100,9 @@ struct JobEvent {
 using JobEventFn = std::function<void(const JobEvent&)>;
 
 /// Per-job callbacks. `on_progress` follows the facade contract
-/// (RunHooks): it receives shard 0's ticks in serial order and may
-/// cancel the whole job by returning false. `on_event` receives every
-/// shard's events.
+/// (RunHooks): it receives the serial ticks (chunk 0's rows in a
+/// sharded run) and may cancel the whole job by returning false.
+/// `on_event` receives every chunk's events.
 struct JobHooks {
   ProgressFn on_progress;
   JobEventFn on_event;
@@ -184,16 +180,16 @@ struct ExecutorOptions {
   /// Executor-wide event tap, called in addition to each job's own
   /// `JobHooks::on_event`.
   JobEventFn on_event;
-  /// Bounded admission: when nonzero, `submit` refuses to grow the task
-  /// queue past this many queued tasks (replicated shards count
-  /// individually). 0 = unbounded, the pre-governance behavior.
+  /// Bounded admission: when nonzero, `submit` refuses to grow the job
+  /// queue past this many queued jobs (a sharded job is one job). 0 =
+  /// unbounded, the pre-governance behavior.
   std::size_t max_queue_depth = 0;
   /// Full-queue policy; only consulted when `max_queue_depth != 0`.
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Warm model cache (session_cache.h), shared across jobs: a
-  /// non-replicated job whose model comes as text (`model_source` or
-  /// `model_path`) leases a parked session keyed by the source bytes +
-  /// elaboration options instead of re-parsing/elaborating — and, when
+  /// Warm model cache (session_cache.h), shared across jobs: a job whose
+  /// model comes as text (`model_source` or `model_path`) leases a
+  /// parked session keyed by the source bytes + elaboration options
+  /// instead of re-parsing/elaborating — and, when
   /// the suite matches the session's verified-suite record, skips
   /// verification too. Leased jobs return *detached* results: the live
   /// `covered` BDD handles are stripped before the session is parked
@@ -216,15 +212,13 @@ class Executor {
 
   std::size_t worker_count() const { return threads_.size(); }
 
-  /// Tasks currently queued (not yet picked up by a worker) — the
+  /// Jobs currently queued (not yet picked up by a worker) — the
   /// server's queue-depth metric. A racy snapshot by nature.
   std::size_t queue_depth() const;
 
-  /// Enqueues one suite job. A sharded request under the default
-  /// shared-manager mode stays one task (its session spawns the
-  /// estimator threads); replicated sharding enqueues its shards,
-  /// clamped to the worker count. Never throws for request defects —
-  /// they come back as `SuiteResult::error` on the handle.
+  /// Enqueues one suite job as one task; a sharded job's session spawns
+  /// its own estimator threads. Never throws for request defects — they
+  /// come back as `SuiteResult::error` on the handle.
   ///
   /// Governance: a request's `deadline_ms` clock starts here, at
   /// submission — time spent waiting in the queue counts against the

@@ -140,13 +140,6 @@ std::string to_json(const CoverageRequest& request,
   w.field_count("uncovered_limit", request.uncovered_limit);
   w.field_bool("want_traces", request.want_traces);
   w.field_count("shards", request.shards);
-  w.field_string("shard_mode",
-                 request.shard_mode == ShardMode::kReplicated
-                     ? "replicated"
-                     : "shared_manager");
-  w.field_string("table_mode",
-                 request.table_mode == bdd::TableMode::kStriped ? "striped"
-                                                                : "lockfree");
   w.field_string("image_strategy",
                  image::to_string(request.options.image_strategy));
   // Governance limits are omitted when unset, so pre-governance
@@ -313,15 +306,6 @@ CoverageRequest request_from_json(const std::string& text) {
     } else if (key == "shards") {
       request.shards = as_count(value, "shards");
       if (request.shards == 0) schema_fail("'shards' must be >= 1");
-    } else if (key == "shard_mode") {
-      const std::string& mode = as_string(value, "shard_mode");
-      if (mode == "shared_manager") {
-        request.shard_mode = ShardMode::kSharedManager;
-      } else if (mode == "replicated") {
-        request.shard_mode = ShardMode::kReplicated;
-      } else {
-        schema_fail("'shard_mode' must be 'shared_manager' or 'replicated'");
-      }
     } else if (key == "deadline_ms") {
       request.deadline_ms = as_count(value, "deadline_ms");
       if (request.deadline_ms == 0) schema_fail("'deadline_ms' must be >= 1");
@@ -329,15 +313,6 @@ CoverageRequest request_from_json(const std::string& text) {
       request.max_live_nodes = as_count(value, "max_live_nodes");
       if (request.max_live_nodes == 0) {
         schema_fail("'max_live_nodes' must be >= 1");
-      }
-    } else if (key == "table_mode") {
-      const std::string& mode = as_string(value, "table_mode");
-      if (mode == "lockfree") {
-        request.table_mode = bdd::TableMode::kLockFree;
-      } else if (mode == "striped") {
-        request.table_mode = bdd::TableMode::kStriped;
-      } else {
-        schema_fail("'table_mode' must be 'lockfree' or 'striped'");
       }
     } else if (key == "image_strategy") {
       const std::string& strategy = as_string(value, "image_strategy");

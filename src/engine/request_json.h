@@ -18,10 +18,8 @@
 //     "skip_failing": false,
 //     "uncovered_limit": 4,
 //     "want_traces": false,
-//     "shards": 1,
-//     "shard_mode": "shared_manager",   // or "replicated"
-//     "table_mode": "lockfree",         // or "striped" (shared-manager
-//                                       //     synchronization choice)
+//     "shards": 1,                      // estimator threads (>= 1)
+//     "image_strategy": "partitioned",  // or "monolithic", "chaining"
 //     "deadline_ms": 500,               // wall-clock budget (>= 1);
 //                                       //     omitted when unlimited
 //     "max_live_nodes": 100000          // BDD node budget (>= 1);

@@ -59,6 +59,20 @@ class JsonWriter {
     os_ << v;
   }
 
+  /// An integral state count held in a double: an exact integer token
+  /// (`%.0f` prints every digit), where `%.10g` would round anything
+  /// above ten digits to an exponent form.
+  void count(double v) {
+    value_separator();
+    if (!std::isfinite(v)) {
+      os_ << "null";
+      return;
+    }
+    char buf[320];  // DBL_MAX has 309 integer digits.
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    os_ << buf;
+  }
+
  private:
   void raw_string(const std::string& s) { json::write_escaped(os_, s); }
 
@@ -167,9 +181,9 @@ std::string to_json(const SuiteResult& r, const JsonOptions& options) {
   w.key("state_bits");
   w.number(static_cast<std::uint64_t>(r.state_bits));
   w.key("reachable_states");
-  w.number(r.reachable_states);
+  w.count(r.reachable_states);
   w.key("coverage_space_states");
-  w.number(r.space_count);
+  w.count(r.space_count);
   w.end_object();
 
   w.key("summary");
@@ -237,7 +251,7 @@ std::string to_json(const SuiteResult& r, const JsonOptions& options) {
     w.key("properties");
     w.number(static_cast<std::uint64_t>(s.num_properties));
     w.key("covered_states");
-    w.number(s.covered_count);
+    w.count(s.covered_count);
     w.key("percent");
     w.number(s.percent);
     w.key("uncovered");

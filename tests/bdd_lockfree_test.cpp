@@ -1,18 +1,15 @@
-// Direct battery for the lock-free shared-mode structures (bdd.h
-// TableMode::kLockFree): the CAS-chained unique table under
-// same-variable `make_node` bursts, the wait-free lossy computed cache
-// under deliberate overwrite races, the hard (throwing) form of the
-// exclusive-only structural-mutation contract, and epoch churn over a
-// real model (repeated epochs plateau; a new manager never inherits a
-// dead one's thread-local context cache). Built for the sanitizer
-// CI matrix alongside shared_shard_stress_test: every assertion here
-// runs under TSan and ASan+UBSan.
+// Direct battery for the shared-mode tables (bdd.h shared mode, striped
+// locks): the unique table under same-variable `make_node` bursts, the
+// one computed cache that exclusive and shared mode both read, the hard
+// (throwing) form of the exclusive-only structural-mutation contract,
+// and epoch churn over a real model (repeated epochs plateau; a new
+// manager never inherits a dead one's thread-local context cache).
+// Built for the sanitizer CI matrix alongside shared_shard_stress_test:
+// every assertion here runs under TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -30,10 +27,9 @@ namespace {
 // --------------------------------------------------------------------------
 
 /// A formula family deliberately dense in a *tiny* variable set, so every
-/// thread's make_node calls land in the same few subtables — the burst
-/// pattern the striped locks serialized and the CAS chains must survive.
-/// Different lanes build overlapping functions in different orders, which
-/// maximizes equal-key CAS races (the loser-recycles path).
+/// thread's make_node calls land in the same few subtables and contend
+/// for the same stripes. Different lanes build overlapping functions in
+/// different orders, which maximizes equal-key insertion races.
 Bdd dense_family(BddManager& mgr, const std::vector<Bdd>& vars,
                  std::size_t lane, std::size_t rounds) {
   Bdd acc = lane % 2 == 0 ? mgr.bdd_false() : mgr.bdd_true();
@@ -49,7 +45,7 @@ Bdd dense_family(BddManager& mgr, const std::vector<Bdd>& vars,
   return acc ^ parity;
 }
 
-TEST(BddLockFreeTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
+TEST(BddSharedTableTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
   constexpr unsigned kVars = 6;  // Tiny on purpose: maximal collisions.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kRounds = 40;
@@ -58,16 +54,15 @@ TEST(BddLockFreeTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
   for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
 
   std::vector<Bdd> shared_results(kThreads);
-  mgr.begin_shared(kThreads, TableMode::kLockFree);
-  EXPECT_EQ(mgr.shared_table_mode(), TableMode::kLockFree);
+  mgr.begin_shared(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         mgr.register_shard_thread();
         shared_results[t] = dense_family(mgr, vars, t, kRounds);
-        // Lanes also rebuild each other's functions, so equal-key CAS
-        // races are certain, not probabilistic.
+        // Lanes also rebuild each other's functions, so equal-key
+        // insertion races are certain, not probabilistic.
         const Bdd twin = dense_family(mgr, vars, (t + 1) % kThreads, kRounds);
         (void)twin;
       });
@@ -80,7 +75,7 @@ TEST(BddLockFreeTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
   // anywhere in the pool the burst built.
   EXPECT_TRUE(mgr.check_canonical());
   // Exclusive recomputation lands on the identical edge for every lane:
-  // the CAS chains deduplicated exactly like a locked table would.
+  // the shared epoch deduplicated exactly like an exclusive table.
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(shared_results[t], dense_family(mgr, vars, t, kRounds))
         << "lane " << t;
@@ -93,126 +88,40 @@ TEST(BddLockFreeTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
   }
 }
 
-TEST(BddLockFreeTest, StripedAndLockFreeEpochsAgreeEdgeForEdge) {
-  // The same family built under both table modes of one manager must
-  // resolve to the same canonical edges — the unique table is one
-  // logical structure regardless of how an epoch synchronizes it.
-  constexpr unsigned kVars = 6;
-  BddManager mgr(kVars);
-  std::vector<Bdd> vars;
-  for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
-
-  std::vector<Bdd> results[2];
-  const TableMode modes[2] = {TableMode::kStriped, TableMode::kLockFree};
-  for (int m = 0; m < 2; ++m) {
-    results[m].resize(3);
-    mgr.begin_shared(3, modes[m]);
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < 3; ++t) {
-      threads.emplace_back([&, m, t] {
-        mgr.register_shard_thread();
-        results[m][t] = dense_family(mgr, vars, t, 12);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    mgr.end_shared();
-  }
-  for (std::size_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(results[0][t], results[1][t]) << "lane " << t;
-  }
-  EXPECT_TRUE(mgr.check_canonical());
-}
-
-TEST(BddLockFreeTest, RepeatedLockFreeEpochsDoNotLeakThePool) {
-  // Equal-key races make losing threads recycle their speculative
-  // slots; end_shared returns arena/recycle leftovers to the free list.
-  // Repeated epochs must therefore plateau, not grow the pool.
-  constexpr unsigned kVars = 6;
-  BddManager mgr(kVars);
-  std::vector<Bdd> vars;
-  for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
-
-  std::size_t after_first = 0;
-  for (int epoch = 0; epoch < 12; ++epoch) {
-    mgr.begin_shared(2, TableMode::kLockFree);
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < 2; ++t) {
-      threads.emplace_back([&, t] {
-        mgr.register_shard_thread();
-        (void)dense_family(mgr, vars, t, 8);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    mgr.end_shared();
-    mgr.gc();
-    mgr.live_node_count();
-    if (epoch == 0) after_first = mgr.stats().allocated_nodes;
-  }
-  // ≤ one arena block per thread of slack beyond the first epoch.
-  EXPECT_LE(mgr.stats().allocated_nodes, after_first + 2 * 256);
-}
-
 // --------------------------------------------------------------------------
-// Computed cache: overwrite races never alias keys
+// Computed cache: one table across the mode switch
 // --------------------------------------------------------------------------
 
-TEST(BddLockFreeTest, CacheOverwriteRacesNeverReturnAForeignResult) {
-  // A deliberately minuscule cache (4 entries) so dozens of distinct
-  // keys fight over every slot. The invariant under test is the
-  // wait-free cache's whole correctness argument: a reader may miss for
-  // any reason, but a hit must carry the result stored with exactly the
-  // probed key. Keys are synthetic (op is opaque to the cache) and each
-  // key k's only ever-stored result is derived from k, so any aliasing
-  // or torn read is immediately visible.
-  BddManager mgr(1, /*cache_size_log2=*/2);
-  constexpr std::size_t kThreads = 4;
-  constexpr std::uint32_t kKeys = 64;
-  constexpr int kRoundsPerThread = 20000;
-  const auto result_for = [](std::uint32_t k) -> NodeIndex {
-    return k * 2654435761u;  // Any key-determined value works.
-  };
+TEST(BddSharedTableTest, ExclusiveMemoIsOneLookupAwayInsideASharedEpoch) {
+  // The verify phase memoizes in exclusive mode; the estimator threads
+  // that follow run in a shared epoch. A shared epoch must read the
+  // same table, so recomputing a memoized `f & g` there is one lookup
+  // and one hit — not a cold recursion through a separate cache.
+  BddManager mgr(6);
+  std::vector<Bdd> x;
+  for (unsigned i = 0; i < 6; ++i) x.push_back(mgr.var(i));
+  const Bdd f = (x[0] & x[1]) | (x[2] ^ x[4]);
+  const Bdd g = (x[1] | x[3]) & (x[5] ^ x[0]);
+  const Bdd memoized = f & g;  // Exclusive mode: stored in the cache.
 
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> mismatches{0};
-  mgr.begin_shared(kThreads, TableMode::kLockFree);
-  {
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        mgr.register_shard_thread();
-        std::mt19937 rng(static_cast<unsigned>(t) * 7919u + 13u);
-        std::uniform_int_distribution<std::uint32_t> pick(0, kKeys - 1);
-        for (int round = 0; round < kRoundsPerThread; ++round) {
-          const std::uint32_t k = pick(rng);
-          // op >= 1: 0 is the exclusive path's empty marker.
-          const std::uint32_t op = 1 + (k % 7);
-          if (round % 2 == 0) {
-            mgr.debug_cache_store(op, k, k ^ 0x55u, k + 3, result_for(k));
-          } else {
-            NodeIndex out = 0;
-            if (mgr.debug_cache_find(op, k, k ^ 0x55u, k + 3, &out)) {
-              ++hits;
-              if (out != result_for(k)) ++mismatches;
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
-  mgr.end_shared();
+  const std::size_t lookups_before = mgr.stats().cache_lookups;
+  const std::size_t hits_before = mgr.stats().cache_hits;
+  Bdd recomputed;
+  mgr.begin_shared(1);
+  mgr.register_shard_thread();
+  recomputed = f & g;
+  mgr.end_shared();  // Merges the thread's counters into stats().
 
-  EXPECT_EQ(mismatches.load(), 0u);
-  // The cache is lossy but not useless: with 4 slots and this much
-  // traffic, *some* lookups must have hit.
-  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(mgr.stats().cache_lookups - lookups_before, 1u);
+  EXPECT_EQ(mgr.stats().cache_hits - hits_before, 1u);
+  EXPECT_EQ(recomputed, memoized);
 }
 
-TEST(BddLockFreeTest, CacheEntriesFromBeforeClearCacheStopMatching) {
-  // clear_cache's O(1) epoch bump must invalidate wait-free entries
-  // exactly like striped/exclusive ones.
+TEST(BddSharedTableTest, CacheEntriesFromBeforeClearCacheStopMatching) {
+  // clear_cache's O(1) epoch bump must invalidate entries stored inside
+  // a shared epoch exactly like exclusive ones.
   BddManager mgr(1, /*cache_size_log2=*/2);
-  mgr.begin_shared(1, TableMode::kLockFree);
+  mgr.begin_shared(1);
   mgr.register_shard_thread();
   mgr.debug_cache_store(9, 1, 2, 3, 42);
   NodeIndex out = 0;
@@ -222,7 +131,7 @@ TEST(BddLockFreeTest, CacheEntriesFromBeforeClearCacheStopMatching) {
 
   mgr.clear_cache();
 
-  mgr.begin_shared(1, TableMode::kLockFree);
+  mgr.begin_shared(1);
   mgr.register_shard_thread();
   EXPECT_FALSE(mgr.debug_cache_find(9, 1, 2, 3, &out));
   mgr.end_shared();
@@ -232,13 +141,13 @@ TEST(BddLockFreeTest, CacheEntriesFromBeforeClearCacheStopMatching) {
 // Affinity guard and the exclusive-only contract
 // --------------------------------------------------------------------------
 
-TEST(BddLockFreeTest, UnregisteredThreadIsRejectedInLockFreeMode) {
+TEST(BddSharedTableTest, UnregisteredThreadIsRejectedInSharedMode) {
   BddManager mgr(2);
   const Bdd a = mgr.var(0);
   const Bdd b = mgr.var(1);
-  mgr.begin_shared(2, TableMode::kLockFree);
+  mgr.begin_shared(2);
   std::thread outsider([&] {
-    // Structured failure, not pool corruption — same guard as striped.
+    // Structured failure, not pool corruption.
     EXPECT_THROW((void)(a & b), std::logic_error);
   });
   outsider.join();
@@ -249,40 +158,38 @@ TEST(BddLockFreeTest, UnregisteredThreadIsRejectedInLockFreeMode) {
   EXPECT_TRUE(mgr.check_canonical());
 }
 
-TEST(BddLockFreeTest, StructuralMutationThrowsWhileShared) {
+TEST(BddSharedTableTest, StructuralMutationThrowsWhileShared) {
   // The remaining exclusive-only entry points are hard errors in release
-  // builds too: nothing may move or relabel nodes under a shared epoch
-  // of either table mode. gc() and clear_cache() are legal since the
-  // epoch-based reclamation landed — they collect through the
-  // stop-the-world-at-op-boundaries protocol instead of throwing.
-  for (const TableMode mode : {TableMode::kLockFree, TableMode::kStriped}) {
-    BddManager mgr(4);
-    const Bdd keep = mgr.var(0) & mgr.var(1);
-    mgr.begin_shared(1, mode);
-    mgr.register_shard_thread();
-    EXPECT_NO_THROW(mgr.gc());
-    EXPECT_NO_THROW(mgr.clear_cache());
-    EXPECT_FALSE((mgr.var(0) & mgr.var(1)).is_false());  // Still operable.
-    EXPECT_THROW(mgr.new_var(), std::logic_error);
-    EXPECT_THROW(mgr.live_node_count(), std::logic_error);
-    EXPECT_THROW(mgr.reorder_sift(), std::logic_error);
-    EXPECT_THROW(mgr.swap_adjacent_levels(0), std::logic_error);
-    EXPECT_THROW(mgr.set_order({0, 1, 2, 3}), std::logic_error);
-    EXPECT_THROW(mgr.begin_shared(2, mode), std::logic_error);
-    mgr.end_shared();
-    // And everything works again once the epoch is over.
-    EXPECT_THROW(mgr.end_shared(), std::logic_error);
-    mgr.gc();
-    mgr.clear_cache();
-    (void)mgr.new_var();
-    (void)mgr.live_node_count();
-    (void)mgr.reorder_sift();
-    EXPECT_FALSE(keep.is_false());
-    EXPECT_TRUE(mgr.check_canonical());
-  }
+  // builds too: nothing may move or relabel nodes under a shared epoch.
+  // gc() and clear_cache() are legal since the epoch-based reclamation
+  // landed — they collect through the stop-the-world-at-op-boundaries
+  // protocol instead of throwing.
+  BddManager mgr(4);
+  const Bdd keep = mgr.var(0) & mgr.var(1);
+  mgr.begin_shared(1);
+  mgr.register_shard_thread();
+  EXPECT_NO_THROW(mgr.gc());
+  EXPECT_NO_THROW(mgr.clear_cache());
+  EXPECT_FALSE((mgr.var(0) & mgr.var(1)).is_false());  // Still operable.
+  EXPECT_THROW(mgr.new_var(), std::logic_error);
+  EXPECT_THROW(mgr.live_node_count(), std::logic_error);
+  EXPECT_THROW(mgr.reorder_sift(), std::logic_error);
+  EXPECT_THROW(mgr.swap_adjacent_levels(0), std::logic_error);
+  EXPECT_THROW(mgr.set_order({0, 1, 2, 3}), std::logic_error);
+  EXPECT_THROW(mgr.begin_shared(2), std::logic_error);
+  mgr.end_shared();
+  // And everything works again once the epoch is over.
+  EXPECT_THROW(mgr.end_shared(), std::logic_error);
+  mgr.gc();
+  mgr.clear_cache();
+  (void)mgr.new_var();
+  (void)mgr.live_node_count();
+  (void)mgr.reorder_sift();
+  EXPECT_FALSE(keep.is_false());
+  EXPECT_TRUE(mgr.check_canonical());
 }
 
-TEST(BddLockFreeTest, TraversalsRunConcurrentlyWithBursts) {
+TEST(BddSharedTableTest, TraversalsRunConcurrentlyWithBursts) {
   // Mixed load: half the threads build (unique-table pressure), half
   // traverse shared roots (sat_count / support / node_count, which size
   // their stamp arrays from the atomic allocation counter while the
@@ -302,7 +209,7 @@ TEST(BddLockFreeTest, TraversalsRunConcurrentlyWithBursts) {
   }
   const double expected = mgr.sat_count(root, over);
 
-  mgr.begin_shared(kThreads, TableMode::kLockFree);
+  mgr.begin_shared(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
@@ -363,7 +270,7 @@ Battery run_battery(fsm::SymbolicFsm& fsm) {
   return out;
 }
 
-/// The same battery inside a one-thread lock-free shared epoch. The
+/// The same battery inside a one-thread shared epoch. The
 /// computed cache is cleared first so every recursion genuinely re-runs
 /// through the shared-mode paths instead of replaying cache hits.
 Battery run_shared(fsm::SymbolicFsm& fsm) {
@@ -386,7 +293,7 @@ void expect_identical(const Battery& got, const Battery& want,
   EXPECT_EQ(got.reachable, want.reachable) << label << ": reachable";
 }
 
-TEST(BddLockFreeTest, RepeatedSharedEpochsOverAModelDoNotGrowThePool) {
+TEST(BddSharedTableTest, RepeatedSharedEpochsOverAModelDoNotGrowThePool) {
   circuits::TokenRingSpec spec;
   spec.cells = 16;
   fsm::SymbolicFsm fsm(circuits::make_token_ring(spec));
@@ -411,7 +318,7 @@ TEST(BddLockFreeTest, RepeatedSharedEpochsOverAModelDoNotGrowThePool) {
 // epoch token is process-global now; this loop is the use-after-free
 // reproducer (each round's first epoch collided with the previous
 // round's cached epoch), kept hot for ASan/TSan.
-TEST(BddLockFreeTest, ManagerChurnDoesNotAliasThreadCtxCaches) {
+TEST(BddSharedTableTest, ManagerChurnDoesNotAliasThreadCtxCaches) {
   for (int round = 0; round < 4; ++round) {
     SCOPED_TRACE(round);
     circuits::TokenRingSpec spec;

@@ -198,6 +198,16 @@ TEST(CovestBatchCliTest, ParallelApplyFlagIsUnknown) {
       << r.output;
 }
 
+TEST(CovestBatchCliTest, RemovedTableSelectorFlagIsUnknown) {
+  // Shared epochs have one synchronization, so there is nothing to
+  // select: the retired flag fails as an unknown option.
+  const RunOutcome r = run_shell(std::string(COVEST_BATCH_TOOL_PATH) +
+                                 " --table-mode striped /dev/null 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--table-mode'"), std::string::npos)
+      << r.output;
+}
+
 TEST(CovestBatchCliTest, ResourceLimitedJobsExitThreeWithStatusLines) {
   // A starved node budget must not abort the batch: the limited job
   // gets a structured status line, the healthy job still completes, and

@@ -1,6 +1,6 @@
 // Randomized differential battery: the whole suite pipeline
 // (engine::Session — parse/elaborate, symbolic verification, Table-1
-// coverage estimation over the shared lock-free BddManager) against the
+// coverage estimation over the shared BddManager) against the
 // independent explicit-state oracle (xstate::ExplicitModel +
 // brute-force Definition-3 coverage), on hundreds of seeded random
 // models and random ACTL suites.
@@ -11,9 +11,8 @@
 //   * identical reachable-state and coverage-space counts,
 //   * identical covered-state counts and coverage percentages for every
 //     signal row,
-// and, on a sub-sample of seeds, that the sharded runs (both
-// table_mode=lockfree and table_mode=striped) stay byte-identical to
-// the serial run.
+// and, on a sub-sample of seeds, that the sharded runs stay
+// byte-identical to the serial run.
 //
 // Reproduction: every failure message carries its seed; set
 // COVEST_DIFF_SEED=<n> to re-run exactly that seed (and only it),
@@ -247,8 +246,8 @@ std::string canonical(const SuiteResult& r) {
 
 /// One seed, end to end; returns how many signal rows had a non-empty
 /// covered set (generator-health accounting). `check_sharded`
-/// additionally replays the suite sharded under both table modes and
-/// holds them to byte-identity.
+/// additionally replays the suite sharded and holds it to
+/// byte-identity.
 std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
   SCOPED_TRACE("COVEST_DIFF_SEED=" + std::to_string(seed));
   const GeneratedSuite g = generate(seed);
@@ -290,22 +289,15 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
 
   if (check_sharded) {
     const std::string expect = canonical(serial);
-    for (const bdd::TableMode table_mode :
-         {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-      CoverageRequest sharded = g.request;
-      sharded.shards = 3;
-      sharded.table_mode = table_mode;
-      const SuiteResult r = session->run(sharded);
-      EXPECT_EQ(canonical(r), expect)
-          << (table_mode == bdd::TableMode::kLockFree ? "lockfree"
-                                                      : "striped");
-    }
+    CoverageRequest sharded = g.request;
+    sharded.shards = 3;
+    EXPECT_EQ(canonical(session->run(sharded)), expect) << "sharded";
 
     // Image-strategy parity: the baseline above ran under the default
     // (partitioned). Each strategy bakes a different image engine and
     // fix-point discipline into the session at elaboration, so replay
-    // through a *fresh* session per strategy — serial and sharded, both
-    // table modes — and hold every run to byte-identity.
+    // through a *fresh* session per strategy — serial and sharded — and
+    // hold every run to byte-identity.
     for (const image::ImageStrategy strategy :
          {image::ImageStrategy::kMonolithic, image::ImageStrategy::kChaining}) {
       SCOPED_TRACE(image::to_string(strategy));
@@ -313,15 +305,10 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
       replay.options.image_strategy = strategy;
       auto strategy_session = eng.open(replay);
       EXPECT_EQ(canonical(strategy_session->run(replay)), expect);
-      for (const bdd::TableMode table_mode :
-           {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-        CoverageRequest sharded = replay;
-        sharded.shards = 3;
-        sharded.table_mode = table_mode;
-        EXPECT_EQ(canonical(strategy_session->run(sharded)), expect)
-            << (table_mode == bdd::TableMode::kLockFree ? "lockfree"
-                                                        : "striped");
-      }
+      CoverageRequest sharded_replay = replay;
+      sharded_replay.shards = 3;
+      EXPECT_EQ(canonical(strategy_session->run(sharded_replay)), expect)
+          << "sharded";
     }
   }
   return interesting;

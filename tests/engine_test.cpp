@@ -431,6 +431,30 @@ TEST(ResultJsonTest, OutputValidatesAndEscapes) {
   }
 }
 
+TEST(ResultJsonTest, WideStateCountsAreExactIntegerTokens) {
+  // A uint<20> latch loaded from a uint<20> input: 2^40 reachable
+  // (state, input) valuations — past the ten significant digits that
+  // `%.10g` keeps, which would print 1.099511628e+12.
+  CoverageRequest req;
+  req.model_source =
+      "MODULE wide;\nVAR w : uint<20>;\nIVAR d : uint<20>;\n"
+      "INIT w := 0;\nNEXT w := d;\n"
+      "SPEC AG (d == 0 -> AX w == 0) OBSERVE w;\n";
+  const SuiteResult r = Engine().run(req);
+  ASSERT_EQ(r.reachable_states, 1099511627776.0);
+  engine::JsonOptions opts;
+  opts.pretty = false;
+  opts.include_stats = false;
+  const std::string json = engine::to_json(r, opts);
+  EXPECT_NE(json.find("\"reachable_states\":1099511627776,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"coverage_space_states\":1099511627776"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("e+"), std::string::npos) << json;
+}
+
 // Golden-file tests: deterministic serializations (include_stats=false)
 // compared byte-for-byte. Regenerate with
 //   COVEST_REGEN_GOLDEN=1 ./engine_test

@@ -621,40 +621,36 @@ TEST(ExecutorGovernanceTest, DeadlineExpiryCoversEveryPhaseBoundary) {
 }
 
 TEST(ExecutorGovernanceTest, ShardedDeadlinePartialsKeepChunkPrefixes) {
-  // Under both table modes, an expiry mid-fan-out must stop every shard
-  // at its next tick and merge only whole rows — each surviving row
-  // byte-equal to its serial twin, in order.
+  // An expiry mid-fan-out must stop every shard at its next tick and
+  // merge only whole rows — each surviving row byte-equal to its serial
+  // twin, in order.
   struct Disarm {
     ~Disarm() { FaultInjector::disarm(); }
   } disarm;
-  for (const bdd::TableMode mode :
-       {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-    CoverageRequest req = path_request("arbiter.cov");
-    req.shards = 2;
-    req.table_mode = mode;
-    const SuiteResult base = Engine().run(req);
-    const std::string baseline = canonical(base);
+  CoverageRequest req = path_request("arbiter.cov");
+  req.shards = 2;
+  const SuiteResult base = Engine().run(req);
+  const std::string baseline = canonical(base);
 
-    for (const std::uint64_t n : {1ull, 2ull, 4ull, 8ull, 16ull, 64ull}) {
-      FaultInjector::arm(FaultInjector::Site::kDeadline, n);
-      Executor ex{ExecutorOptions{2, nullptr}};
-      const SuiteResult r = ex.submit(req).take();
-      FaultInjector::disarm();
-      if (r.status == engine::ResultStatus::kOk) {
-        // Tick n never fired (shared-cache warm paths tick less often);
-        // then the run must be untouched.
-        EXPECT_EQ(canonical(r), baseline) << "mode " << static_cast<int>(mode);
-      } else {
-        ASSERT_EQ(r.status, engine::ResultStatus::kDeadlineExceeded) << n;
-        EXPECT_TRUE(r.error.empty()) << r.error;
-        EXPECT_FALSE(r.cancelled);  // Expiry is not a user cancel.
-        expect_governed_prefix(r, base);
-      }
-      // Recovery including a full sharded pass on a fresh manager.
-      Executor again{ExecutorOptions{2, nullptr}};
-      EXPECT_EQ(canonical(again.submit(req).take()), baseline)
-          << "mode " << static_cast<int>(mode) << " after tick " << n;
+  for (const std::uint64_t n : {1ull, 2ull, 4ull, 8ull, 16ull, 64ull}) {
+    FaultInjector::arm(FaultInjector::Site::kDeadline, n);
+    Executor ex{ExecutorOptions{2, nullptr}};
+    const SuiteResult r = ex.submit(req).take();
+    FaultInjector::disarm();
+    if (r.status == engine::ResultStatus::kOk) {
+      // Tick n never fired (shared-cache warm paths tick less often);
+      // then the run must be untouched.
+      EXPECT_EQ(canonical(r), baseline) << "tick " << n;
+    } else {
+      ASSERT_EQ(r.status, engine::ResultStatus::kDeadlineExceeded) << n;
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      EXPECT_FALSE(r.cancelled);  // Expiry is not a user cancel.
+      expect_governed_prefix(r, base);
     }
+    // Recovery including a full sharded pass on a fresh manager.
+    Executor again{ExecutorOptions{2, nullptr}};
+    EXPECT_EQ(canonical(again.submit(req).take()), baseline)
+        << "after tick " << n;
   }
 }
 
@@ -860,29 +856,6 @@ TEST(ExecutorReadyHookTest, FiresOnceForAJobCancelledWhileQueued) {
   EXPECT_EQ(probe.fired.load(), 1);
   EXPECT_TRUE(probe.done_in_hook.load());
   EXPECT_TRUE(probe.after_finished.load());
-}
-
-TEST(ExecutorReadyHookTest, FiresOnceForAReplicatedShardedJob) {
-  // Three worker tasks, one job: only the task that completes the merge
-  // publishes the result, so the hook fires once.
-  ReadyProbe probe;
-  std::atomic<bool> published{false};
-  {
-    Executor ex(3);
-    CoverageRequest req = path_request("arbiter.cov");
-    req.shards = 3;
-    req.shard_mode = engine::ShardMode::kReplicated;
-    JobHooks hooks = probe.hooks();
-    hooks.on_progress = [&](const Progress&) {
-      while (!published.load()) std::this_thread::yield();
-      return true;
-    };
-    probe.handle = ex.submit(req, hooks);
-    published.store(true);
-    EXPECT_EQ(probe.handle.take().status, engine::ResultStatus::kOk);
-  }
-  EXPECT_EQ(probe.fired.load(), 1);
-  EXPECT_TRUE(probe.done_in_hook.load());
 }
 
 TEST(ExecutorReadyHookTest, FiresOnceOnTheSubmitterForAnAdmissionReject) {

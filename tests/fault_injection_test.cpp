@@ -123,32 +123,27 @@ TEST(FaultInjectionTest, SameSessionRecoversAfterShardedAllocationFailure) {
   // The end_shared recovery contract: an allocation failure on an
   // estimator thread aborts the fan-out through the fail-fast path, the
   // pool exits shared mode consistent, and the SAME manager then
-  // completes a clean sharded run — under both table modes.
-  for (const bdd::TableMode mode :
-       {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-    CoverageRequest req = path_request("arbiter.cov");
-    req.shards = 2;
-    req.table_mode = mode;
-    const std::string fresh = canonical(Engine().run(req));
+  // completes a clean sharded run.
+  CoverageRequest req = path_request("arbiter.cov");
+  req.shards = 2;
+  const std::string fresh = canonical(Engine().run(req));
 
-    Session session(Engine::load_model(req));
-    bool injected_one = false;
-    for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{40}}) {
-      FaultInjector::arm(FaultInjector::Site::kAllocation, n);
-      const SuiteResult r = session.run(req);
-      FaultInjector::disarm();
-      if (r.status == ResultStatus::kResourceExhausted) injected_one = true;
-      // A warm session may satisfy everything from its caches; either
-      // the failure surfaced structurally or the run finished clean.
-      EXPECT_TRUE(r.status == ResultStatus::kResourceExhausted ||
-                  canonical(r) == fresh)
-          << canonical(r);
-      // Same manager, next run, no injection: must be clean and whole.
-      EXPECT_EQ(canonical(session.run(req)), fresh)
-          << "table mode " << static_cast<int>(mode) << " after " << n;
-    }
-    EXPECT_TRUE(injected_one) << "sweep never hit an allocation";
+  Session session(Engine::load_model(req));
+  bool injected_one = false;
+  for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{40}}) {
+    FaultInjector::arm(FaultInjector::Site::kAllocation, n);
+    const SuiteResult r = session.run(req);
+    FaultInjector::disarm();
+    if (r.status == ResultStatus::kResourceExhausted) injected_one = true;
+    // A warm session may satisfy everything from its caches; either
+    // the failure surfaced structurally or the run finished clean.
+    EXPECT_TRUE(r.status == ResultStatus::kResourceExhausted ||
+                canonical(r) == fresh)
+        << canonical(r);
+    // Same manager, next run, no injection: must be clean and whole.
+    EXPECT_EQ(canonical(session.run(req)), fresh) << "after " << n;
   }
+  EXPECT_TRUE(injected_one) << "sweep never hit an allocation";
 }
 
 // ---------------------------------------------------------------------------

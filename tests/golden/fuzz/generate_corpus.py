@@ -80,12 +80,6 @@ w('bad_request/uncovered_fractional.json', '{"uncovered_limit": 1.5}')
 w('bad_request/uncovered_bool.json', '{"uncovered_limit": true}')
 w('bad_request/uncovered_saturated.json', '{"uncovered_limit": 1e999}')
 w('bad_request/shards_zero.json', '{"shards": 0}')
-w('bad_request/shard_mode_unknown.json', '{"shard_mode": "both"}')
-w('bad_request/shard_mode_wrong_type.json', '{"shard_mode": 2}')
-w('bad_request/table_mode_unknown.json',
-  '{"model_path": "m.cov", "table_mode": "spinlock"}')
-w('bad_request/table_mode_wrong_type.json',
-  '{"model_path": "m.cov", "table_mode": 2}')
 w('bad_request/image_strategy_unknown.json',
   '{"model_path": "m.cov", "image_strategy": "saturation"}')
 w('bad_request/image_strategy_wrong_type.json',
@@ -102,9 +96,14 @@ w('bad_request/deadline_wrong_type.json', '{"deadline_ms": "soon"}')
 w('bad_request/max_nodes_zero.json', '{"max_live_nodes": 0}')
 w('bad_request/max_nodes_fractional.json', '{"max_live_nodes": 2.5}')
 w('bad_request/max_nodes_wrong_type.json', '{"max_live_nodes": true}')
-# No in-operation parallelism field exists: an unknown key.
+# Retired fields are unknown keys: there is no in-operation
+# parallelism, one shared-table synchronization and one sharded path.
 w('bad_request/parallel_apply_removed.json',
   '{"model_path": "m.cov", "parallel_apply": 2}')
+w('bad_request/table_mode_removed.json',
+  '{"model_path": "m.cov", "shards": 2, "table_mode": "striped"}')
+w('bad_request/shard_mode_removed.json',
+  '{"model_path": "m.cov", "shards": 2, "shard_mode": "shared_manager"}')
 # Duplicate keys (grammar-valid; the schema rejects two-jobs-at-once),
 # including duplicates buried in nested objects.
 w('bad_request/duplicate_top_level.json',
@@ -134,16 +133,6 @@ w('good_json/escapes.json', r'["\"\\\/\b\f\n\r\t "]')
 w('good_request/minimal.json', '{"model_path": "m.cov"}')
 w('good_request/utf8_path.json',
   '{"model_path": "mödel\U0001f44d.cov"}'.encode('utf-8'))
-w('good_request/full_sharded.json',
-  '{"model_path": "m.cov", "properties": [{"ctl": "AG (x)", '
-  '"observe": ["x"], "comment": "c"}], "signals": ["x"], '
-  '"options": {"restrict_to_fair": false, "exclude_dontcares": true}, '
-  '"skip_failing": true, "uncovered_limit": 0, "want_traces": true, '
-  '"shards": 4, "shard_mode": "replicated"}')
-w('good_request/shard_mode_shared.json',
-  '{"model_path": "m.cov", "shards": 2, "shard_mode": "shared_manager"}')
-w('good_request/table_mode_striped.json',
-  '{"model_path": "m.cov", "shards": 2, "table_mode": "striped"}')
 w('good_request/image_strategy_chaining.json',
   '{"model_path": "m.cov", "image_strategy": "chaining"}')
 w('good_request/deadline_and_budget.json',

@@ -40,7 +40,6 @@ CoverageRequest sample_request() {
   req.uncovered_limit = 7;
   req.want_traces = true;
   req.shards = 3;
-  req.table_mode = bdd::TableMode::kStriped;  // Non-default round-trips.
   req.deadline_ms = 1500;
   req.max_live_nodes = 250000;
   return req;
@@ -62,8 +61,6 @@ void expect_same_request(const CoverageRequest& a, const CoverageRequest& b) {
   EXPECT_EQ(a.uncovered_limit, b.uncovered_limit);
   EXPECT_EQ(a.want_traces, b.want_traces);
   EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.shard_mode, b.shard_mode);
-  EXPECT_EQ(a.table_mode, b.table_mode);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.max_live_nodes, b.max_live_nodes);
 }
@@ -122,8 +119,6 @@ TEST(RequestJsonTest, MinimalInputGetsDefaults) {
   EXPECT_EQ(req.uncovered_limit, 4u);
   EXPECT_FALSE(req.want_traces);
   EXPECT_EQ(req.shards, 1u);
-  EXPECT_EQ(req.shard_mode, engine::ShardMode::kSharedManager);
-  EXPECT_EQ(req.table_mode, bdd::TableMode::kLockFree);
   EXPECT_EQ(req.deadline_ms, 0u);       // Unlimited, spelled by omission.
   EXPECT_EQ(req.max_live_nodes, 0u);
 }
@@ -229,25 +224,6 @@ TEST(FuzzCorpusTest, GoodRequestsSurviveBothParsersAndReserialize) {
   }
 }
 
-TEST(FuzzCorpusTest, ShardModeRoundTripsThroughTheCorpusForms) {
-  const CoverageRequest replicated = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "full_sharded.json"));
-  EXPECT_EQ(replicated.shard_mode, engine::ShardMode::kReplicated);
-  EXPECT_EQ(replicated.shards, 4u);
-  const CoverageRequest shared = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "shard_mode_shared.json"));
-  EXPECT_EQ(shared.shard_mode, engine::ShardMode::kSharedManager);
-  // Unstated table_mode defaults to the lock-free table; the explicit
-  // corpus form selects the striped baseline.
-  EXPECT_EQ(shared.table_mode, bdd::TableMode::kLockFree);
-  const CoverageRequest striped = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "table_mode_striped.json"));
-  EXPECT_EQ(striped.table_mode, bdd::TableMode::kStriped);
-}
-
 TEST(FuzzCorpusTest, GovernanceLimitsRoundTripThroughTheCorpusForm) {
   const CoverageRequest limited = engine::request_from_json(
       read_file(corpus_files("good_request")[0].parent_path() /
@@ -267,16 +243,37 @@ TEST(FuzzCorpusTest, GovernanceLimitsRoundTripThroughTheCorpusForm) {
   EXPECT_EQ(unlimited.find("max_live_nodes"), std::string::npos) << unlimited;
 }
 
-TEST(FuzzCorpusTest, RemovedParallelApplyFieldIsAnUnknownKey) {
-  // No in-operation parallelism field exists: it gets the usual
-  // unknown-key schema error, never silent acceptance.
+/// Parses the bad_request corpus file `name` and returns its error.
+std::string bad_request_error(const char* name) {
   const std::string text =
-      read_file(corpus_files("bad_request")[0].parent_path() /
-                "parallel_apply_removed.json");
+      read_file(corpus_files("bad_request")[0].parent_path() / name);
   CoverageRequest out;
   std::string error;
-  EXPECT_FALSE(engine::parse_request(text, &out, &error));
+  EXPECT_FALSE(engine::parse_request(text, &out, &error)) << name;
+  return error;
+}
+
+// Retired fields get the usual unknown-key schema error, never silent
+// acceptance.
+
+TEST(FuzzCorpusTest, RemovedParallelApplyFieldIsAnUnknownKey) {
+  // No in-operation parallelism field exists.
+  const std::string error = bad_request_error("parallel_apply_removed.json");
   EXPECT_NE(error.find("unknown key 'parallel_apply'"), std::string::npos)
+      << error;
+}
+
+TEST(FuzzCorpusTest, RemovedTableSelectorFieldIsAnUnknownKey) {
+  // Shared epochs have one synchronization: the striped locks.
+  const std::string error = bad_request_error("table_mode_removed.json");
+  EXPECT_NE(error.find("unknown key 'table_mode'"), std::string::npos)
+      << error;
+}
+
+TEST(FuzzCorpusTest, RemovedShardSelectorFieldIsAnUnknownKey) {
+  // A sharded request has one path: verify once, fan the rows out.
+  const std::string error = bad_request_error("shard_mode_removed.json");
+  EXPECT_NE(error.find("unknown key 'shard_mode'"), std::string::npos)
       << error;
 }
 

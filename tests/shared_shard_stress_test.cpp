@@ -1,15 +1,12 @@
 // Concurrency battery for the shared sharded BddManager: repeated
 // randomized-order runs of every example model at shards = 1/2/4/K >
-// signals — under BOTH shared-mode table modes (the lock-free
-// unique-table/wait-free-cache default and the striped-lock baseline)
-// — asserting byte-identical `SuiteResult` JSON against the serial
-// engine and — the tentpole invariant — that the verification phase ran
-// exactly once per suite (`PhaseStats::passes`). Also exercises the
-// bdd.h shared mode directly (concurrent node construction stays
-// canonical; unregistered threads are rejected) and the replicated
-// baseline for contrast (its verify.passes counts every shard). Built
-// for the sanitizer CI matrix: every assertion here runs under TSan and
-// ASan+UBSan.
+// signals, asserting byte-identical `SuiteResult` JSON against the
+// serial engine and — the central invariant — that the verification
+// phase ran exactly once per suite (`PhaseStats::passes`). Also
+// exercises the bdd.h shared mode directly (concurrent node
+// construction stays canonical; unregistered threads are rejected).
+// Built for the sanitizer CI matrix: every assertion here runs under
+// TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +31,6 @@ using engine::Engine;
 using engine::Executor;
 using engine::ExecutorOptions;
 using engine::JobHandle;
-using engine::ShardMode;
 using engine::SuiteResult;
 
 const char* kModels[] = {"counter.cov", "arbiter.cov", "handshake.cov",
@@ -52,23 +48,11 @@ std::string canonical(const SuiteResult& r) {
   return engine::to_json(r, opts);
 }
 
-const bdd::TableMode kTableModes[] = {bdd::TableMode::kLockFree,
-                                      bdd::TableMode::kStriped};
-
-const char* table_mode_name(bdd::TableMode mode) {
-  return mode == bdd::TableMode::kLockFree ? "lockfree" : "striped";
-}
-
-CoverageRequest traced_request(
-    const char* name, std::size_t shards,
-    ShardMode mode = ShardMode::kSharedManager,
-    bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
+CoverageRequest traced_request(const char* name, std::size_t shards) {
   CoverageRequest req;
   req.model_path = model_path(name);
   req.want_traces = true;  // Trace generation must also be shard-safe.
   req.shards = shards;
-  req.shard_mode = mode;
-  req.table_mode = table_mode;
   return req;
 }
 
@@ -93,33 +77,23 @@ TEST(SharedShardStressTest, EveryModelEveryShardCountMatchesSerial) {
     // 9 > every example model's signal count: the K > signals case must
     // clamp to the row count, not spawn idle threads or change results.
     for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
-      // Both shared-mode synchronization schemes are held to the same
-      // byte contract: lockfree and striped must match serial — and
-      // therefore each other — exactly.
-      for (const bdd::TableMode table_mode : kTableModes) {
-        Executor ex{ExecutorOptions{4, nullptr}};
-        const SuiteResult r =
-            ex.submit(traced_request(m, shards, ShardMode::kSharedManager,
-                                     table_mode))
-                .take();
-        EXPECT_TRUE(r.error.empty()) << m << ": " << r.error;
-        EXPECT_EQ(canonical(r), serial_expectations().at(m))
-            << m << " shards=" << shards
-            << " table_mode=" << table_mode_name(table_mode);
-        // The point of the shared-manager sharding: one parse, one
-        // elaboration, one verification — regardless of the shard count.
-        EXPECT_EQ(r.elaborate.passes, 1u) << m << " shards=" << shards;
-        EXPECT_EQ(r.verify.passes, 1u) << m << " shards=" << shards;
-        EXPECT_EQ(r.estimate.passes, 1u) << m << " shards=" << shards;
-      }
+      Executor ex{ExecutorOptions{4, nullptr}};
+      const SuiteResult r = ex.submit(traced_request(m, shards)).take();
+      EXPECT_TRUE(r.error.empty()) << m << ": " << r.error;
+      EXPECT_EQ(canonical(r), serial_expectations().at(m))
+          << m << " shards=" << shards;
+      // The point of the shared-manager sharding: one parse, one
+      // elaboration, one verification — regardless of the shard count.
+      EXPECT_EQ(r.elaborate.passes, 1u) << m << " shards=" << shards;
+      EXPECT_EQ(r.verify.passes, 1u) << m << " shards=" << shards;
+      EXPECT_EQ(r.estimate.passes, 1u) << m << " shards=" << shards;
     }
   }
 }
 
 TEST(SharedShardStressTest, VerifyingEventsFireOncePerProperty) {
   // The event-stream view of the same invariant: a sharded suite emits
-  // exactly one kVerifying event per property (a replicated run would
-  // emit one per property per shard).
+  // exactly one kVerifying event per property.
   CoverageRequest req = traced_request("handshake.cov", 4);  // 3 properties.
   std::atomic<std::size_t> verifying{0};
   std::atomic<std::size_t> rows{0};
@@ -143,16 +117,11 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
   struct Spec {
     const char* model;
     std::size_t shards;
-    bdd::TableMode table_mode;
   };
   std::vector<Spec> deck;
   for (const char* m : kModels) {
     for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
-      // The full deck runs under both table modes, so lockfree and
-      // striped jobs interleave on the same executor in every round.
-      for (const bdd::TableMode table_mode : kTableModes) {
-        deck.push_back(Spec{m, shards, table_mode});
-      }
+      deck.push_back(Spec{m, shards});
     }
   }
   std::mt19937 rng(0x5eed5eed);
@@ -162,82 +131,40 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
     std::vector<JobHandle> handles;
     handles.reserve(deck.size());
     for (const Spec& s : deck) {
-      handles.push_back(ex.submit(traced_request(
-          s.model, s.shards, ShardMode::kSharedManager, s.table_mode)));
+      handles.push_back(ex.submit(traced_request(s.model, s.shards)));
     }
     for (std::size_t i = 0; i < deck.size(); ++i) {
       const SuiteResult r = handles[i].take();
       EXPECT_TRUE(r.error.empty()) << deck[i].model << ": " << r.error;
       EXPECT_EQ(canonical(r), serial_expectations().at(deck[i].model))
           << "round " << round << " " << deck[i].model << " shards="
-          << deck[i].shards << " table_mode="
-          << table_mode_name(deck[i].table_mode);
+          << deck[i].shards;
       EXPECT_EQ(r.verify.passes, 1u);
     }
   }
 }
 
-TEST(SharedShardStressTest, ReplicatedModeAgreesButPaysVerificationPerShard) {
-  // The baseline the tentpole eliminates: byte-identical rows, but
-  // verify.passes records one verification per elaborated shard.
-  CoverageRequest req = traced_request("arbiter.cov", 2,
-                                       ShardMode::kReplicated);
-  Executor ex{ExecutorOptions{4, nullptr}};
-  const SuiteResult r = ex.submit(req).take();
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(canonical(r), serial_expectations().at("arbiter.cov"));
-  EXPECT_EQ(r.verify.passes, 2u);  // Both shards re-verified.
-  EXPECT_EQ(r.elaborate.passes, 2u);
-}
-
-TEST(SharedShardStressTest, ReplicatedOnOneWorkerStaysSerialNotShared) {
-  // A replicated request whose task count clamps to 1 (any 1-worker
-  // executor) must run as one serial task — not fall through to the
-  // shared-manager fan-out it explicitly opted out of. Observable via
-  // the events' shard count: the shared path would report the
-  // effective estimator-thread count (2 here), the serial task 1.
-  CoverageRequest req = traced_request("arbiter.cov", 4,
-                                       ShardMode::kReplicated);
-  std::atomic<std::size_t> max_event_shards{0};
-  engine::JobHooks hooks;
-  hooks.on_event = [&](const engine::JobEvent& e) {
-    std::size_t seen = max_event_shards.load();
-    while (e.shards > seen &&
-           !max_event_shards.compare_exchange_weak(seen, e.shards)) {
-    }
-  };
-  Executor ex{ExecutorOptions{1, nullptr}};
-  const SuiteResult r = ex.submit(req, hooks).take();
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(canonical(r), serial_expectations().at("arbiter.cov"));
-  EXPECT_EQ(max_event_shards.load(), 1u);
-  EXPECT_EQ(r.verify.passes, 1u);  // One replica task = one verification.
-}
-
 TEST(SharedShardStressTest, SessionRunFansOutWithoutAnExecutor) {
   // The fan-out lives in Session::run, so library callers get it too —
-  // and one session must survive alternating epochs of both table
-  // modes with warm memo caches in between.
+  // and one session must survive repeated shared epochs with warm memo
+  // caches in between.
   CoverageRequest req = traced_request("traffic.cov", 4);
   engine::Engine eng;
   auto session = eng.open(req);
-  bool first_epoch = true;
-  for (const bdd::TableMode table_mode : kTableModes) {
+  for (int epoch = 0; epoch < 2; ++epoch) {
     req.shards = 4;
-    req.table_mode = table_mode;
     const SuiteResult sharded = session->run(req);
     EXPECT_EQ(canonical(sharded), serial_expectations().at("traffic.cov"))
-        << table_mode_name(table_mode);
+        << "epoch " << epoch;
     // The first epoch verifies once; later epochs replay the session's
     // verified-suite record (passes == 0) with identical results.
-    EXPECT_EQ(sharded.verify.passes, first_epoch ? 1u : 0u);
-    first_epoch = false;
+    EXPECT_EQ(sharded.verify.passes, epoch == 0 ? 1u : 0u);
     // The manager is exclusive again: serial re-runs on the same
     // session (memo warm) still match.
     req.shards = 1;
     const SuiteResult serial = session->run(req);
     EXPECT_EQ(canonical(serial), serial_expectations().at("traffic.cov"))
-        << table_mode_name(table_mode);
+        << "epoch " << epoch;
   }
 }
 
