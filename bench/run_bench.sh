@@ -22,11 +22,12 @@
 #        bench/run_bench.sh --check-stale [build_dir] [bench_json]
 #
 # --check-stale compares the committed trajectory files against the
-# current binaries and fails when either predates the schema — CI runs
-# it so a PR cannot land a stale file: BENCH_bdd.json must cover every
-# benchmark family compiled into bdd_microbench, and BENCH_engine.json
-# must carry every name `engine_throughput --list` prints for the
-# configuration this script drives (--jobs 1,2,4 --shards 4).
+# current binaries, in both directions — CI runs it so a PR cannot land
+# a stale file: BENCH_bdd.json must record exactly the benchmark
+# families compiled into bdd_microbench, and BENCH_engine.json exactly
+# the names `engine_throughput --list` prints for the configuration this
+# script drives (--jobs 1,2,4 --shards 4). A missing row means the file
+# predates a new benchmark; an extra row is a benchmark that was deleted.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -44,8 +45,8 @@ if [[ "${1:-}" == "--check-stale" ]]; then
   # `|| STATUS=$?` keeps set -e from aborting before the cleanup below.
   python3 - "${BENCH_JSON}" "${LIST_FILE}" <<'EOF' || STATUS=$?
 import json, sys
-# Benchmark *families* (the name before the first '/') present in the
-# binary must all appear in the committed trajectory file.
+# Benchmark *families* (the name before the first '/') must match the
+# binary's exactly: no family missing, none left over from deleted code.
 with open(sys.argv[2]) as f:
     binary = {line.split("/")[0].strip() for line in f if line.strip()}
 if not binary:
@@ -55,11 +56,17 @@ with open(sys.argv[1]) as f:
     data = json.load(f)
 recorded = {b["name"].split("/")[0] for b in data.get("benchmarks", [])}
 missing = sorted(binary - recorded)
+extra = sorted(recorded - binary)
 if missing:
     print(f"{sys.argv[1]} is stale: missing benchmark families "
           f"{missing}; regenerate with bench/run_bench.sh", file=sys.stderr)
+if extra:
+    print(f"{sys.argv[1]} is stale: records benchmark families {extra} "
+          f"that bdd_microbench no longer has; drop them or regenerate",
+          file=sys.stderr)
+if missing or extra:
     sys.exit(1)
-print(f"{sys.argv[1]} covers all {len(binary)} benchmark families")
+print(f"{sys.argv[1]} records exactly the {len(binary)} benchmark families")
 EOF
   rm -f "${LIST_FILE}"
 
@@ -75,7 +82,7 @@ EOF
   python3 - "${ENGINE_JSON}" "${ENGINE_LIST_FILE}" <<'EOF' || STATUS=$?
 import json, sys
 # Engine benchmark names are fully parameterized (no family prefix
-# collapsing): every listed name must appear verbatim.
+# collapsing): the recorded names must equal the listed ones verbatim.
 with open(sys.argv[2]) as f:
     binary = {line.strip() for line in f if line.strip()}
 if not binary:
@@ -86,11 +93,17 @@ with open(sys.argv[1]) as f:
     data = json.load(f)
 recorded = {b["name"] for b in data.get("benchmarks", [])}
 missing = sorted(binary - recorded)
+extra = sorted(recorded - binary)
 if missing:
     print(f"{sys.argv[1]} is stale: missing benchmarks {missing}; "
           f"regenerate with bench/run_bench.sh", file=sys.stderr)
+if extra:
+    print(f"{sys.argv[1]} is stale: records benchmarks {extra} that "
+          f"engine_throughput no longer runs; drop them or regenerate",
+          file=sys.stderr)
+if missing or extra:
     sys.exit(1)
-print(f"{sys.argv[1]} covers all {len(binary)} engine benchmarks")
+print(f"{sys.argv[1]} records exactly the {len(binary)} engine benchmarks")
 EOF
   rm -f "${ENGINE_LIST_FILE}"
   exit "${STATUS}"

@@ -184,10 +184,11 @@ BddManager::BddManager(unsigned initial_vars, std::size_t cache_size_log2) {
   cache_max_size_ = std::size_t{1} << cache_size_log2;
   // 2^8 entries (6 KB): many served models live in a few hundred nodes,
   // and a resident server builds one manager per cold request, so every
-  // manager pays for its starting table. `maybe_grow_cache` quadruples
-  // it towards `cache_size_log2` once a quarter of it has been stored.
+  // manager pays for its starting table. `maybe_grow_cache` grows it
+  // towards `cache_size_log2` in step with the node pool.
   cache_.resize(std::min(cache_max_size_, std::size_t{1} << 8));
   cache_mask_ = cache_.size() - 1;
+  stats_.cache_entries = cache_.size();
   gc_threshold_ = 1u << 16;
   // Tests and soak harnesses force small pools into collection without
   // plumbing a setter through every layer that owns a manager.
@@ -795,17 +796,32 @@ bool BddManager::cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
 }
 
 void BddManager::maybe_grow_cache() {
-  if (++cache_stores_since_grow_ <= cache_.size() / 4 ||
-      cache_.size() >= cache_max_size_) {
+  const std::size_t size = cache_.size();
+  if (++cache_stores_since_grow_ <= size / 4 || size >= cache_max_size_) {
     return;
   }
-  // Store pressure builds towards eviction thrashing: quadruple early
-  // (eviction-induced recomputation costs far more than zeroing the
-  // larger table). The cache is lossy, so dropping the old contents is
-  // sound — most were about to be evicted anyway.
-  cache_.assign(std::min(cache_.size() * 4, cache_max_size_), CacheEntry{});
-  cache_mask_ = cache_.size() - 1;
+  // Bounded by the pool (as CUDD and BuDDy bound theirs by the node
+  // table): a table larger than the occupied slots mostly holds keys the
+  // pool cannot form, and its probes miss the CPU caches. Sustained
+  // overwrite pressure still grows it — a reuse-heavy fixpoint over a
+  // small pool evicts memos it is about to need again.
+  const std::size_t grown = std::min(size * 4, cache_max_size_);
+  const std::size_t occupied =
+      static_cast<std::size_t>(allocated()) - 1 - free_count_;
+  if (grown > occupied && cache_stores_since_grow_ <= 4 * size) return;
+
+  // Re-insert the live memos. An old slot's index is the low bits of its
+  // new one, so distinct old slots never collide in the grown table.
+  std::vector<CacheEntry> old(grown);
+  old.swap(cache_);
+  cache_mask_ = grown - 1;
+  const std::uint32_t epoch = cache_epoch_.load(std::memory_order_relaxed);
+  for (const CacheEntry& e : old) {
+    if (e.epoch != epoch) continue;
+    cache_[hash_cache_key(e.op, e.a, e.b, e.c) & cache_mask_] = e;
+  }
   cache_stores_since_grow_ = 0;
+  stats_.cache_entries = grown;
 }
 
 void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,

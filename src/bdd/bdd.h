@@ -237,6 +237,9 @@ struct BddStats {
   std::size_t gc_runs = 0;
   std::size_t cache_hits = 0;       ///< Since the last `clear_cache`.
   std::size_t cache_lookups = 0;    ///< Since the last `clear_cache`.
+  /// Current computed-cache table size in entries (a gauge, not a
+  /// counter; see `maybe_grow_cache` for the growth rule).
+  std::size_t cache_entries = 0;
   std::size_t unique_hits = 0;      ///< make_node found an existing node.
   std::size_t unique_misses = 0;    ///< make_node created a new node.
   std::size_t reorderings = 0;
@@ -249,7 +252,8 @@ struct BddStats {
   /// Cooperative shared-mode collections (pause + mark + sweep).
   std::size_t shared_gc_runs = 0;
 
-  /// Computed-cache hit rate over the current cache epoch, in [0, 1].
+  /// Computed-cache hit rate since the manager's last cache clear (every
+  /// GC clears it), in [0, 1].
   double cache_hit_rate() const {
     return cache_lookups == 0
                ? 0.0
@@ -414,8 +418,9 @@ class BddManager {
   // -- Dynamic variable reordering ------------------------------------------------
 
   /// Swaps the variables at `level` and `level + 1`. The functions of all
-  /// externally held handles are preserved. Exposed for testing; normal
-  /// clients call `reorder_sift`.
+  /// externally held handles are preserved, and so is the computed cache
+  /// (every memo still names a correct result; `gc()` clears it). Exposed
+  /// for testing; normal clients call `reorder_sift`.
   void swap_adjacent_levels(unsigned level);
 
   /// Rudin-style sifting: each variable (most populous subtable first) is
@@ -743,10 +748,13 @@ class BddManager {
     }
   }
 
-  // Computed cache. The table starts small and quadruples (dropping its
-  // lossy contents) whenever the stores since the last growth exceed a
-  // quarter of the current size, up to the configured maximum — so short
-  // sessions never pay for megabytes of cold cache.
+  // Computed cache. The table starts at 2^8 entries and may quadruple,
+  // up to the configured maximum, once the stores since the last growth
+  // exceed a quarter of its size — but only while the grown table would
+  // hold no more entries than the pool has occupied slots, or under
+  // sustained overwrite pressure (more than 4x its size in stores since
+  // the last growth). Growth keeps the current-epoch memos. Shared
+  // epochs never resize.
   bool cache_find(std::uint32_t op, NodeIndex a, NodeIndex b, NodeIndex c,
                   NodeIndex* out);
   void cache_store(std::uint32_t op, NodeIndex a, NodeIndex b, NodeIndex c,
@@ -778,7 +786,7 @@ class BddManager {
 
   double sat_count_rec(ThreadCtx& tc, NodeIndex slot);
 
-  std::size_t sift_var_to(Var v, unsigned target_level);
+  void sift_var_to(Var v, unsigned target_level);
 
   // Data members.
   std::array<std::unique_ptr<Node[]>, kMaxSegments> node_segs_;

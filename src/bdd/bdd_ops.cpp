@@ -409,10 +409,17 @@ NodeIndex BddManager::permute_rec(ThreadCtx& tc, NodeIndex f,
   const NodeIndex low = permute_rec(tc, flow, perm);
   const NodeIndex high = permute_rec(tc, fhigh, perm);
   const Var new_var = old_var < perm.size() ? perm[old_var] : old_var;
-  // ITE keeps the result canonical even if the renaming moves the
-  // variable across levels of the children.
-  const NodeIndex root = make_node(new_var, kFalseIndex, kTrueIndex);
-  const NodeIndex result = ite_rec(root, high, low);
+  // A renamed variable that still sits above both renamed children (the
+  // interleaved current/next pairs always do) labels the node directly;
+  // ITE keeps the result canonical when the renaming crosses levels.
+  const unsigned new_level = var_to_level_[new_var];
+  NodeIndex result;
+  if (new_level < level(low) && new_level < level(high)) {
+    result = make_node(new_var, low, high);
+  } else {
+    const NodeIndex root = make_node(new_var, kFalseIndex, kTrueIndex);
+    result = ite_rec(root, high, low);
+  }
   // make_node/ite_rec may have grown the pool past the stamp array that
   // next_generation sized; the memoized slots themselves are all roots
   // of the *input* BDD, which predates the traversal.

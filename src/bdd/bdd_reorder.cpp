@@ -74,12 +74,13 @@ void BddManager::swap_adjacent_levels(unsigned lvl) {
   std::swap(level_to_var_[lvl], level_to_var_[lvl + 1]);
   var_to_level_[x] = lvl + 1;
   var_to_level_[y] = lvl;
-  // Cached results remain semantically valid (functions are unchanged) but
-  // may reference nodes that just became garbage; drop them for safety.
-  clear_cache();
+  // The computed cache stays: every node keeps its function and nothing
+  // was freed, so each memo still names a correct result. Garbage it may
+  // reference is swept by the `gc()` that ends `set_order` and every
+  // `reorder_sift` pass, and that collection clears the cache.
 }
 
-std::size_t BddManager::sift_var_to(Var v, unsigned target_level) {
+void BddManager::sift_var_to(Var v, unsigned target_level) {
   unsigned cur = var_to_level_[v];
   while (cur < target_level) {
     swap_adjacent_levels(cur);
@@ -89,7 +90,6 @@ std::size_t BddManager::sift_var_to(Var v, unsigned target_level) {
     swap_adjacent_levels(cur - 1);
     --cur;
   }
-  return live_node_count();
 }
 
 std::size_t BddManager::reorder_sift(std::size_t max_vars) {

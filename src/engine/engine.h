@@ -242,7 +242,8 @@ struct PhaseStats {
   double ms = 0.0;
   std::size_t live_nodes = 0;
   std::size_t peak_live_nodes = 0;
-  double cache_hit_rate = 0.0;  ///< Computed-cache hit rate, cumulative.
+  /// Computed-cache hit rate since the manager's last cache clear (GC).
+  double cache_hit_rate = 0.0;
   /// How many times this phase actually executed for the job: 1 when it
   /// ran (a sharded run too — sharding verifies once), 0 when it never
   /// ran (errors, early cancellation, or a warm-cache replay).

@@ -140,7 +140,7 @@ void SymbolicFsm::build_image_engine() {
 }
 
 void SymbolicFsm::build_initial_states() {
-  init_ = mgr_->bdd_true();
+  std::vector<Bdd> conjuncts;
   for (const model::Signal& s : model_.signals()) {
     if (s.kind != model::SignalKind::kState || !s.init.valid()) continue;
     const SignalLayout& l = layout(s.name);
@@ -149,12 +149,25 @@ void SymbolicFsm::build_initial_states() {
       bits.bits.push_back(mgr_->bdd_false());
     }
     for (std::size_t i = 0; i < l.current.size(); ++i) {
-      init_ &= mgr_->var(l.current[i]).iff(bits.bits[i]);
+      conjuncts.push_back(mgr_->var(l.current[i]).iff(bits.bits[i]));
     }
   }
   for (const expr::Expr& c : model_.init_constraints()) {
-    init_ &= blast_bool(c);
+    conjuncts.push_back(blast_bool(c));
   }
+  // Conjoin deepest top level first: each step then adds nodes above the
+  // partial product instead of rebuilding it under a deeper conjunct (the
+  // static order is installed by now, so declaration order is arbitrary).
+  const auto top = [this](const Bdd& b) {
+    return b.is_terminal() ? static_cast<unsigned>(-1)
+                           : mgr_->level_of(b.top_var());
+  };
+  std::stable_sort(conjuncts.begin(), conjuncts.end(),
+                   [&top](const Bdd& a, const Bdd& b) {
+                     return top(a) > top(b);
+                   });
+  init_ = mgr_->bdd_true();
+  for (const Bdd& c : conjuncts) init_ &= c;
   if (init_.is_false()) {
     throw std::runtime_error("model '" + model_.name() +
                              "' has no initial states");

@@ -254,13 +254,16 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
   std::vector<std::size_t> natural(clusters_.size());
   for (std::size_t i = 0; i < natural.size(); ++i) natural[i] = i;
   std::vector<std::size_t> chain = natural;
+  // One support traversal per cluster serves the chaining order and all
+  // four schedules.
+  std::vector<std::vector<Var>> supports;
+  supports.reserve(clusters_.size());
+  for (const Bdd& c : clusters_) supports.push_back(mgr.support(c));
   {
     std::vector<unsigned> top(clusters_.size(), 0);
     for (std::size_t i = 0; i < clusters_.size(); ++i) {
       unsigned best = static_cast<unsigned>(-1);
-      for (const Var v : mgr.support(clusters_[i])) {
-        best = std::min(best, mgr.level_of(v));
-      }
+      for (const Var v : supports[i]) best = std::min(best, mgr.level_of(v));
       top[i] = best;
     }
     std::stable_sort(chain.begin(), chain.end(),
@@ -270,24 +273,24 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
                      });
   }
 
-  sched_img_ = make_schedule(natural, img_quantify);
-  sched_pre_ = make_schedule(natural, pre_quantify);
-  chain_sched_img_ = make_schedule(chain, img_quantify);
-  chain_sched_pre_ = make_schedule(chain, pre_quantify);
+  sched_img_ = make_schedule(natural, img_quantify, supports);
+  sched_pre_ = make_schedule(natural, pre_quantify, supports);
+  chain_sched_img_ = make_schedule(chain, img_quantify, supports);
+  chain_sched_pre_ = make_schedule(chain, pre_quantify, supports);
   img_full_cube_ = mgr.cube(img_quantify);
   pre_full_cube_ = mgr.cube(pre_quantify);
 }
 
 PartitionedRelation::Schedule PartitionedRelation::make_schedule(
-    const std::vector<std::size_t>& visit,
-    const std::vector<Var>& quantify) const {
+    const std::vector<std::size_t>& visit, const std::vector<Var>& quantify,
+    const std::vector<std::vector<Var>>& supports) const {
   // For each variable to quantify, find the last visited cluster whose
   // support contains it; it can be quantified out right after that
   // cluster is conjoined (early quantification). Variables in no
   // cluster are quantified directly from the argument set.
   std::vector<int> last(mgr_->num_vars(), -1);
   for (std::size_t pos = 0; pos < visit.size(); ++pos) {
-    for (const Var v : mgr_->support(clusters_[visit[pos]])) {
+    for (const Var v : supports[visit[pos]]) {
       last[v] = static_cast<int>(pos);
     }
   }

@@ -191,8 +191,11 @@ class PartitionedRelation {
     bdd::Bdd rest;
   };
 
+  /// `supports[i]` is the support of `clusters_[i]`.
   Schedule make_schedule(const std::vector<std::size_t>& visit,
-                         const std::vector<bdd::Var>& quantify) const;
+                         const std::vector<bdd::Var>& quantify,
+                         const std::vector<std::vector<bdd::Var>>& supports)
+      const;
   bdd::Bdd apply(const bdd::Bdd& set, const Schedule& sched) const;
 
   bdd::BddManager* mgr_ = nullptr;

@@ -272,6 +272,64 @@ TEST_F(BddTest, PermuteInterleavedCurrentNext) {
   EXPECT_EQ(m.permute(g, to_next), f);
 }
 
+// g = permute(f, perm) must satisfy g(a) == f(b) with b[v] = a[perm[v]].
+void expect_renamed(BddManager& m, const RandomExpr& expr, const Bdd& g,
+                    const std::vector<Var>& perm) {
+  const unsigned n = static_cast<unsigned>(perm.size());
+  std::vector<bool> a(n), b(n);
+  for (unsigned bits = 0; bits < (1u << n); ++bits) {
+    for (unsigned v = 0; v < n; ++v) a[v] = (bits >> v) & 1;
+    for (unsigned v = 0; v < n; ++v) b[v] = a[perm[v]];
+    ASSERT_EQ(m.eval(g, a), expr.eval(b)) << "assignment bits=" << bits;
+  }
+}
+
+class PermuteRandom : public ::testing::TestWithParam<int> {};
+
+TEST_P(PermuteRandom, InterleavedPairsBuildNodesWithoutTheCache) {
+  // Current variable i sits right above its next variable i + kPairs:
+  // the renaming the FSM performs. Every renamed label stays above its
+  // renamed children, so no ITE (and no cache probe) is needed.
+  std::mt19937 rng(GetParam());
+  constexpr unsigned kPairs = 4;
+  BddManager m(2 * kPairs);
+  std::vector<Var> order, to_next(2 * kPairs);
+  for (Var i = 0; i < kPairs; ++i) {
+    order.insert(order.end(), {i, i + kPairs});
+    to_next[i] = i + kPairs;
+    to_next[i + kPairs] = i;
+  }
+  m.set_order(order);
+  const RandomExpr expr = RandomExpr::generate(rng, kPairs, 5);
+  const Bdd f = expr.build(m);
+
+  const std::size_t lookups = m.stats().cache_lookups;
+  const Bdd g = m.permute(f, to_next);
+  EXPECT_EQ(m.stats().cache_lookups, lookups);
+  expect_renamed(m, expr, g, to_next);
+  EXPECT_EQ(m.permute(g, to_next), f);
+  EXPECT_TRUE(m.check_canonical());
+}
+
+TEST_P(PermuteRandom, LevelCrossingRenamingFallsBackToIte) {
+  // Reversing the variables moves every label across its children's
+  // levels; the ITE fallback must still produce the canonical result.
+  std::mt19937 rng(GetParam());
+  constexpr unsigned kVars = 6;
+  BddManager m(kVars);
+  const RandomExpr expr = RandomExpr::generate(rng, kVars, 5);
+  const Bdd f = expr.build(m);
+  std::vector<Var> reverse(kVars);
+  for (Var v = 0; v < kVars; ++v) reverse[v] = kVars - 1 - v;
+
+  const Bdd g = m.permute(f, reverse);
+  expect_renamed(m, expr, g, reverse);
+  EXPECT_EQ(m.permute(g, reverse), f);
+  EXPECT_TRUE(m.check_canonical());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PermuteRandom, ::testing::Range(0, 20));
+
 // --------------------------------------------------------------------------
 // Counting and minterms
 // --------------------------------------------------------------------------
@@ -564,6 +622,72 @@ TEST_F(BddTest, StatsTrackCacheAndUniqueTable) {
   EXPECT_EQ(f, g);
   EXPECT_GT(mgr.stats().cache_lookups, 0u);
   EXPECT_GT(mgr.stats().unique_misses, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Computed-cache sizing
+// --------------------------------------------------------------------------
+
+// Synthetic raw stores (the op code is opaque to the cache).
+void store_fillers(BddManager& m, std::uint32_t first, std::uint32_t count) {
+  for (std::uint32_t i = first; i < first + count; ++i) {
+    m.debug_cache_store(/*op=*/100, i, i + 1, i + 2, i);
+  }
+}
+
+TEST(BddCacheTest, MemoStoredBeforeAGrowthIsOneLookupAfterIt) {
+  BddManager m(0);
+  const std::size_t start = m.stats().cache_entries;
+  ASSERT_EQ(start, 256u);
+  // An empty pool grows the table only under sustained pressure: more
+  // than 4x its size in stores. Park the memo as the last store before
+  // the growing one.
+  store_fillers(m, 0, 4 * start - 1);
+  m.debug_cache_store(/*op=*/101, 1, 2, 3, /*result=*/7);
+  ASSERT_EQ(m.stats().cache_entries, start);
+  store_fillers(m, 1u << 20, 1);
+  ASSERT_EQ(m.stats().cache_entries, 4 * start);
+
+  const std::size_t lookups = m.stats().cache_lookups;
+  const std::size_t hits = m.stats().cache_hits;
+  NodeIndex out = 0;
+  EXPECT_TRUE(m.debug_cache_find(101, 1, 2, 3, &out));
+  EXPECT_EQ(out, 7u);
+  EXPECT_EQ(m.stats().cache_lookups - lookups, 1u);
+  EXPECT_EQ(m.stats().cache_hits - hits, 1u);
+}
+
+TEST(BddCacheTest, TableFollowsThePoolUnlessStorePressureIsSustained) {
+  constexpr unsigned kVars = 96;
+  BddManager m(kVars);
+  const auto occupied = [&m] {
+    m.live_node_count();  // Refreshes allocated_nodes; nothing is freed.
+    return m.stats().allocated_nodes;
+  };
+  const std::size_t start = m.stats().cache_entries;
+
+  // Light pressure on a tiny pool: up to 4x the table size in stores
+  // (the old rule quadrupled after a quarter) leaves the table alone.
+  store_fillers(m, 0, 4 * start);
+  EXPECT_EQ(m.stats().cache_entries, start);
+  EXPECT_LT(occupied(), 4 * start);
+  // Sustained pressure still grows it, past the pool.
+  store_fillers(m, 1u << 20, 1);
+  EXPECT_EQ(m.stats().cache_entries, 4 * start);
+
+  // A pool with at least 16x the start size in occupied slots admits the
+  // next quadrupling after only a quarter of the table in stores. Pair
+  // cubes are built by make_node alone, without touching the cache.
+  std::vector<Bdd> cubes;
+  for (Var i = 0; i < kVars; ++i) {
+    for (Var j = i + 1; j < kVars; ++j) cubes.push_back(m.cube({i, j}));
+  }
+  ASSERT_GE(occupied(), 16 * start);
+  store_fillers(m, 1u << 21, start);  // (4 * start) / 4 stores.
+  EXPECT_EQ(m.stats().cache_entries, 4 * start);
+  store_fillers(m, 1u << 22, 1);
+  EXPECT_EQ(m.stats().cache_entries, 16 * start);
+  EXPECT_LE(m.stats().cache_entries, occupied());
 }
 
 TEST(BddStressTest, LargeXorChainHasLinearNodes) {
