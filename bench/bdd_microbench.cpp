@@ -1,10 +1,7 @@
 // google-benchmark microbenchmarks for the BDD substrate: the operations
-// that dominate both model checking and coverage estimation — plus the
-// shared-mode tables (striped locks) under same-variable make_node
-// bursts.
+// that dominate both model checking and coverage estimation.
 #include <benchmark/benchmark.h>
 
-#include <thread>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -121,45 +118,6 @@ BENCHMARK(BM_ImageStrategy)
     ->Args({0, 8})->Args({0, 16})->Args({0, 24})
     ->Args({1, 8})->Args({1, 16})->Args({1, 24})
     ->Args({2, 8})->Args({2, 16})->Args({2, 24});
-
-// Shared-mode burst: K threads hammer one manager with formula families
-// dense in a tiny variable set, so nearly every make_node lands in the
-// same few subtables and contends for the same stripe locks — the worst
-// case for the shared tables. (On a 1-core host this mostly measures
-// scheduling; it is meaningful on real multi-core hardware.)
-void shared_burst_run(std::size_t threads) {
-  constexpr unsigned kVars = 6;
-  BddManager mgr(kVars);
-  std::vector<Bdd> vars;
-  for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
-  mgr.begin_shared(threads);
-  std::vector<std::thread> workers;
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      mgr.register_shard_thread();
-      Bdd acc = t % 2 == 0 ? mgr.bdd_false() : mgr.bdd_true();
-      for (int r = 0; r < 24; ++r) {
-        for (std::size_t i = 0; i < vars.size(); ++i) {
-          const Bdd& a = vars[(i + t) % vars.size()];
-          const Bdd& b = vars[(i + static_cast<std::size_t>(r)) %
-                              vars.size()];
-          acc = ite(a, acc ^ b, acc | (a & !b));
-        }
-      }
-      benchmark::DoNotOptimize(acc.index());
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  mgr.end_shared();
-}
-
-void BM_SharedMakeNodeBurstStriped(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    shared_burst_run(threads);
-  }
-}
-BENCHMARK(BM_SharedMakeNodeBurstStriped)->Arg(2)->Arg(4);
 
 void BM_SiftingReorder(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));

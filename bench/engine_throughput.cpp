@@ -1,14 +1,12 @@
 // Suite-throughput benchmark for the engine layer: how many coverage
 // suites per second the `engine::Executor` sustains at different worker
-// counts, plus intra-suite sharding (verify once, estimate on K threads
-// over one shared manager).
+// counts, over the server loopback and per image strategy.
 // `bench/run_bench.sh` runs it over the example-model manifest and
 // writes BENCH_engine.json so the engine layer has a perf trajectory PR
 // over PR (the BDD layer has had one since PR 1).
 //
-//   engine_throughput [--repeat N] [--jobs 1,2,4] [--shards K]
-//                     [--out FILE] model.cov...
-//   engine_throughput --list [--jobs 1,2,4] [--shards K]
+//   engine_throughput [--repeat N] [--jobs 1,2,4] [--out FILE] model.cov...
+//   engine_throughput --list [--jobs 1,2,4]
 //
 // `--list` prints the benchmark names the given configuration would
 // measure, one per line, without touching any model — the staleness
@@ -20,8 +18,8 @@
 // through one executor and measures wall time; the suites are
 // independent jobs with worker-local BDD managers, so the jobs=K
 // configurations measure the real fan-out path, not a simulation. Every
-// entry also records summed verify passes (one per suite, sharded or
-// not). The emitted note flags single-core hosts, where jobs=4 can read
+// entry also records summed verify passes (one per suite). The emitted
+// note flags single-core hosts, where jobs=4 can read
 // *slower* than jobs=2 on pure scheduling overhead.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -51,8 +49,7 @@ using Clock = std::chrono::steady_clock;
 struct Config {
   std::size_t repeat = 8;
   std::vector<std::size_t> jobs = {1, 2, 4};
-  std::size_t shards = 4;  ///< Shard count of the sharded entries.
-  bool list = false;       ///< Print benchmark names and exit.
+  bool list = false;  ///< Print benchmark names and exit.
   std::string out_path;
   std::vector<std::string> models;
 };
@@ -71,22 +68,15 @@ std::vector<std::string> benchmark_names(const Config& config) {
   for (const std::size_t workers : config.jobs) {
     names.push_back("suite_throughput/jobs:" + std::to_string(workers));
   }
-  const std::size_t shard_workers =
+  const std::size_t max_workers =
       *std::max_element(config.jobs.begin(), config.jobs.end());
-  const std::string suffix = "/shards:" + std::to_string(config.shards) +
-                             "/jobs:" + std::to_string(shard_workers);
-  // The name predates the single sharded path and is kept so the
-  // committed BENCH_engine.json row stays comparable.
-  names.push_back("sharded_suite/mode:shared_manager/table:striped" + suffix);
-  const std::string jobs_suffix = "/jobs:" + std::to_string(shard_workers);
+  const std::string jobs_suffix = "/jobs:" + std::to_string(max_workers);
   names.push_back("server_loopback/cache:off" + jobs_suffix);
   names.push_back("server_loopback/cache:on" + jobs_suffix);
   for (const char* strategy : {"monolithic", "partitioned", "chaining"}) {
     names.push_back(std::string("image_strategy/") + strategy +
                     "/cells:" + std::to_string(kRingCells) + jobs_suffix);
   }
-  names.push_back("gc_under_load/reclaim:on" + suffix);
-  names.push_back("gc_under_load/reclaim:off" + suffix);
   return names;
 }
 
@@ -117,7 +107,7 @@ struct Measurement {
 };
 
 Measurement measure(const Config& config, std::size_t workers,
-                    std::size_t shards, std::string name) {
+                    std::string name) {
   std::vector<engine::CoverageRequest> requests;
   requests.reserve(config.models.size() * config.repeat);
   for (std::size_t r = 0; r < config.repeat; ++r) {
@@ -125,7 +115,6 @@ Measurement measure(const Config& config, std::size_t workers,
       engine::CoverageRequest req;
       req.model_path = path;
       req.uncovered_limit = 0;  // Keep the measurement estimation-pure.
-      req.shards = shards;
       requests.push_back(std::move(req));
     }
   }
@@ -205,23 +194,6 @@ Measurement measure_image_strategy(const Config& config, std::size_t workers,
   m.suites_per_sec =
       wall_ms > 0.0 ? static_cast<double>(results.size()) * 1000.0 / wall_ms
                     : 0.0;
-  return m;
-}
-
-/// The gc-under-load configuration: the sharded shared-manager workload
-/// with the concurrent collector forced on (a low collection threshold,
-/// so the estimation epochs genuinely pause/collect/reclaim mid-suite)
-/// against reclamation off (a threshold the tiny example models never
-/// reach). Results are byte-identical either way; the ratio is the
-/// whole collection machinery — stop-the-world pause handshakes,
-/// mark and sweep, and the memo-cache invalidation collections force.
-Measurement measure_gc_under_load(const Config& config, std::size_t workers,
-                                  bool reclaim, std::string name) {
-  // BddManager reads COVEST_GC_THRESHOLD at construction; sessions are
-  // created inside measure(), so the env var scopes the whole run.
-  ::setenv("COVEST_GC_THRESHOLD", reclaim ? "64" : "1000000000", 1);
-  Measurement m = measure(config, workers, config.shards, std::move(name));
-  ::unsetenv("COVEST_GC_THRESHOLD");
   return m;
 }
 
@@ -318,12 +290,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --jobs needs e.g. 1,2,4\n");
         return 2;
       }
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      if (i + 1 >= argc || !parse_count(argv[++i], &config.shards) ||
-          config.shards == 0) {
-        std::fprintf(stderr, "error: --shards needs a positive integer\n");
-        return 2;
-      }
     } else if (std::strcmp(arg, "--list") == 0) {
       config.list = true;
     } else if (std::strcmp(arg, "--out") == 0) {
@@ -348,7 +314,7 @@ int main(int argc, char** argv) {
   if (config.models.empty()) {
     std::fprintf(stderr,
                  "usage: engine_throughput [--repeat N] [--jobs 1,2,4] "
-                 "[--shards K] [--out FILE] model.cov... | --list\n");
+                 "[--out FILE] model.cov... | --list\n");
     return 2;
   }
 
@@ -356,7 +322,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = benchmark_names(config);
   std::size_t name_index = 0;
   for (const std::size_t workers : config.jobs) {
-    const Measurement m = measure(config, workers, 1, names[name_index++]);
+    const Measurement m = measure(config, workers, names[name_index++]);
     std::printf("jobs=%zu: %zu suites in %.1f ms  (%.1f suites/sec)\n",
                 m.jobs, m.suites, m.wall_ms, m.suites_per_sec);
     measurements.push_back(m);
@@ -372,24 +338,16 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
   }
 
-  // Intra-suite sharding: each suite verifies once, then estimates its
-  // rows on up to `shards` threads over one shared manager.
-  const std::size_t shard_workers =
+  const std::size_t max_workers =
       *std::max_element(config.jobs.begin(), config.jobs.end());
-  const Measurement sharded =
-      measure(config, shard_workers, config.shards, names[name_index++]);
-  std::printf("%s: %.1f suites/sec, %zu verify passes\n",
-              sharded.name.c_str(), sharded.suites_per_sec,
-              sharded.verify_passes);
-  measurements.push_back(sharded);
 
   // Server loopback: the covest_serve wire path end to end. The cache:on
   // column is the warm-cache story — after round one every suite leases
   // a parked session instead of re-parsing/elaborating/verifying.
   Measurement loop_cold =
-      measure_server(config, shard_workers, false, names[name_index++]);
+      measure_server(config, max_workers, false, names[name_index++]);
   Measurement loop_warm =
-      measure_server(config, shard_workers, true, names[name_index++]);
+      measure_server(config, max_workers, true, names[name_index++]);
   for (const Measurement* m : {&loop_cold, &loop_warm}) {
     std::printf("%s: %.1f suites/sec\n", m->name.c_str(), m->suites_per_sec);
     measurements.push_back(*m);
@@ -404,13 +362,13 @@ int main(int argc, char** argv) {
   // clustered partials with early quantification against saturation-style
   // chaining, byte-identical results throughout.
   Measurement img_monolithic = measure_image_strategy(
-      config, shard_workers, image::ImageStrategy::kMonolithic,
+      config, max_workers, image::ImageStrategy::kMonolithic,
       names[name_index++]);
   Measurement img_partitioned = measure_image_strategy(
-      config, shard_workers, image::ImageStrategy::kPartitioned,
+      config, max_workers, image::ImageStrategy::kPartitioned,
       names[name_index++]);
   Measurement img_chaining = measure_image_strategy(
-      config, shard_workers, image::ImageStrategy::kChaining,
+      config, max_workers, image::ImageStrategy::kChaining,
       names[name_index++]);
   for (const Measurement* m :
        {&img_monolithic, &img_partitioned, &img_chaining}) {
@@ -423,25 +381,6 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf("partitioned vs monolithic on token_ring(%u): %.2fx\n",
               kRingCells, image_speedup);
-
-  // GC under load: the same sharded workload with concurrent epoch
-  // collections forced on against reclamation effectively off. The
-  // ratio prices the resident-server hygiene — what a deployment pays
-  // per suite to keep a long-lived manager's pool flat.
-  Measurement gc_on = measure_gc_under_load(config, shard_workers, true,
-                                            names[name_index++]);
-  Measurement gc_off = measure_gc_under_load(config, shard_workers, false,
-                                             names[name_index++]);
-  for (const Measurement* m : {&gc_on, &gc_off}) {
-    std::printf("%s: %.1f suites/sec\n", m->name.c_str(), m->suites_per_sec);
-    measurements.push_back(*m);
-  }
-  const double gc_speedup =
-      gc_off.suites_per_sec > 0.0
-          ? gc_on.suites_per_sec / gc_off.suites_per_sec
-          : 0.0;
-  std::printf("reclaim on vs off at shards=%zu: %.2fx\n", config.shards,
-              gc_speedup);
 
   if (!config.out_path.empty()) {
     std::FILE* out = std::fopen(config.out_path.c_str(), "w");
@@ -470,7 +409,7 @@ int main(int argc, char** argv) {
       // jobs=4 can legitimately read slower than jobs=2 here.
       std::fprintf(out,
                    "  \"note\": \"1 hardware thread: parallel "
-                   "configurations (jobs>1, shards>1) measure scheduling "
+                   "configurations (jobs>1) measure scheduling "
                    "overhead, not speedup; jobs=4 may read slower than "
                    "jobs=2.\",\n");
     }
@@ -478,10 +417,8 @@ int main(int argc, char** argv) {
     std::fprintf(out, "  \"warm_cache_vs_cold_speedup\": %.3f,\n",
                  cache_speedup);
     std::fprintf(out,
-                 "  \"partitioned_vs_monolithic_speedup\": %.3f,\n",
+                 "  \"partitioned_vs_monolithic_speedup\": %.3f\n}\n",
                  image_speedup);
-    std::fprintf(out, "  \"gc_reclaim_on_vs_off_speedup\": %.3f\n}\n",
-                 gc_speedup);
     std::fclose(out);
     std::printf("wrote %s\n", config.out_path.c_str());
   }

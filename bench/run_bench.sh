@@ -2,14 +2,11 @@
 # Runs the benchmark suites and writes the per-layer perf trajectories:
 #   BENCH_bdd.json    — BDD microbenchmarks (google-benchmark JSON:
 #                       cpu_time in ns per op, plus peak_live_nodes /
-#                       cache_hit_rate counters), including the
-#                       shared-mode burst (BM_SharedMakeNodeBurstStriped)
+#                       cache_hit_rate counters)
 #   BENCH_engine.json — engine-layer suite throughput (suites/sec over
 #                       the example-model manifest at --jobs 1, 2, 4,
 #                       via bench/engine_throughput and the executor),
-#                       plus intra-suite sharding (verify once, rows
-#                       on K threads over one shared BddManager), plus
-#                       the server_loopback family: the covest_serve wire
+#                       plus the server_loopback family: the covest_serve wire
 #                       path end to end (an in-process CovestServer on
 #                       127.0.0.1), cache:off against cache:on — the
 #                       warm-model-cache speedup. On boxes with few
@@ -26,7 +23,7 @@
 # a stale file: BENCH_bdd.json must record exactly the benchmark
 # families compiled into bdd_microbench, and BENCH_engine.json exactly
 # the names `engine_throughput --list` prints for the configuration this
-# script drives (--jobs 1,2,4 --shards 4). A missing row means the file
+# script drives (--jobs 1,2,4). A missing row means the file
 # predates a new benchmark; an extra row is a benchmark that was deleted.
 set -euo pipefail
 
@@ -77,8 +74,7 @@ EOF
   fi
   ENGINE_LIST_FILE="$(mktemp)"
   # Exactly the configuration the measuring run below uses.
-  "${BUILD_DIR}/engine_throughput" --list --jobs 1,2,4 --shards 4 \
-    > "${ENGINE_LIST_FILE}"
+  "${BUILD_DIR}/engine_throughput" --list --jobs 1,2,4 > "${ENGINE_LIST_FILE}"
   python3 - "${ENGINE_JSON}" "${ENGINE_LIST_FILE}" <<'EOF' || STATUS=$?
 import json, sys
 # Engine benchmark names are fully parameterized (no family prefix
@@ -132,11 +128,10 @@ echo "wrote ${OUT_JSON}"
 
 # Engine-layer suite throughput: every example model's default suite,
 # repeated, fanned out through the executor at 1/2/4 workers, then the
-# shards=4 sharded run.
+# server-loopback and image-strategy families.
 "${BUILD_DIR}/engine_throughput" \
   --repeat "${ENGINE_REPEAT}" \
   --jobs 1,2,4 \
-  --shards 4 \
   --out "${ENGINE_OUT_JSON}" \
   "${REPO_ROOT}"/examples/models/*.cov
 

@@ -55,8 +55,6 @@ void usage(std::FILE* to) {
       "\n"
       "options:\n"
       "  --jobs N     worker threads (default 1; 0 = hardware threads)\n"
-      "  --shards K   verify each suite once, estimate its signal rows\n"
-      "               on up to K threads over one shared manager\n"
       "  --image-strategy monolithic|partitioned|chaining\n"
       "               image computation: one conjoined transition\n"
       "               relation, clustered partials with early\n"
@@ -96,13 +94,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--jobs") == 0) {
       if (i + 1 >= argc || !parse_count(argv[++i], &options.jobs)) {
         std::fprintf(stderr, "error: --jobs needs a non-negative integer\n\n");
-        usage(stderr);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      if (i + 1 >= argc || !parse_count(argv[++i], &options.defaults.shards) ||
-          options.defaults.shards == 0) {
-        std::fprintf(stderr, "error: --shards needs a positive integer\n\n");
         usage(stderr);
         return 2;
       }

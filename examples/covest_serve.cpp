@@ -70,8 +70,6 @@ void usage(std::FILE* to) {
       "  --max-nodes N\n"
       "               default per-job BDD node budget (a request's own\n"
       "               max_live_nodes wins)\n"
-      "  --shards K   default intra-suite estimation sharding (a\n"
-      "               request's own shards value wins)\n"
       "  --image-strategy monolithic|partitioned|chaining\n"
       "               default image computation strategy for every job\n"
       "               (results are byte-identical across strategies)\n"
@@ -165,7 +163,6 @@ int main(int argc, char** argv) {
                count_flag("--deadline-ms", &options.defaults.deadline_ms,
                           true) ||
                count_flag("--max-nodes", &options.defaults.max_nodes, true) ||
-               count_flag("--shards", &options.defaults.shards, true) ||
                count_flag("--cache", &options.cache_sessions, false) ||
                count_flag("--max-connections", &options.max_connections,
                           true) ||

@@ -37,90 +37,44 @@
 // Generation-stamp protocol
 // -------------------------
 // Every node has a 32-bit generation stamp plus a 32-bit scratch word,
-// held in a per-thread context parallel to the node pool. A traversal
-// (mark, support, node_count, sat_count, permute, DOT export, GC)
-// begins by bumping its thread's generation counter; a node is
-// "visited" when its stamp equals the current generation, and per-node
-// traversal state lives in the scratch word (or in a flat per-thread
-// side array for values wider than 32 bits, e.g. the sat-count memo).
-// Traversals therefore run with zero per-call heap allocation once
-// warmed up — nothing is cleared, stale state is simply outdated. The
-// counter bumps are not reentrant within one thread: at most one
-// stamped traversal runs at a time per thread (operations that build
-// nodes, like permute, are fine — fresh nodes start at generation 0);
-// different shared-mode threads traverse independently in their own
-// contexts. On a thread's ~2^32nd traversal its counter wraps; its
-// stamps are reset to 0 once and the counter restarts at 1.
+// held in the manager's scratch context parallel to the node pool. A
+// traversal (mark, support, node_count, sat_count, permute, DOT export,
+// GC) begins by bumping the generation counter; a node is "visited"
+// when its stamp equals the current generation, and per-node traversal
+// state lives in the scratch word (or in a flat side array for values
+// wider than 32 bits, e.g. the sat-count memo). Traversals therefore
+// run with zero per-call heap allocation once warmed up — nothing is
+// cleared, stale state is simply outdated. The counter bumps are not
+// reentrant: at most one stamped traversal runs at a time (operations
+// that build nodes, like permute, are fine — fresh nodes start at
+// generation 0). On the ~2^32nd traversal the counter wraps; the stamps
+// are reset to 0 once and the counter restarts at 1.
 //
-// Thread safety and shared (sharded) mode
-// ----------------------------------------
-// A `BddManager` has two modes:
+// Thread safety
+// -------------
+// A `BddManager` and all `Bdd` handles attached to it are used by one
+// thread at a time. Nothing inside the manager is synchronized: node
+// reference counts are plain integers, and the unique subtables, the
+// computed cache and the traversal scratch are unguarded. Concurrency
+// lives above the kernel — the executor runs different jobs, each with
+// its own manager, on different workers, and a cached session is leased
+// to one worker at a time.
 //
-//  * Exclusive mode (the default): the manager and all `Bdd` handles
-//    attached to it are used from a single thread. The manager records
-//    the owning thread and, in debug builds, asserts that every node
-//    construction happens on that thread — an executor bug that leaks a
-//    manager across workers fails loudly instead of corrupting the
-//    pool. A consumer that legitimately takes over a finished worker's
-//    manager (e.g. `engine::JobHandle::take`) calls
-//    `rebind_to_current_thread` first.
-//
-//  * Shared mode (`begin_shared` ... `end_shared`): K registered
-//    threads build nodes and run traversals concurrently under ONE
-//    manager — the substrate for "verify once, estimate in parallel".
-//    The structures that make this safe:
-//      - The node pool lives in geometrically-sized *segments* that are
-//        never reallocated, so concurrent readers keep valid references
-//        while other threads grow the pool. Threads allocate fresh
-//        slots from per-thread arenas refilled in blocks under one
-//        allocation mutex.
-//      - The per-variable unique subtables and the computed cache are
-//        guarded by striped lock arrays (`var % kUniqueStripes`, cache
-//        slot % `kCacheStripes`); the mutexes double as the publication
-//        fence. The computed cache is the same table exclusive mode
-//        uses, so a memo stored before `begin_shared` (typically by the
-//        verify phase) is one lookup away inside the epoch.
-//      - All traversal scratch (generation stamps, work stack,
-//        sat-count memo, support marks) moves into per-thread contexts
-//        created at registration, so the generation-stamp protocol
-//        below needs no cross-thread coordination.
-//      - External reference counts are atomics, so handles may be
-//        copied/destroyed on any registered thread.
-//    Memory reclamation inside a shared epoch is a stop-the-world
-//    collection that frees what it sweeps. Every public node-touching
-//    entry point passes an `OpGate` that counts the thread into its
-//    operation (`op_depth`). A collection (`gc()` from any registered
-//    thread, or a volunteer when pool occupancy crosses the GC
-//    threshold) raises `pause_requested_` and waits until every other
-//    registered thread has `op_depth == 0` (a Dekker handshake with
-//    the gate, see `shared_op_enter`). Raw unreferenced intermediates
-//    only exist *inside* an operation; between operations a thread
-//    names nodes only through refcounted handles, which the mark
-//    treats as roots. So, inside the pause, the collector marks from
-//    the roots, unlinks every dead node from its unique chain, resets
-//    its fields, bumps the computed-cache epoch and links its slot
-//    straight onto the free list: no thread can still hold a swept
-//    slot when the pause lifts, and the release of the pause orders
-//    the sweep before every thread's next operation. A slot may thus
-//    be reused by the very next allocation after the pause.
-//    `clear_cache` is an O(1) atomic epoch bump. `new_var`, reordering
-//    and `live_node_count` still throw `std::logic_error` while shared
-//    mode is on. Each registered thread sees the exact same canonical
-//    BDDs, so results are bit-identical to an exclusive-mode
-//    computation — collections only remove unreachable nodes, which
-//    canonicity makes unobservable.
+// The manager records its owning thread and, in debug builds, asserts
+// that every node construction happens on that thread, so an executor
+// bug that leaks a manager across workers fails loudly instead of
+// corrupting the pool. A consumer that legitimately takes over another
+// thread's manager (e.g. `engine::JobHandle::take`, or a worker leasing
+// a warm session) calls `rebind_to_current_thread` first.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cassert>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -249,8 +203,6 @@ struct BddStats {
   /// make_node calls that restored canonicity by complementing — i.e.
   /// node shapes that a complement-free package would have duplicated.
   std::size_t complement_canonicalizations = 0;
-  /// Cooperative shared-mode collections (pause + mark + sweep).
-  std::size_t shared_gc_runs = 0;
 
   /// Computed-cache hit rate since the manager's last cache clear (every
   /// GC clears it), in [0, 1].
@@ -378,28 +330,20 @@ class BddManager {
 
   /// Mark-and-sweep collection rooted at live handles. Invalidates nothing
   /// that is still referenced. Returns the number of nodes freed; freed
-  /// slots go straight back to the free list in both modes. Legal in
-  /// both modes; in shared mode the caller must be a registered thread
-  /// between operations, and the collection runs under a stop-the-world
-  /// pause (every other registered thread between operations, holding
-  /// only refcounted roots), so immediate reuse is safe.
+  /// slots go straight back to the free list. Must not run inside an
+  /// operation.
   std::size_t gc();
 
-  /// Clears the computed cache; exposed mainly for benchmarking
-  /// cold-cache behaviour. Exclusive mode also resets the per-epoch
-  /// cache statistics (`cache_hits`, `cache_lookups`). In shared mode
-  /// this is a single atomic epoch bump, safe concurrent with lookups
-  /// (a racing reader may still use a pre-bump memo, which is
-  /// semantically valid — nothing has been freed).
+  /// Clears the computed cache (an O(1) epoch bump) and resets the
+  /// per-epoch cache statistics (`cache_hits`, `cache_lookups`); exposed
+  /// mainly for benchmarking cold-cache behaviour.
   void clear_cache();
 
   /// Pool-occupancy level (allocated - free) at which automatic
-  /// collection triggers. Exclusive mode adapts it upward when a
-  /// collection fails to free much; shared mode treats it as the
-  /// request threshold for volunteer collections. Settable only in
-  /// exclusive mode; also seeded from the COVEST_GC_THRESHOLD
-  /// environment variable at construction (tests/soaks force small
-  /// pools into collection that way).
+  /// collection triggers; adapted upward when a collection fails to
+  /// free much. Also seeded from the COVEST_GC_THRESHOLD environment
+  /// variable at construction (tests/soaks force small pools into
+  /// collection that way).
   void set_gc_threshold(std::size_t threshold);
   std::size_t gc_threshold() const noexcept { return gc_threshold_; }
 
@@ -407,11 +351,9 @@ class BddManager {
   /// slots throws covest::ResourceExhausted instead of allocating.
   /// Occupancy is `allocated() - 1 - free_count` (terminal excluded) —
   /// live nodes plus garbage the next GC would reclaim — so the budget
-  /// bounds resident pool memory, not the reachable-node count. Applies
-  /// to both epochs; in shared mode enforcement is per arena refill, so
-  /// up to `kArenaBlock` slots per shard thread of slack. Settable only
-  /// in exclusive mode; exhaustion fires before any slot is handed out,
-  /// so the pool is never left inconsistent.
+  /// bounds resident pool memory, not the reachable-node count.
+  /// Exhaustion fires before any slot is handed out, so the pool is
+  /// never left inconsistent.
   void set_max_live_nodes(std::size_t budget);
   std::size_t max_live_nodes() const noexcept { return max_live_nodes_; }
 
@@ -439,53 +381,22 @@ class BddManager {
   /// Live node count right now (runs no GC; counts reachable nodes).
   std::size_t live_node_count();
 
-  /// Thread that owns this manager (exclusive-mode contract above).
+  /// Thread that owns this manager (thread-safety contract above).
   std::thread::id owner_thread() const noexcept { return owner_thread_; }
-  /// Transfers exclusive ownership to the calling thread. Only legal
-  /// once the previous owner has stopped using the manager — the
-  /// hand-off a multi-worker executor performs when a finished job's
-  /// results (and their live `Bdd` handles) are consumed on another
-  /// thread. Meaningless (and asserted against) in shared mode; a
-  /// shared manager is handed off by `end_shared`, which rebinds to the
-  /// caller.
+  /// Transfers ownership to the calling thread. Only legal once the
+  /// previous owner has stopped using the manager — the hand-off a
+  /// multi-worker executor performs when a finished job's results (and
+  /// their live `Bdd` handles) are consumed on another thread.
   void rebind_to_current_thread() noexcept {
-    assert(!shared_mode_ && "rebind_to_current_thread during shared mode");
     owner_thread_ = std::this_thread::get_id();
   }
-
-  // -- Shared (sharded) mode ---------------------------------------------------
-
-  /// Enters shared mode: up to `max_threads` registered threads may
-  /// build nodes and traverse concurrently under the striped locks.
-  /// Must be called from the owning thread, outside any operation.
-  /// Until `end_shared`, `new_var`, reordering and `live_node_count`
-  /// throw `std::logic_error`; `gc` and `clear_cache` are legal from
-  /// registered threads (cooperative pause + immediate free, see the
-  /// header comment).
-  void begin_shared(std::size_t max_threads);
-
-  /// Leaves shared mode: merges the per-thread statistics, returns
-  /// unused arena slots to the free list, and rebinds exclusive
-  /// ownership to the calling thread.
-  /// All registered threads must have finished (the caller joins them
-  /// first).
-  void end_shared();
-
-  /// Registers the calling thread as one of the shared-mode workers.
-  /// Every thread that touches the manager between `begin_shared` and
-  /// `end_shared` — including the thread that called `begin_shared`, if
-  /// it participates — must register exactly once per shared epoch.
-  void register_shard_thread();
-
-  bool in_shared_mode() const noexcept { return shared_mode_; }
 
   // -- Test instrumentation ----------------------------------------------------
 
   /// Raw computed-cache probe/publish, bypassing the recursive
   /// operations. `op` is opaque to the cache, so tests can drive
-  /// synthetic keys at racing threads and assert that a lookup never
-  /// returns a value whose full key does not match. Not for production
-  /// use.
+  /// synthetic keys and assert that a lookup never returns a value
+  /// whose full key does not match. Not for production use.
   bool debug_cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
                         NodeIndex c, NodeIndex* out) {
     return cache_find(op, a, b, c, out);
@@ -518,8 +429,8 @@ class BddManager {
  private:
   friend class Bdd;
 
-  // 16 bytes; the traversal stamps live in the per-thread contexts so
-  // the hot recursion paths keep four nodes per cache line.
+  // 16 bytes; the traversal stamps live in the scratch context so the
+  // hot recursion paths keep four nodes per cache line.
   struct Node {
     NodeIndex low = kInvalidIndex;   ///< May carry the complement bit.
     NodeIndex high = kInvalidIndex;  ///< Invariant: never complemented.
@@ -528,20 +439,14 @@ class BddManager {
   };
 
   /// Per-node traversal state (see the generation-stamp protocol in the
-  /// header comment); indexed by slot, parallel to the node pool, one
-  /// copy per thread context.
+  /// header comment); indexed by slot, parallel to the node pool.
   struct NodeStamp {
-    std::uint32_t gen = 0;      ///< Stamp: visited iff == ctx generation.
+    std::uint32_t gen = 0;      ///< Stamp: visited iff == generation.
     std::uint32_t scratch = 0;  ///< Per-traversal scratch word.
   };
 
-  /// All mutable traversal scratch of one thread. Exclusive mode uses
-  /// `main_ctx_`; each shared-mode thread gets a fresh context at
-  /// registration (fresh contexts also mean no stale generation stamps
-  /// can survive an epoch change). The `stats` block accumulates the
-  /// thread's counter deltas, merged into `stats_` by `end_shared`.
-  struct ThreadCtx {
-    std::thread::id thread;
+  /// All mutable traversal scratch, reused across calls.
+  struct Scratch {
     std::uint32_t generation = 0;  ///< Current traversal generation.
     bool in_operation = false;     ///< Guards against GC during recursion.
     std::vector<NodeStamp> stamps;       ///< Indexed by slot (grown lazily).
@@ -550,15 +455,6 @@ class BddManager {
     std::vector<std::uint32_t> var_gen;  ///< Per-variable stamps (support).
     std::vector<std::uint32_t> level_rank;   ///< sat_count: level -> rank.
     std::vector<unsigned> level_scratch;     ///< sat_count: sorted levels.
-    NodeIndex arena_next = 0;  ///< Next free slot in this thread's arena.
-    NodeIndex arena_end = 0;   ///< One past the arena's last slot.
-    std::vector<NodeIndex> recycled;  ///< Free-list slots claimed in bulk.
-    BddStats stats;            ///< Shared-mode counter deltas.
-
-    /// Public-op nesting depth. seq_cst at every site: the
-    /// gate/collector handshake is a Dekker-style store-load pattern,
-    /// spelled with operations rather than fences so TSan models it.
-    std::atomic<std::uint32_t> op_depth{0};
   };
 
   struct Subtable {
@@ -589,8 +485,10 @@ class BddManager {
   // -- Segmented node pool ---------------------------------------------------
   // Slots live in geometrically-sized segments (segment 0 holds 2^kSeg0Bits
   // slots, segment k>0 holds 2^(kSeg0Bits+k-1)), so growing the pool never
-  // moves existing nodes — the property shared mode relies on. The segment
-  // of a slot is one bit-scan away.
+  // copies nodes: growth allocates one new segment next to the old ones,
+  // where a reallocating vector would briefly hold the old and the new
+  // pool at once — that copy would set the peak resident memory of every
+  // large run. The segment of a slot is one bit-scan away.
   static constexpr unsigned kSeg0Bits = 9;
   static constexpr unsigned kMaxSegments = 23;  // Covers all 2^31 slots.
 
@@ -621,15 +519,12 @@ class BddManager {
   const Node& node_at(NodeIndex slot) const noexcept {
     return node_base_[seg_of(slot)][slot];
   }
-  std::atomic<std::uint32_t>& ref_at(NodeIndex slot) const noexcept {
+  std::uint32_t& ref_at(NodeIndex slot) noexcept {
     return ref_base_[seg_of(slot)][slot];
   }
 
-  /// Number of allocated slots (terminal included; relaxed reads are
-  /// safe anywhere a published edge is in hand — see bdd.cpp).
-  NodeIndex allocated() const noexcept {
-    return allocated_.load(std::memory_order_relaxed);
-  }
+  /// Number of allocated slots (terminal included).
+  NodeIndex allocated() const noexcept { return allocated_; }
 
   /// Grows segment storage until at least `n` slots are addressable.
   void ensure_pool(std::size_t n);
@@ -637,7 +532,6 @@ class BddManager {
   // Node pool plumbing.
   NodeIndex make_node(Var v, NodeIndex low, NodeIndex high);
   NodeIndex allocate_node();
-  NodeIndex allocate_node_shared(ThreadCtx& tc);
   void subtable_insert(Var v, NodeIndex n);
   void subtable_remove(Var v, NodeIndex n);
   std::size_t subtable_bucket(Var v, NodeIndex low, NodeIndex high) const;
@@ -645,74 +539,26 @@ class BddManager {
   void maybe_resize_subtable(Var v);
   void maybe_gc();
 
-  /// Hard form of the exclusive-only contract: the structural-mutation
-  /// entry points call this and fail with `std::logic_error` (release
-  /// builds included) instead of corrupting a shared pool.
-  void require_exclusive(const char* what) const;
-
-  // -- Shared-mode reclamation -----------------------------------------------
-
-  /// RAII gate every public node-touching entry point passes through.
-  /// Exclusive mode: the old `maybe_gc(); OperationGuard` pair (the
-  /// `allow_gc` flag preserves the historical set of auto-GC points —
-  /// inspection entries never triggered collection and still don't).
-  /// Shared mode: counts the thread into the operation, parking across
-  /// collection pauses on the outermost entry (`shared_op_enter`).
+  /// RAII gate every public node-touching entry point passes through:
+  /// runs the automatic collection check on entry (the `allow_gc` flag
+  /// preserves the historical set of auto-GC points — inspection entries
+  /// never trigger collection) and marks the manager as inside an
+  /// operation, so no collection can run under a recursion's raw edges.
   class OpGate {
    public:
-    OpGate(BddManager& mgr, ThreadCtx& tc, bool allow_gc = true)
-        : mgr_(mgr),
-          tc_(tc),
-          shared_(mgr.shared_mode_),
-          was_in_operation_(tc.in_operation) {
-      if (shared_) {
-        mgr.shared_op_enter(tc);
-      } else if (allow_gc) {
-        mgr.maybe_gc();
-      }
-      tc.in_operation = true;
+    explicit OpGate(BddManager& mgr, bool allow_gc = true)
+        : sc_(mgr.scratch_), was_in_operation_(sc_.in_operation) {
+      if (allow_gc) mgr.maybe_gc();
+      sc_.in_operation = true;
     }
-    ~OpGate() {
-      tc_.in_operation = was_in_operation_;
-      if (shared_) tc_.op_depth.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    ~OpGate() { sc_.in_operation = was_in_operation_; }
     OpGate(const OpGate&) = delete;
     OpGate& operator=(const OpGate&) = delete;
 
    private:
-    BddManager& mgr_;
-    ThreadCtx& tc_;
-    bool shared_;
+    Scratch& sc_;
     bool was_in_operation_;
   };
-
-  /// Outermost-entry protocol: park if a collection is pausing the
-  /// epoch, volunteer for a requested one.
-  void shared_op_enter(ThreadCtx& tc);
-  /// Cooperative collection: pause (wait for every registered thread to
-  /// reach an operation boundary), mark from refcounted roots, sweep
-  /// dead nodes straight onto the free list, invalidate the computed
-  /// cache, resume. `force` waits for the collector election (explicit
-  /// `gc()`); volunteers use try-lock and simply return when another
-  /// thread is already collecting. Returns the number of nodes freed.
-  std::size_t shared_collect(ThreadCtx& tc, bool force);
-
-  // -- Thread contexts -------------------------------------------------------
-
-  /// The calling thread's context: `main_ctx_` in exclusive mode, the
-  /// registered shard context in shared mode (throws std::logic_error for
-  /// an unregistered thread — the shared-mode affinity guard).
-  ThreadCtx& ctx() {
-    if (!shared_mode_) return main_ctx_;
-    return shard_ctx();
-  }
-  ThreadCtx& shard_ctx();
-  /// The thread's counter sink: `stats_` in exclusive mode, the shard
-  /// context's delta block in shared mode.
-  BddStats& hot_stats() {
-    if (!shared_mode_) return stats_;
-    return shard_ctx().stats;
-  }
 
   unsigned level(NodeIndex e) const {
     const Var v = node_at(edge_node(e)).var;
@@ -721,31 +567,12 @@ class BddManager {
   static constexpr unsigned kTerminalLevel = 0xffffffffu;
 
   // Reference counting for handles (per slot). Inline: every Bdd copy,
-  // assignment and destruction lands here. Exclusive mode is
-  // single-threaded by contract, so it sidesteps the lock-prefixed RMW
-  // (~20 cycles per handle copy) with a plain load+store on the same
-  // atomic; the mode transitions happen-before any cross-thread handle
-  // traffic, so mixing the access styles on one counter is race-free.
-  void ref(NodeIndex e) noexcept {
-    std::atomic<std::uint32_t>& r = ref_at(edge_node(e));
-    if (shared_mode_) {
-      r.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      r.store(r.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-    }
-  }
+  // assignment and destruction lands here.
+  void ref(NodeIndex e) noexcept { ++ref_at(edge_node(e)); }
   void deref(NodeIndex e) noexcept {
-    std::atomic<std::uint32_t>& r = ref_at(edge_node(e));
-    if (shared_mode_) {
-      [[maybe_unused]] const std::uint32_t old =
-          r.fetch_sub(1, std::memory_order_relaxed);
-      assert(old > 0);
-    } else {
-      const std::uint32_t old = r.load(std::memory_order_relaxed);
-      assert(old > 0);
-      r.store(old - 1, std::memory_order_relaxed);
-    }
+    std::uint32_t& r = ref_at(edge_node(e));
+    assert(r > 0);
+    --r;
   }
 
   // Computed cache. The table starts at 2^8 entries and may quadruple,
@@ -753,20 +580,19 @@ class BddManager {
   // exceed a quarter of its size — but only while the grown table would
   // hold no more entries than the pool has occupied slots, or under
   // sustained overwrite pressure (more than 4x its size in stores since
-  // the last growth). Growth keeps the current-epoch memos. Shared
-  // epochs never resize.
+  // the last growth). Growth keeps the current-epoch memos.
   bool cache_find(std::uint32_t op, NodeIndex a, NodeIndex b, NodeIndex c,
                   NodeIndex* out);
   void cache_store(std::uint32_t op, NodeIndex a, NodeIndex b, NodeIndex c,
                    NodeIndex result);
   void maybe_grow_cache();
 
-  // Generation-stamp traversal protocol (all state in the thread ctx).
-  std::uint32_t next_generation(ThreadCtx& tc);
-  /// Marks every node reachable from `e` with the ctx's current
-  /// generation using its reusable work stack; returns how many
-  /// unvisited non-terminal slots it stamped.
-  std::size_t mark_reachable(ThreadCtx& tc, NodeIndex e);
+  // Generation-stamp traversal protocol (all state in `scratch_`).
+  std::uint32_t next_generation();
+  /// Marks every node reachable from `e` with the current generation
+  /// using the reusable work stack; returns how many unvisited
+  /// non-terminal slots it stamped.
+  std::size_t mark_reachable(NodeIndex e);
 
   // Recursive cores (operate on edges; callers hold handle roots).
   NodeIndex ite_rec(NodeIndex f, NodeIndex g, NodeIndex h);
@@ -781,28 +607,23 @@ class BddManager {
 
   NodeIndex compose_rec(NodeIndex f, Var v, NodeIndex g, unsigned v_level);
   NodeIndex simplify_rec(NodeIndex f, NodeIndex care);
-  NodeIndex permute_rec(ThreadCtx& tc, NodeIndex f,
-                        const std::vector<Var>& perm);
+  NodeIndex permute_rec(NodeIndex f, const std::vector<Var>& perm);
 
-  double sat_count_rec(ThreadCtx& tc, NodeIndex slot);
+  double sat_count_rec(NodeIndex slot);
 
   void sift_var_to(Var v, unsigned target_level);
 
   // Data members.
   std::array<std::unique_ptr<Node[]>, kMaxSegments> node_segs_;
-  /// External reference counts, parallel to the node segments. Atomic so
-  /// handles may be copied/destroyed on any shared-mode thread (and
-  /// exclusive mode sidesteps the RMW cost with plain load/store).
-  mutable std::array<std::unique_ptr<std::atomic<std::uint32_t>[]>,
-                     kMaxSegments>
-      ref_segs_;
+  /// External reference counts, parallel to the node segments.
+  std::array<std::unique_ptr<std::uint32_t[]>, kMaxSegments> ref_segs_;
   /// Base-adjusted segment pointers for the hot accessors above
   /// (`node_base_[s] == node_segs_[s].get() - seg_base(s)`).
   std::array<Node*, kMaxSegments> node_base_{};
-  mutable std::array<std::atomic<std::uint32_t>*, kMaxSegments> ref_base_{};
+  std::array<std::uint32_t*, kMaxSegments> ref_base_{};
   unsigned num_segments_ = 0;
   std::size_t pool_capacity_ = 0;
-  std::atomic<std::uint32_t> allocated_{0};  ///< Slots handed out so far.
+  std::uint32_t allocated_ = 0;  ///< Slots handed out so far.
   std::vector<Subtable> subtables_;
   std::vector<unsigned> var_to_level_;
   std::vector<Var> level_to_var_;
@@ -811,62 +632,16 @@ class BddManager {
   std::size_t cache_mask_;
   std::size_t cache_max_size_;
   std::size_t cache_stores_since_grow_ = 0;
-  /// 0 is reserved for "never valid". Atomic because shared-mode
-  /// `clear_cache`/collections bump it concurrently with lookups; all
-  /// accesses are relaxed — a validation against a stale epoch value
-  /// only re-admits a memo that was correct when stored (slots are
-  /// freed only inside a collection pause, whose release orders the
-  /// bump before every thread's next operation).
-  std::atomic<std::uint32_t> cache_epoch_{1};
+  std::uint32_t cache_epoch_ = 1;  ///< 0 is reserved for "never valid".
   NodeIndex free_head_ = kInvalidIndex;
   std::size_t free_count_ = 0;
   std::size_t gc_threshold_;
   std::size_t max_live_nodes_ = 0;  ///< 0 = unbudgeted (see setter).
-  /// Exclusive-mode thread-affinity guard: `make_node` asserts (debug
-  /// builds) that node construction happens on this thread. See
-  /// `rebind_to_current_thread`. In shared mode the guard is
-  /// registration instead (see `shard_ctx`).
+  /// Thread-affinity guard: `make_node` asserts (debug builds) that node
+  /// construction happens on this thread. See `rebind_to_current_thread`.
   std::thread::id owner_thread_ = std::this_thread::get_id();
   BddStats stats_;
-
-  // -- Shared-mode state -----------------------------------------------------
-  ThreadCtx main_ctx_;          ///< Exclusive-mode traversal scratch.
-  bool shared_mode_ = false;    ///< Set/cleared only from the owner thread.
-  std::uint64_t shared_epoch_ = 0;  ///< Fresh process-global token on every
-                                    ///< mode transition, so thread-local ctx
-                                    ///< caches can't leak across epochs — or
-                                    ///< across managers reusing an address.
-  std::size_t shard_max_threads_ = 0;
-  std::vector<std::unique_ptr<ThreadCtx>> shard_ctxs_;
-  std::mutex shard_reg_mu_;  ///< Guards `shard_ctxs_` (registration/lookup).
-  std::mutex alloc_mu_;  ///< Guards pool growth, arena refills and the
-                         ///< free list while shared.
-  static constexpr std::size_t kUniqueStripes = 64;
-  static constexpr std::size_t kCacheStripes = 64;
-  static constexpr NodeIndex kArenaBlock = 256;  ///< Slots per arena refill.
-  /// Striped locks: unique subtables by `var % kUniqueStripes`, computed
-  /// cache by `slot % kCacheStripes`. Only taken in shared mode.
-  std::array<std::mutex, kUniqueStripes> unique_mu_;
-  std::array<std::mutex, kCacheStripes> cache_mu_;
-
-  // -- Shared-mode reclamation state -----------------------------------------
-  /// Collector election: exactly one thread runs a collection at a
-  /// time. Volunteers try-lock; explicit `gc()` blocks.
-  std::mutex gc_mu_;
-  /// Raised by the elected collector; every operation gate parks
-  /// on `pause_cv_` while it is up. Cleared under `pause_mu_` before
-  /// the notify so parked threads cannot miss the wakeup.
-  std::atomic<bool> pause_requested_{false};
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;
-  /// Set by the arena-refill path when occupancy crosses the GC
-  /// threshold; the next thread through an operation gate volunteers
-  /// to collect.
-  std::atomic<bool> gc_requested_{false};
-  /// Set when a shared-mode `clear_cache` wraps `cache_epoch_` past zero
-  /// without a paused physical sweep; the next collection's stop window
-  /// clears the cache and resets this.
-  std::atomic<bool> cache_wrap_dirty_{false};
+  Scratch scratch_;  ///< Traversal scratch (generation-stamp protocol).
 };
 
 }  // namespace covest::bdd

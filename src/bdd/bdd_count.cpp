@@ -4,10 +4,8 @@
 // counts over the state variables: |covered| / |reachable|.
 //
 // All traversals here follow the generation-stamp protocol (see bdd.h):
-// visited state and memos live in flat per-thread context arrays, so
-// none of these paths allocates per call once warmed up — and in shared
-// mode every registered thread traverses in its own context, with no
-// cross-thread coordination.
+// visited state and memos live in flat scratch arrays, so none of these
+// paths allocates per call once warmed up.
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -25,15 +23,16 @@ namespace covest::bdd {
 // functions (a pure fraction formulation would hit subnormals past
 // ~1074 levels). Complement edges are resolved at each child: the
 // negated count over k remaining variables is 2^k minus the plain one.
-double BddManager::sat_count_rec(ThreadCtx& tc, NodeIndex slot) {
-  if (tc.stamps[slot].gen == tc.generation) return tc.count_memo[slot];
-  const std::uint32_t rank = tc.level_rank[var_to_level_[node_at(slot).var]];
-  const std::uint32_t total = tc.level_rank[tc.level_rank.size() - 1];
+double BddManager::sat_count_rec(NodeIndex slot) {
+  Scratch& sc = scratch_;
+  if (sc.stamps[slot].gen == sc.generation) return sc.count_memo[slot];
+  const std::uint32_t rank = sc.level_rank[var_to_level_[node_at(slot).var]];
+  const std::uint32_t total = sc.level_rank[sc.level_rank.size() - 1];
   const auto child_count = [&](NodeIndex e) -> double {
     const NodeIndex child = edge_node(e);
     const std::uint32_t child_rank =
-        child == 0 ? total : tc.level_rank[var_to_level_[node_at(child).var]];
-    double n = child == 0 ? 1.0 : sat_count_rec(tc, child);
+        child == 0 ? total : sc.level_rank[var_to_level_[node_at(child).var]];
+    double n = child == 0 ? 1.0 : sat_count_rec(child);
     if (edge_is_complemented(e)) {
       n = std::exp2(static_cast<double>(total - child_rank)) - n;
     }
@@ -46,17 +45,16 @@ double BddManager::sat_count_rec(ThreadCtx& tc, NodeIndex slot) {
   };
   const double result =
       child_count(node_at(slot).low) + child_count(node_at(slot).high);
-  tc.stamps[slot].gen = tc.generation;
-  tc.count_memo[slot] = result;
+  sc.stamps[slot].gen = sc.generation;
+  sc.count_memo[slot] = result;
   return result;
 }
 
 double BddManager::sat_count(const Bdd& f, const std::vector<Var>& over) {
   assert(f.manager() == this);
-  // Inspection entries never trigger exclusive GC (allow_gc=false keeps
-  // historical collection timing), but in shared mode the gate is what
-  // keeps a concurrent collection from sweeping under the traversal.
-  OpGate gate(*this, ctx(), /*allow_gc=*/false);
+  // Inspection entries never trigger GC (allow_gc=false keeps the
+  // historical collection timing).
+  OpGate gate(*this, /*allow_gc=*/false);
 #ifndef NDEBUG
   for (Var v : support(f)) {
     assert(std::find(over.begin(), over.end(), v) != over.end() &&
@@ -67,27 +65,27 @@ double BddManager::sat_count(const Bdd& f, const std::vector<Var>& over) {
   if (f.is_false()) return 0.0;
   if (f.is_true()) return std::exp2(total_vars);
 
-  ThreadCtx& tc = ctx();
-  // Rank the counted variables by level in the reusable per-thread
+  Scratch& sc = scratch_;
+  // Rank the counted variables by level in the reusable scratch
   // buffers (level_rank's last entry holds the total, for terminals).
-  tc.level_scratch.clear();
-  for (Var v : over) tc.level_scratch.push_back(var_to_level_[v]);
-  std::sort(tc.level_scratch.begin(), tc.level_scratch.end());
-  tc.level_rank.assign(level_to_var_.size() + 1, 0xffffffffu);
-  for (std::size_t i = 0; i < tc.level_scratch.size(); ++i) {
-    tc.level_rank[tc.level_scratch[i]] = static_cast<std::uint32_t>(i);
+  sc.level_scratch.clear();
+  for (Var v : over) sc.level_scratch.push_back(var_to_level_[v]);
+  std::sort(sc.level_scratch.begin(), sc.level_scratch.end());
+  sc.level_rank.assign(level_to_var_.size() + 1, 0xffffffffu);
+  for (std::size_t i = 0; i < sc.level_scratch.size(); ++i) {
+    sc.level_rank[sc.level_scratch[i]] = static_cast<std::uint32_t>(i);
   }
-  tc.level_rank[tc.level_rank.size() - 1] =
-      static_cast<std::uint32_t>(tc.level_scratch.size());
+  sc.level_rank[sc.level_rank.size() - 1] =
+      static_cast<std::uint32_t>(sc.level_scratch.size());
 
-  next_generation(tc);  // Also sizes tc.stamps to the allocated pool.
-  if (tc.count_memo.size() < tc.stamps.size()) {
-    tc.count_memo.resize(tc.stamps.size());
+  next_generation();  // Also sizes sc.stamps to the allocated pool.
+  if (sc.count_memo.size() < sc.stamps.size()) {
+    sc.count_memo.resize(sc.stamps.size());
   }
   const NodeIndex root = edge_node(f.index());
   const std::uint32_t root_rank =
-      tc.level_rank[var_to_level_[node_at(root).var]];
-  double n = sat_count_rec(tc, root);
+      sc.level_rank[var_to_level_[node_at(root).var]];
+  double n = sat_count_rec(root);
   if (edge_is_complemented(f.index())) {
     n = std::exp2(total_vars - static_cast<double>(root_rank)) - n;
   }
@@ -97,7 +95,7 @@ double BddManager::sat_count(const Bdd& f, const std::vector<Var>& over) {
 
 std::vector<std::pair<Var, bool>> BddManager::sat_one(const Bdd& f) {
   assert(f.manager() == this);
-  OpGate gate(*this, ctx(), /*allow_gc=*/false);
+  OpGate gate(*this, /*allow_gc=*/false);
   std::vector<std::pair<Var, bool>> result;
   // Walk with the complement parity folded into the edge, so terminal
   // tests against the canonical constants stay exact.
@@ -118,7 +116,7 @@ std::vector<std::pair<Var, bool>> BddManager::sat_one(const Bdd& f) {
 std::vector<std::pair<Var, bool>> BddManager::pick_minterm(
     const Bdd& f, const std::vector<Var>& over) {
   assert(f.manager() == this && !f.is_false());
-  OpGate gate(*this, ctx(), /*allow_gc=*/false);
+  OpGate gate(*this, /*allow_gc=*/false);
   // Walk one satisfying path, then default every unconstrained variable
   // to false so the result is a deterministic full assignment.
   std::vector<std::pair<Var, bool>> path = sat_one(f);
@@ -136,7 +134,7 @@ std::vector<std::pair<Var, bool>> BddManager::pick_minterm(
 std::vector<std::vector<std::pair<Var, bool>>> BddManager::enumerate_minterms(
     const Bdd& f, const std::vector<Var>& over, std::size_t limit) {
   assert(f.manager() == this);
-  OpGate gate(*this, ctx(), /*allow_gc=*/false);
+  OpGate gate(*this, /*allow_gc=*/false);
   std::vector<Var> by_level = over;
   std::sort(by_level.begin(), by_level.end(), [this](Var a, Var b) {
     return var_to_level_[a] < var_to_level_[b];
@@ -174,7 +172,7 @@ std::vector<std::vector<std::pair<Var, bool>>> BddManager::enumerate_minterms(
 
 bool BddManager::eval(const Bdd& f, const std::vector<bool>& assignment) {
   assert(f.manager() == this);
-  OpGate gate(*this, ctx(), /*allow_gc=*/false);
+  OpGate gate(*this, /*allow_gc=*/false);
   // Accumulate the complement parity along the path; the terminal node
   // denotes TRUE, so the final answer is the parity's inverse.
   NodeIndex e = f.index();
@@ -191,46 +189,44 @@ bool BddManager::eval(const Bdd& f, const std::vector<bool>& assignment) {
 
 std::vector<Var> BddManager::support(const Bdd& f) {
   assert(f.manager() == this);
-  ThreadCtx& tc = ctx();
-  OpGate gate(*this, tc, /*allow_gc=*/false);
-  // Stamp the support variables in the ctx's var_gen; no per-call
+  Scratch& sc = scratch_;
+  OpGate gate(*this, /*allow_gc=*/false);
+  // Stamp the support variables in the scratch var_gen; no per-call
   // bitmaps.
-  tc.var_gen.resize(num_vars(), 0);
-  next_generation(tc);
-  tc.work_stack.clear();
-  tc.work_stack.push_back(edge_node(f.index()));
-  while (!tc.work_stack.empty()) {
-    const NodeIndex slot = tc.work_stack.back();
-    tc.work_stack.pop_back();
-    if (slot == 0 || tc.stamps[slot].gen == tc.generation) continue;
-    tc.stamps[slot].gen = tc.generation;
-    tc.var_gen[node_at(slot).var] = tc.generation;
-    tc.work_stack.push_back(edge_node(node_at(slot).low));
-    tc.work_stack.push_back(edge_node(node_at(slot).high));
+  sc.var_gen.resize(num_vars(), 0);
+  next_generation();
+  sc.work_stack.clear();
+  sc.work_stack.push_back(edge_node(f.index()));
+  while (!sc.work_stack.empty()) {
+    const NodeIndex slot = sc.work_stack.back();
+    sc.work_stack.pop_back();
+    if (slot == 0 || sc.stamps[slot].gen == sc.generation) continue;
+    sc.stamps[slot].gen = sc.generation;
+    sc.var_gen[node_at(slot).var] = sc.generation;
+    sc.work_stack.push_back(edge_node(node_at(slot).low));
+    sc.work_stack.push_back(edge_node(node_at(slot).high));
   }
   std::vector<Var> result;
-  for (Var v = 0; v < tc.var_gen.size(); ++v) {
-    if (tc.var_gen[v] == tc.generation) result.push_back(v);
+  for (Var v = 0; v < sc.var_gen.size(); ++v) {
+    if (sc.var_gen[v] == sc.generation) result.push_back(v);
   }
   return result;
 }
 
 std::size_t BddManager::node_count(const Bdd& f) {
   assert(f.manager() == this);
-  ThreadCtx& tc = ctx();
-  OpGate gate(*this, tc, /*allow_gc=*/false);
-  next_generation(tc);
-  return mark_reachable(tc, f.index());
+  OpGate gate(*this, /*allow_gc=*/false);
+  next_generation();
+  return mark_reachable(f.index());
 }
 
 std::size_t BddManager::node_count(const std::vector<Bdd>& fs) {
-  ThreadCtx& tc = ctx();
-  OpGate gate(*this, tc, /*allow_gc=*/false);
-  next_generation(tc);
+  OpGate gate(*this, /*allow_gc=*/false);
+  next_generation();
   std::size_t count = 0;
   for (const Bdd& f : fs) {
     assert(f.manager() == this);
-    count += mark_reachable(tc, f.index());
+    count += mark_reachable(f.index());
   }
   return count;
 }

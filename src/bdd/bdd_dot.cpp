@@ -13,7 +13,7 @@ namespace covest::bdd {
 
 void BddManager::write_dot(std::ostream& os, const Bdd& f,
                            const std::string& label) {
-  OpGate gate(*this, ctx(), /*allow_gc=*/false);
+  OpGate gate(*this, /*allow_gc=*/false);
   os << "digraph bdd {\n";
   os << "  label=\"" << label << "\";\n";
   os << "  node [shape=circle];\n";
@@ -38,15 +38,15 @@ void BddManager::write_dot(std::ostream& os, const Bdd& f,
      << edge_attrs(f.index(), false) << ";\n";
 
   // Generation-stamped DFS over plain slots; no per-call visited sets.
-  ThreadCtx& tc = ctx();
-  next_generation(tc);
-  tc.work_stack.clear();
-  tc.work_stack.push_back(edge_node(f.index()));
-  while (!tc.work_stack.empty()) {
-    const NodeIndex slot = tc.work_stack.back();
-    tc.work_stack.pop_back();
-    if (slot == 0 || tc.stamps[slot].gen == tc.generation) continue;
-    tc.stamps[slot].gen = tc.generation;
+  Scratch& sc = scratch_;
+  next_generation();
+  sc.work_stack.clear();
+  sc.work_stack.push_back(edge_node(f.index()));
+  while (!sc.work_stack.empty()) {
+    const NodeIndex slot = sc.work_stack.back();
+    sc.work_stack.pop_back();
+    if (slot == 0 || sc.stamps[slot].gen == sc.generation) continue;
+    sc.stamps[slot].gen = sc.generation;
     const NodeIndex low = node_at(slot).low;
     const NodeIndex high = node_at(slot).high;
     os << "  " << node_name(slot) << " [label=\""
@@ -55,8 +55,8 @@ void BddManager::write_dot(std::ostream& os, const Bdd& f,
        << edge_attrs(low, true) << ";\n";
     os << "  " << node_name(slot) << " -> " << node_name(edge_node(high))
        << edge_attrs(high, false) << ";\n";
-    tc.work_stack.push_back(edge_node(low));
-    tc.work_stack.push_back(edge_node(high));
+    sc.work_stack.push_back(edge_node(low));
+    sc.work_stack.push_back(edge_node(high));
   }
   os << "}\n";
 }

@@ -13,12 +13,10 @@
 //     and forall is derived (`forall(f,c) = !exists(!f,c)`), so the
 //     kOpExists cache serves both quantifiers.
 //
-// The recursions call cache_find/cache_store and make_node through the
-// mode-dispatched paths in bdd.cpp: unsynchronized in exclusive mode,
-// striped mutexes in shared mode. Because the computed cache is *lossy*
-// (a colliding or racing store may overwrite an entry), every recursion
-// below must be — and is — correct with a cache that forgets
-// arbitrarily: a miss recomputes and lands on the same canonical edge.
+// Because the computed cache is *lossy* (a colliding store overwrites an
+// entry), every recursion below must be — and is — correct with a cache
+// that forgets arbitrarily: a miss recomputes and lands on the same
+// canonical edge.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -96,26 +94,26 @@ NodeIndex BddManager::xor_rec(NodeIndex f, NodeIndex g) {
 
 Bdd BddManager::apply_and(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, and_rec(f.index(), g.index()));
 }
 
 Bdd BddManager::apply_or(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, or_rec(f.index(), g.index()));
 }
 
 Bdd BddManager::apply_xor(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, xor_rec(f.index(), g.index()));
 }
 
 Bdd BddManager::apply_not(const Bdd& f) {
   assert(f.manager() == this);
   // O(1): no recursion, no allocation, no cache traffic.
-  ++hot_stats().o1_negations;
+  ++stats_.o1_negations;
   return Bdd(this, edge_not(f.index()));
 }
 
@@ -183,7 +181,7 @@ NodeIndex BddManager::ite_rec(NodeIndex f, NodeIndex g, NodeIndex h) {
 
 Bdd BddManager::apply_ite(const Bdd& f, const Bdd& g, const Bdd& h) {
   assert(f.manager() == this && g.manager() == this && h.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, ite_rec(f.index(), g.index(), h.index()));
 }
 
@@ -227,13 +225,13 @@ NodeIndex BddManager::exists_rec(NodeIndex f, NodeIndex cube) {
 
 Bdd BddManager::exists(const Bdd& f, const Bdd& cube) {
   assert(f.manager() == this && cube.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, exists_rec(f.index(), cube.index()));
 }
 
 Bdd BddManager::forall(const Bdd& f, const Bdd& cube) {
   assert(f.manager() == this && cube.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   // Duality: forall(f) = !exists(!f); shares the kOpExists cache.
   return Bdd(this, edge_not(exists_rec(edge_not(f.index()), cube.index())));
 }
@@ -288,7 +286,7 @@ NodeIndex BddManager::and_exists_rec(NodeIndex f, NodeIndex g, NodeIndex cube) {
 
 Bdd BddManager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   assert(f.manager() == this && g.manager() == this && cube.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, and_exists_rec(f.index(), g.index(), cube.index()));
 }
 
@@ -330,12 +328,12 @@ NodeIndex BddManager::compose_rec(NodeIndex f, Var v, NodeIndex g,
 
 Bdd BddManager::compose(const Bdd& f, Var v, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, compose_rec(f.index(), v, g.index(), var_to_level_[v]));
 }
 
 Bdd BddManager::cofactor(const Bdd& f, Var v, bool value) {
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, compose_rec(f.index(), v,
                                value ? kTrueIndex : kFalseIndex,
                                var_to_level_[v]));
@@ -383,22 +381,19 @@ NodeIndex BddManager::simplify_rec(NodeIndex f, NodeIndex care) {
 Bdd BddManager::simplify(const Bdd& f, const Bdd& care) {
   assert(f.manager() == this && care.manager() == this);
   assert(!care.is_false());
-  OpGate gate(*this, ctx());
+  OpGate gate(*this);
   return Bdd(this, simplify_rec(f.index(), care.index()));
 }
 
-NodeIndex BddManager::permute_rec(ThreadCtx& tc, NodeIndex f,
-                                  const std::vector<Var>& perm) {
+NodeIndex BddManager::permute_rec(NodeIndex f, const std::vector<Var>& perm) {
   if (edge_is_terminal(f)) return f;
 
   // Renaming commutes with complement: memoize on the plain node, with
-  // the result edge in the slot's scratch word (generation-stamped, in
-  // this thread's context — each shared-mode thread memoizes its own
-  // traversal).
+  // the result edge in the slot's generation-stamped scratch word.
   const NodeIndex parity = f & kComplementBit;
   const NodeIndex slot = edge_node(f);
-  if (tc.stamps[slot].gen == tc.generation) {
-    return tc.stamps[slot].scratch ^ parity;
+  if (scratch_.stamps[slot].gen == scratch_.generation) {
+    return scratch_.stamps[slot].scratch ^ parity;
   }
 
   // Copy fields before recursing: make_node may grow the pool.
@@ -406,8 +401,8 @@ NodeIndex BddManager::permute_rec(ThreadCtx& tc, NodeIndex f,
   const NodeIndex flow = node_at(slot).low;
   const NodeIndex fhigh = node_at(slot).high;
 
-  const NodeIndex low = permute_rec(tc, flow, perm);
-  const NodeIndex high = permute_rec(tc, fhigh, perm);
+  const NodeIndex low = permute_rec(flow, perm);
+  const NodeIndex high = permute_rec(fhigh, perm);
   const Var new_var = old_var < perm.size() ? perm[old_var] : old_var;
   // A renamed variable that still sits above both renamed children (the
   // interleaved current/next pairs always do) labels the node directly;
@@ -423,17 +418,16 @@ NodeIndex BddManager::permute_rec(ThreadCtx& tc, NodeIndex f,
   // make_node/ite_rec may have grown the pool past the stamp array that
   // next_generation sized; the memoized slots themselves are all roots
   // of the *input* BDD, which predates the traversal.
-  tc.stamps[slot].gen = tc.generation;
-  tc.stamps[slot].scratch = result;
+  scratch_.stamps[slot].gen = scratch_.generation;
+  scratch_.stamps[slot].scratch = result;
   return result ^ parity;
 }
 
 Bdd BddManager::permute(const Bdd& f, const std::vector<Var>& perm) {
   assert(f.manager() == this);
-  ThreadCtx& tc = ctx();
-  OpGate gate(*this, tc);
-  next_generation(tc);
-  return Bdd(this, permute_rec(tc, f.index(), perm));
+  OpGate gate(*this);
+  next_generation();
+  return Bdd(this, permute_rec(f.index(), perm));
 }
 
 }  // namespace covest::bdd

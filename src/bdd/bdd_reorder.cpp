@@ -20,10 +20,6 @@
 namespace covest::bdd {
 
 void BddManager::swap_adjacent_levels(unsigned lvl) {
-  // Reordering rewrites node fields in place — the one thing no shared
-  // epoch can tolerate. Hard error, not just a
-  // debug assert: a release-build scheduler bug must fail loudly too.
-  require_exclusive("swap_adjacent_levels");
   assert(lvl + 1 < level_to_var_.size());
   const Var x = level_to_var_[lvl];      // Upper variable, moving down.
   const Var y = level_to_var_[lvl + 1];  // Lower variable, moving up.
@@ -93,8 +89,7 @@ void BddManager::sift_var_to(Var v, unsigned target_level) {
 }
 
 std::size_t BddManager::reorder_sift(std::size_t max_vars) {
-  require_exclusive("reorder_sift");
-  assert(!main_ctx_.in_operation);
+  assert(!scratch_.in_operation);
   gc();
   ++stats_.reorderings;
 
@@ -149,7 +144,6 @@ std::size_t BddManager::reorder_sift(std::size_t max_vars) {
 }
 
 void BddManager::set_order(const std::vector<Var>& order) {
-  require_exclusive("set_order");
   assert(order.size() == level_to_var_.size());
   for (unsigned target = 0; target < order.size(); ++target) {
     sift_var_to(order[target], target);

@@ -21,9 +21,7 @@ CoverageEstimator::CoverageEstimator(ctl::ModelChecker& checker,
 
 const Bdd& CoverageEstimator::coverage_space() {
   // The optional is engaged at most once, so the returned reference
-  // stays valid after the lock is released. Session::run computes it
-  // before fanning estimation out, so shared-mode threads always hit.
-  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
+  // stays valid.
   if (!space_) {
     // States reachable along fair paths: the same fair-restricted BFS the
     // covered-set recursion uses (and caches), so suites pay for
@@ -40,7 +38,6 @@ const Bdd& CoverageEstimator::coverage_space() {
 void CoverageEstimator::seed_reachable(const Bdd& reachable) {
   if (options_.restrict_to_fair && !fsm_.fairness().empty()) return;
   const Bdd& init = fsm_.initial_states();
-  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
   reach_cache_.try_emplace(init.index(), ReachEntry{init, reachable});
 }
 
@@ -51,17 +48,12 @@ Bdd CoverageEstimator::forward_fair(const Bdd& s) {
 }
 
 Bdd CoverageEstimator::reachable_fair(const Bdd& s) {
-  {
-    std::lock_guard<std::recursive_mutex> lock(cache_mu_);
-    const auto it = reach_cache_.find(s.index());
-    if (it != reach_cache_.end() && it->second.from == s) {
-      return it->second.result;
-    }
+  const auto it = reach_cache_.find(s.index());
+  if (it != reach_cache_.end() && it->second.from == s) {
+    return it->second.result;
   }
-  // Computed outside the lock: a racing thread may redo this fix-point,
-  // but both arrive at the same canonical BDD. Under kChaining the loop
-  // uses the accumulated-set discipline (same least fixpoint, chained
-  // intermediates); otherwise frontier BFS.
+  // Under kChaining the loop uses the accumulated-set discipline (same
+  // least fixpoint, chained intermediates); otherwise frontier BFS.
   Bdd reached = s;
   if (options_.image_strategy == image::ImageStrategy::kChaining) {
     while (true) {
@@ -78,7 +70,6 @@ Bdd CoverageEstimator::reachable_fair(const Bdd& s) {
       reached |= frontier;
     }
   }
-  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
   reach_cache_[s.index()] = ReachEntry{s, reached};
   return reached;
 }
@@ -117,11 +108,8 @@ Bdd CoverageEstimator::traverse(const Bdd& s0, const Bdd& t1, const Bdd& t2) {
   // lfp X. (S0 ∧ T(f1) ∧ ¬T(f2)) ∪ (forward(X) ∧ T(f1) ∧ ¬T(f2)):
   // states on the f1-and-not-yet-f2 prefixes of paths from S0.
   const std::uint64_t key = triple_key(s0.index(), t1.index(), t2.index());
-  {
-    std::lock_guard<std::recursive_mutex> lock(cache_mu_);
-    for (const TraverseEntry& e : traverse_cache_[key]) {
-      if (e.s0 == s0 && e.t1 == t1 && e.t2 == t2) return e.result;
-    }
+  for (const TraverseEntry& e : traverse_cache_[key]) {
+    if (e.s0 == s0 && e.t1 == t1 && e.t2 == t2) return e.result;
   }
   const Bdd band = t1 - t2;
   Bdd acc = s0 & band;
@@ -141,13 +129,7 @@ Bdd CoverageEstimator::traverse(const Bdd& s0, const Bdd& t1, const Bdd& t2) {
       acc |= frontier;
     }
   }
-  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
-  auto& bucket = traverse_cache_[key];  // Re-resolved: the map may have
-                                        // rehashed while we computed.
-  for (const TraverseEntry& e : bucket) {
-    if (e.s0 == s0 && e.t1 == t1 && e.t2 == t2) return e.result;
-  }
-  bucket.push_back(TraverseEntry{s0, t1, t2, acc});
+  traverse_cache_[key].push_back(TraverseEntry{s0, t1, t2, acc});
   return acc;
 }
 
@@ -155,11 +137,8 @@ Bdd CoverageEstimator::firstreached(const Bdd& s0, const Bdd& t2) {
   // States satisfying f2 that some path from S0 reaches without passing
   // through an earlier f2 state.
   const std::uint64_t key = triple_key(s0.index(), t2.index(), 0);
-  {
-    std::lock_guard<std::recursive_mutex> lock(cache_mu_);
-    for (const FirstEntry& e : first_cache_[key]) {
-      if (e.s0 == s0 && e.t2 == t2) return e.result;
-    }
+  for (const FirstEntry& e : first_cache_[key]) {
+    if (e.s0 == s0 && e.t2 == t2) return e.result;
   }
   // Always layered BFS, whatever the image strategy: the recurrence
   // prunes paths *through* t2 states via the frontier, so the visit
@@ -175,12 +154,7 @@ Bdd CoverageEstimator::firstreached(const Bdd& s0, const Bdd& t2) {
     first |= next & t2;
     frontier = next - t2;
   }
-  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
-  auto& bucket = first_cache_[key];
-  for (const FirstEntry& e : bucket) {
-    if (e.s0 == s0 && e.t2 == t2) return e.result;
-  }
-  bucket.push_back(FirstEntry{s0, t2, first});
+  first_cache_[key].push_back(FirstEntry{s0, t2, first});
   return first;
 }
 

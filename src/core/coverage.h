@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -147,15 +146,6 @@ class CoverageEstimator {
   ctl::ModelChecker& checker_;
   const fsm::SymbolicFsm& fsm_;
   CoverageOptions options_;
-  /// Guards `space_` and the fix-point caches below: concurrent
-  /// estimator threads (shared-mode BddManager) look up and insert
-  /// memoized fix-points; the fix-points themselves are computed
-  /// *outside* the lock so threads don't serialize on the expensive
-  /// traversals — two threads may race to compute the same entry, in
-  /// which case both produce the identical canonical BDD and the
-  /// insertions are idempotent. Recursive because `coverage_space`
-  /// computes through `reachable_fair` while holding it.
-  mutable std::recursive_mutex cache_mu_;
   std::optional<bdd::Bdd> space_;
 
   // Fix-point caches: property suites share start sets (every AG property

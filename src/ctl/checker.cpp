@@ -9,11 +9,8 @@ namespace covest::ctl {
 using bdd::Bdd;
 
 Bdd ModelChecker::sat(const Formula& f) {
-  // Post-verification this is a pure memo hit (every sub-formula of a
-  // checked suite is present), so estimator threads only hold the lock
-  // for a hash lookup; a genuine miss computes its fix-point under the
-  // (recursive) lock.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  // Post-verification this is a pure memo hit: every sub-formula of a
+  // checked suite is present.
   auto it = memo_.find(f);
   if (it != memo_.end()) return it->second;
   Bdd result = compute(f);
@@ -60,9 +57,7 @@ Bdd ModelChecker::compute(const Formula& f) {
 }
 
 const Bdd& ModelChecker::restrict_to_reachable() {
-  // Engaged at most once, so the returned reference stays valid after
-  // the lock is released.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  // Engaged at most once, so the returned reference stays valid.
   if (!reachable_) {
     reachable_ = fsm_.reachable(fsm_.initial_states());
     care_ = *reachable_;
@@ -72,8 +67,7 @@ const Bdd& ModelChecker::restrict_to_reachable() {
 
 const Bdd& ModelChecker::fair_states() {
   // The optional is engaged at most once, so the returned reference
-  // stays valid after the lock is released.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  // stays valid.
   if (!fair_) {
     // EG_fair true: Emerson-Lei over the trivial invariant.
     fair_ = fsm_.fairness().empty() ? fsm_.mgr().bdd_true()

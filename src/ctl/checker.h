@@ -30,19 +30,11 @@
 // verification are shared with coverage estimation — the memoization the
 // paper recommends in Section 3.
 //
-// Thread safety: the memo and the fair-states cache are guarded by a
-// recursive mutex, so concurrent estimator threads (a shared-mode
-// `BddManager`, see bdd.h) may call `sat`/`holds`/`fair_states`. After
-// verification the memo holds every sub-formula of the suite, so those
-// calls are brief cache hits; a miss computes its fix-point under the
-// lock, which is correct (BDD operations are shared-mode safe) but
-// serializes — verify first, estimate after, as Session::run does.
-// `check` (counterexample generation) stays a verification-phase,
-// single-caller API.
+// Thread safety: none inside. A checker is used by one thread at a
+// time, the thread that owns its FSM's `BddManager` (bdd.h).
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -92,14 +84,8 @@ class ModelChecker {
 
   /// Number of memoized sub-formula satisfaction sets (for the
   /// memoization ablation benchmark).
-  std::size_t memo_size() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return memo_.size();
-  }
-  void clear_memo() {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    memo_.clear();
-  }
+  std::size_t memo_size() const { return memo_.size(); }
+  void clear_memo() { memo_.clear(); }
 
  private:
   bdd::Bdd compute(const Formula& f);
@@ -110,9 +96,6 @@ class ModelChecker {
   bdd::Bdd eg_plain(const bdd::Bdd& p);
 
   const fsm::SymbolicFsm& fsm_;
-  /// Guards `memo_` and `fair_` against concurrent estimator threads.
-  /// Recursive because `compute` re-enters `sat` for sub-formulas.
-  mutable std::recursive_mutex mu_;
   /// Keyed by *structural* formula hash/equality, so identical SPEC
   /// sub-formulas parsed separately share satisfaction sets across a
   /// suite, and the Formula keys keep their ASTs alive for free.

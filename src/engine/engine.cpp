@@ -1,11 +1,8 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "ctl/ctl_parser.h"
 #include "engine/executor.h"
@@ -48,7 +45,6 @@ PhaseStats snapshot(bdd::BddManager& mgr, double ms) {
   p.cache_hit_rate = st.cache_hit_rate();
   p.passes = 1;  // This session ran the phase once.
   p.node_budget = mgr.max_live_nodes();
-  p.shared_gc_runs = st.shared_gc_runs;
   return p;
 }
 
@@ -83,20 +79,6 @@ bool result_status_from_string(const std::string& text, ResultStatus* out) {
     }
   }
   return false;
-}
-
-std::size_t effective_shards(std::size_t requested, std::size_t rows) {
-  if (requested <= 1 || rows <= 1) return 1;
-  return std::min({requested, rows, kMaxEstimatorThreads});
-}
-
-std::pair<std::size_t, std::size_t> shard_chunk_range(std::size_t total,
-                                                      std::size_t shard,
-                                                      std::size_t shards) {
-  const std::size_t base = total / shards;
-  const std::size_t rem = total % shards;
-  const std::size_t first = shard * base + std::min(shard, rem);
-  return {first, first + base + (shard < rem ? 1 : 0)};
 }
 
 // ---------------------------------------------------------------------------
@@ -171,13 +153,9 @@ Session::Session(const model::Model& model, core::CoverageOptions options,
       checker_(fsm_),
       estimator_(checker_, lenient(options)) {}
 
-/// One signal row. Everything read here is immutable during estimation
-/// (specs/formulas/outcomes are fixed once verification finished) or
-/// internally synchronized (checker memo, estimator fix-point caches,
-/// the shared-mode BDD manager), so sharded runs call this concurrently
-/// from several estimator threads — and because every intermediate is a
-/// canonical BDD with exact counts, the row is identical no matter
-/// which thread computes it.
+/// One signal row. Because every intermediate is a canonical BDD with
+/// exact counts, the row depends only on the verified suite, not on
+/// which rows this session estimated before it.
 SignalRow Session::estimate_row(const CoverageRequest& request,
                                 const std::string& name,
                                 const std::vector<PropertySpec>& specs,
@@ -385,149 +363,36 @@ SuiteResult Session::run(const CoverageRequest& request,
     return result;
   }
 
-  const std::size_t fan_out = effective_shards(request.shards, names.size());
-  if (fan_out <= 1) {
-    // Serial estimation: one row at a time on the calling thread.
-    try {
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        governor->tick();  // Per-row deadline check.
-        SignalRow row = estimate_row(request, names[i], specs, formulas,
-                                     result.properties);
+  try {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      governor->tick();  // Per-row deadline check.
+      SignalRow row = estimate_row(request, names[i], specs, formulas,
+                                   result.properties);
 
-        Progress p;
-        p.phase = Progress::Phase::kEstimate;
-        p.index = i + 1;
-        p.total = names.size();
-        p.item = names[i];
-        p.percent = row.percent;
-        result.signals.push_back(std::move(row));
-        if (!progress(p)) {
-          result.cancelled = true;
-          result.status = ResultStatus::kCancelled;
-          result.estimate = snap(ms_since(t_estimate));
-          result.total_ms = ms_since(t_run);
-          return result;
-        }
-      }
-    } catch (const covest::DeadlineExceeded& e) {
-      mark_limited(ResultStatus::kDeadlineExceeded, "estimate", e.what(),
-                   &result.estimate, ms_since(t_estimate), 0, 0);
-      return result;
-    } catch (const covest::ResourceExhausted& e) {
-      mark_limited(ResultStatus::kResourceExhausted, "estimate", e.what(),
-                   &result.estimate, ms_since(t_estimate), e.live_nodes(),
-                   e.budget());
-      return result;
-    }
-  } else {
-    // Sharded estimation: the suite was parsed, elaborated and verified
-    // exactly once above; now only the rows fan out. Chunk s owns the
-    // contiguous row range shard_chunk_range(names, s, fan_out), so
-    // concatenating the chunks reproduces request order — and because
-    // every BDD is canonical and every count exact, the merged rows are
-    // byte-identical to the serial loop. Cancellation keeps each
-    // chunk's prefix (the documented sharded-cancel semantics: request
-    // order with interior gaps).
-    bdd::BddManager& mgr = fsm_.mgr();
-    std::vector<std::vector<SignalRow>> chunk_rows(fan_out);
-    std::vector<std::exception_ptr> failures(fan_out);
-    std::atomic<bool> stop{false};
-    std::atomic<bool> cancelled{false};
-    mgr.begin_shared(fan_out);
-    {
-      std::vector<std::thread> estimators;
-      estimators.reserve(fan_out);
-      for (std::size_t s = 0; s < fan_out; ++s) {
-        estimators.emplace_back([&, s] {
-          // All estimator threads share the run's governor: the fixed
-          // deadline is read-only and the expiry latch is atomic, so
-          // one shard expiring stops the siblings at their next tick.
-          covest::RunGovernor::Scope thread_scope(governor);
-          try {
-            mgr.register_shard_thread();
-            const auto [first, last] =
-                shard_chunk_range(names.size(), s, fan_out);
-            for (std::size_t i = first; i < last; ++i) {
-              if (stop.load(std::memory_order_relaxed)) break;
-              governor->tick();  // Per-row deadline check.
-              SignalRow row = estimate_row(request, names[i], specs,
-                                           formulas, result.properties);
-
-              Progress p;
-              p.phase = Progress::Phase::kEstimate;
-              p.index = i + 1;
-              p.total = names.size();
-              p.item = names[i];
-              p.percent = row.percent;
-              chunk_rows[s].push_back(std::move(row));
-
-              bool keep_going = true;
-              if (hooks.on_shard_row && !hooks.on_shard_row(s, p)) {
-                keep_going = false;
-              }
-              // Chunk 0 also drives the serial progress contract.
-              if (s == 0 && hooks.on_progress && !hooks.on_progress(p)) {
-                keep_going = false;
-              }
-              if (!keep_going) {
-                cancelled.store(true, std::memory_order_relaxed);
-                stop.store(true, std::memory_order_relaxed);
-                break;
-              }
-            }
-          } catch (...) {
-            failures[s] = std::current_exception();
-            stop.store(true, std::memory_order_relaxed);
-          }
-        });
-      }
-      for (std::thread& t : estimators) t.join();
-    }
-    mgr.end_shared();
-    std::exception_ptr first;
-    for (const std::exception_ptr& e : failures) {
-      if (e) {
-        first = e;  // First shard's defect wins.
-        break;
+      Progress p;
+      p.phase = Progress::Phase::kEstimate;
+      p.index = i + 1;
+      p.total = names.size();
+      p.item = names[i];
+      p.percent = row.percent;
+      result.signals.push_back(std::move(row));
+      if (!progress(p)) {
+        result.cancelled = true;
+        result.status = ResultStatus::kCancelled;
+        result.estimate = snap(ms_since(t_estimate));
+        result.total_ms = ms_since(t_run);
+        return result;
       }
     }
-    ResultStatus limited_status = ResultStatus::kOk;
-    std::string limited_what;
-    std::size_t limited_live = 0;
-    std::size_t limited_budget = 0;
-    if (first) {
-      // Governance stops become partial results with the chunk prefixes
-      // computed so far (the same shape as a sharded cancel); anything
-      // else keeps the pre-existing contract and rethrows out of this
-      // frame as a structured error.
-      try {
-        std::rethrow_exception(first);
-      } catch (const covest::DeadlineExceeded& e) {
-        limited_status = ResultStatus::kDeadlineExceeded;
-        limited_what = e.what();
-      } catch (const covest::ResourceExhausted& e) {
-        limited_status = ResultStatus::kResourceExhausted;
-        limited_what = e.what();
-        limited_live = e.live_nodes();
-        limited_budget = e.budget();
-      }
-    }
-    for (std::vector<SignalRow>& chunk : chunk_rows) {
-      for (SignalRow& row : chunk) result.signals.push_back(std::move(row));
-    }
-    if (limited_status != ResultStatus::kOk) {
-      mark_limited(limited_status, "estimate", limited_what.c_str(),
-                   &result.estimate, ms_since(t_estimate), limited_live,
-                   limited_budget);
-      return result;
-    }
-    if (cancelled.load()) {
-      result.cancelled = true;
-      result.status = ResultStatus::kCancelled;
-      result.estimate = snap(ms_since(t_estimate));
-      result.total_ms = ms_since(t_run);
-      return result;
-    }
+  } catch (const covest::DeadlineExceeded& e) {
+    mark_limited(ResultStatus::kDeadlineExceeded, "estimate", e.what(),
+                 &result.estimate, ms_since(t_estimate), 0, 0);
+    return result;
+  } catch (const covest::ResourceExhausted& e) {
+    mark_limited(ResultStatus::kResourceExhausted, "estimate", e.what(),
+                 &result.estimate, ms_since(t_estimate), e.live_nodes(),
+                 e.budget());
+    return result;
   }
   result.estimate = snap(ms_since(t_estimate));
 
@@ -566,9 +431,7 @@ SuiteResult Engine::run(const CoverageRequest& request,
                         const RunHooks& hooks) const {
   // One-shot runs are a one-job batch: submit to a single-worker
   // executor and wait, so this path and covest_batch execute the same
-  // pipeline code. A sharded request still fans out here: the session
-  // spawns its own estimator threads after verifying once, so the one
-  // worker is no longer the concurrency ceiling.
+  // pipeline code.
   Executor executor{ExecutorOptions{}};
   JobHooks job_hooks;
   job_hooks.on_progress = hooks.on_progress;

@@ -26,10 +26,12 @@
 // Progress and cancellation: `RunHooks::on_progress` is invoked after
 // every pipeline step at per-property and per-signal granularity;
 // returning false cancels the run, which finishes with the results
-// computed so far and `SuiteResult::cancelled = true`. Sharded runs
-// (`CoverageRequest::shards > 1`) report through the same hook — chunk
-// 0's rows drive it — plus `RunHooks::on_shard_row` for every chunk's
-// rows, so callers written against the serial API stay valid.
+// computed so far and `SuiteResult::cancelled = true`.
+//
+// Threads: a `Session` (like the BDD manager it owns) is used by one
+// thread at a time; its rows are estimated one after another on the
+// thread that calls `run`. Parallelism is across suites — the executor
+// (executor.h) runs different jobs on different workers.
 #pragma once
 
 #include <cstddef>
@@ -84,24 +86,6 @@ struct PropertySpec {
     return s;
   }
 };
-
-/// Hard cap on estimator threads per suite: an untrusted request's
-/// `shards` value must bound thread creation, not the other way around.
-inline constexpr std::size_t kMaxEstimatorThreads = 32;
-
-/// The estimator-thread count a sharded request actually gets: clamped
-/// to the number of signal rows (spare threads would idle) and to
-/// `kMaxEstimatorThreads`; at least 1.
-std::size_t effective_shards(std::size_t requested, std::size_t rows);
-
-/// Contiguous chunk [first, last) of `total` rows owned by `shard` of
-/// `shards`. Chunked (not strided) assignment keeps
-/// concatenation-in-shard-order equal to request order even for partial
-/// (cancelled) shards. The session's estimator fan-out splits rows by
-/// it.
-std::pair<std::size_t, std::size_t> shard_chunk_range(std::size_t total,
-                                                      std::size_t shard,
-                                                      std::size_t shards);
 
 /// Structured final status of a suite run: the machine-readable failure
 /// taxonomy the result JSON, the executor and the CLIs all share. `kOk`
@@ -160,13 +144,6 @@ struct CoverageRequest {
   std::size_t uncovered_limit = 4;
   /// Compute a shortest input trace to an uncovered state per signal row.
   bool want_traces = false;
-  /// Intra-suite signal sharding: split the signal rows across up to
-  /// this many estimator threads (see `effective_shards` for the
-  /// clamp). `Session::run` verifies the suite exactly once, then fans
-  /// the rows out over its one manager in bdd.h shared mode; rows are
-  /// merged back in request order and are bit-identical to the serial
-  /// path.
-  std::size_t shards = 1;
 
   // -- Resource governance ----------------------------------------------------
   /// Wall-clock budget for the whole run in milliseconds (0 = none).
@@ -185,15 +162,13 @@ struct CoverageRequest {
 
 /// The effective property suite of a request on its model: the request's
 /// own properties, else the model's SPEC entries. `Session::run` and the
-/// executor's shard validation both resolve through here — the sharded
-/// path must agree with the serial path on this list.
+/// executor's row-count resolution both go through here.
 std::vector<PropertySpec> resolve_suite(const CoverageRequest& request,
                                         const model::Model& model);
 
 /// The effective signal-row names: the request's explicit signals, else
-/// the sorted union of the resolved suite's OBSERVE lists. Signal
-/// sharding splits exactly this list, so row merge order is request
-/// order by construction.
+/// the sorted union of the resolved suite's OBSERVE lists, in the order
+/// the rows are reported.
 std::vector<std::string> resolve_signal_names(const CoverageRequest& request,
                                               const model::Model& model);
 
@@ -245,8 +220,8 @@ struct PhaseStats {
   /// Computed-cache hit rate since the manager's last cache clear (GC).
   double cache_hit_rate = 0.0;
   /// How many times this phase actually executed for the job: 1 when it
-  /// ran (a sharded run too — sharding verifies once), 0 when it never
-  /// ran (errors, early cancellation, or a warm-cache replay).
+  /// ran, 0 when it never ran (errors, early cancellation, or a
+  /// warm-cache replay).
   std::size_t passes = 0;
   /// The manager's `max_live_nodes` budget during the run; 0 when
   /// unbudgeted (and then omitted from the JSON stats).
@@ -259,10 +234,6 @@ struct PhaseStats {
   std::size_t partial_relations = 0;
   std::size_t clusters = 0;
   std::size_t largest_cluster = 0;
-  /// Collections run inside shared epochs (bdd::BddStats), cumulative
-  /// for the manager. Zero for serial runs (and then omitted from the
-  /// JSON stats).
-  std::size_t shared_gc_runs = 0;
 };
 
 /// Structured outcome of a whole suite run.
@@ -330,19 +301,10 @@ struct Progress {
 /// returns the partial SuiteResult with `cancelled` set.
 using ProgressFn = std::function<bool(const Progress&)>;
 
-/// Per-row callback of a sharded (shared-manager) run: fires once per
-/// completed signal row from the estimating thread, with the shard
-/// (chunk) index — including chunk 0, whose rows also drive
-/// `on_progress`. Return false to cancel the whole run. Called
-/// concurrently from different shards; the callee synchronizes.
-using ShardRowFn = std::function<bool(std::size_t shard, const Progress&)>;
-
 struct RunHooks {
-  /// The serial progress contract: elaborate/verify ticks, then — in a
-  /// serial run — one tick per signal row; in a sharded run only chunk
-  /// 0's rows tick here (the other chunks report via `on_shard_row`).
+  /// Verify ticks (one per property), then one tick per signal row,
+  /// then kDone.
   ProgressFn on_progress;
-  ShardRowFn on_shard_row;
 };
 
 // ---------------------------------------------------------------------------
@@ -389,13 +351,9 @@ class Session {
   core::CoverageEstimator& estimator() { return estimator_; }
 
   /// Runs the suite part of `request` against this session's model (the
-  /// request's model source is ignored). When `request.shards > 1` the
-  /// pipeline still parses/elaborates/verifies exactly once, then fans
-  /// the per-signal estimation rows out across `effective_shards`
-  /// estimator threads sharing this session's BDD manager (bdd.h shared
-  /// mode); the merged rows are byte-identical to a serial run. The
-  /// manager is exclusive again (owned by the calling thread) when
-  /// `run` returns.
+  /// request's model source is ignored), on the calling thread — which
+  /// must own the session's manager (see
+  /// `bdd::BddManager::rebind_to_current_thread`).
   SuiteResult run(const CoverageRequest& request, const RunHooks& hooks = {});
 
   /// Distinct verified suites recorded by this session (bounded; see

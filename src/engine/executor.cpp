@@ -29,13 +29,8 @@ struct JobState {
   /// every job (the executor destructor drains before Impl dies).
   SessionCache* cache = nullptr;
 
-  /// Shard count reported on events: the effective estimator-thread
-  /// count (set by the worker once the signal rows are resolved, before
-  /// any estimation event fires); 1 until then.
-  std::size_t event_shards = 1;
   /// The job-wide deadline clock, started at submission so queue time
-  /// counts; the worker (and, through the thread-local scope, every
-  /// estimator thread its session spawns) ticks against it.
+  /// counts; the worker ticks against it.
   std::shared_ptr<covest::RunGovernor> governor;
   std::atomic<bool> cancel{false};
 
@@ -55,7 +50,6 @@ struct JobState {
   /// exceptions are swallowed here — the documented contract.
   void emit(JobEvent event) const {
     event.job = id;
-    event.shards = event_shards;
     if (hooks.on_event) {
       try {
         hooks.on_event(event);
@@ -139,9 +133,8 @@ struct LeaseReturn {
 };
 
 /// Runs one job on the calling (worker) thread: the session is built
-/// ONCE, verification runs ONCE, and (for shards > 1) `Session::run`
-/// fans the estimation rows out across estimator threads over the
-/// session's shared BDD manager.
+/// once, verification runs once, and `Session::run` estimates the rows
+/// one after another.
 ///
 /// Everything symbolic — manager, FSM, session — is owned by this job;
 /// only the JobState slots are shared with other threads. Never throws.
@@ -210,7 +203,6 @@ SuiteResult run_job(JobState& job) {
 
     CoverageRequest run_request = job.request;
     run_request.signals = names;
-    job.event_shards = effective_shards(job.request.shards, names.size());
 
     validate_request(job.request, m, names);
 
@@ -241,42 +233,30 @@ SuiteResult run_job(JobState& job) {
     }
 
     RunHooks session_hooks;
-    // Touched by the worker (verify ticks) and, in a sharded run, the
-    // session's estimator threads (row callbacks) — hence atomic.
-    std::atomic<bool> estimating{false};
+    bool estimating = false;
     const std::size_t row_count = names.size();
-    const bool sharded_rows = job.event_shards > 1;
     const auto emit_estimating = [&job, &estimating, row_count] {
-      if (estimating.exchange(true)) return;
+      if (estimating) return;
+      estimating = true;
       JobEvent ev;
       ev.kind = JobEvent::Kind::kEstimating;
       ev.progress.phase = Progress::Phase::kEstimate;
       ev.progress.total = row_count;
       job.emit(ev);
     };
-    session_hooks.on_progress = [&job, &estimating, &emit_estimating,
-                                 sharded_rows](const Progress& p) {
+    session_hooks.on_progress = [&job, &emit_estimating](const Progress& p) {
       if (p.phase == Progress::Phase::kVerify ||
           p.phase == Progress::Phase::kEstimate) {
         // Estimation begins when the last property has been verified
         // (the zero-property fallback fires before the first row tick).
-        if (p.phase == Progress::Phase::kEstimate &&
-            !estimating.load(std::memory_order_relaxed)) {
-          emit_estimating();
-        }
-        // Sharded rows report through on_shard_row below (which sees
-        // every chunk); emitting chunk 0's ticks here too would
-        // double-count them.
-        if (!(sharded_rows && p.phase == Progress::Phase::kEstimate)) {
-          JobEvent ev;
-          ev.kind = p.phase == Progress::Phase::kVerify
-                        ? JobEvent::Kind::kVerifying
-                        : JobEvent::Kind::kRowDone;
-          ev.progress = p;
-          job.emit(ev);
-        }
-        if (p.phase == Progress::Phase::kVerify && p.index == p.total &&
-            !estimating.load(std::memory_order_relaxed)) {
+        if (p.phase == Progress::Phase::kEstimate) emit_estimating();
+        JobEvent ev;
+        ev.kind = p.phase == Progress::Phase::kVerify
+                      ? JobEvent::Kind::kVerifying
+                      : JobEvent::Kind::kRowDone;
+        ev.progress = p;
+        job.emit(ev);
+        if (p.phase == Progress::Phase::kVerify && p.index == p.total) {
           emit_estimating();
         }
       }
@@ -287,19 +267,6 @@ SuiteResult run_job(JobState& job) {
       }
       return keep_going && !job.cancel.load(std::memory_order_relaxed);
     };
-    if (sharded_rows) {
-      session_hooks.on_shard_row = [&job, &emit_estimating](
-                                       std::size_t chunk, const Progress& p) {
-        emit_estimating();
-        JobEvent ev;
-        ev.kind = JobEvent::Kind::kRowDone;
-        ev.shard = chunk;
-        ev.progress = p;
-        job.emit(ev);
-        return !job.cancel.load(std::memory_order_relaxed);
-      };
-    }
-
     result = session->run(run_request, session_hooks);
     result.elaborate.ms = elaborate_ms;
     // Parse + elaborate never ran on a hit — the warm half of the

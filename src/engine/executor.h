@@ -6,9 +6,10 @@
 // `std::thread` workers; each job builds its BDD state *locally*: one
 // `BddManager`/FSM/`Session` constructed on the worker thread. Between
 // jobs there is no shared mutable symbolic state — only the job queue
-// and result slots are synchronized. *Within* a sharded job, the
-// session's manager enters bdd.h shared mode for the estimation phase
-// (below).
+// and result slots are synchronized. Every job is one task on one
+// worker, and each BDD manager is used by one thread at a time (bdd.h):
+// a warm session leased from the cache, or a result taken on another
+// thread, is rebound to its new thread first.
 //
 //   engine::Executor ex(engine::ExecutorOptions{4});
 //   engine::JobHandle a = ex.submit(request_a);
@@ -18,17 +19,6 @@
 // Deterministic ordering: `run_all` returns one result per request in
 // submit order regardless of which worker finishes first, and every row
 // of every result is bit-identical to the serial `Engine::run` path.
-//
-// Signal sharding: every job is one task on one worker, sharded or
-// not. A request with `shards = K > 1` is parsed, elaborated and
-// verified exactly once; then `Session::run` fans the per-signal
-// estimation rows out across `effective_shards` estimator threads that
-// share the session's BddManager (bdd.h shared mode, striped locks).
-// Chunks concatenate back in request order, and completed runs are
-// bit-identical to serial. A *cancelled* sharded run keeps each chunk's
-// prefix, so the partial row list may have interior gaps (row order is
-// still request order) — unlike the serial path, whose partial result
-// is always one prefix.
 //
 // Errors: nothing a job does throws out of a worker. Model/CTL parse
 // errors, unknown signals and missing model sources all surface as
@@ -81,10 +71,6 @@ struct JobEvent {
   };
   std::uint64_t job = 0;  ///< Monotonic per-executor job id (submit order).
   Kind kind = Kind::kQueued;
-  std::size_t shard = 0;   ///< Estimator chunk that produced it (0 for
-                           ///< everything but sharded kRowDone events).
-  std::size_t shards = 1;  ///< Effective shards of this job (kQueued may
-                           ///< still report 1: rows aren't resolved yet).
   Progress progress;       ///< Valid for kVerifying/kEstimating/kRowDone.
   bool cancelled = false;  ///< kFinished: the job was cancelled.
   std::string error;       ///< kFinished: the job's structured error.
@@ -100,9 +86,8 @@ struct JobEvent {
 using JobEventFn = std::function<void(const JobEvent&)>;
 
 /// Per-job callbacks. `on_progress` follows the facade contract
-/// (RunHooks): it receives the serial ticks (chunk 0's rows in a
-/// sharded run) and may cancel the whole job by returning false.
-/// `on_event` receives every chunk's events.
+/// (RunHooks) and may cancel the whole job by returning false.
+/// `on_event` receives the job's streaming events.
 struct JobHooks {
   ProgressFn on_progress;
   JobEventFn on_event;
@@ -181,7 +166,7 @@ struct ExecutorOptions {
   /// `JobHooks::on_event`.
   JobEventFn on_event;
   /// Bounded admission: when nonzero, `submit` refuses to grow the job
-  /// queue past this many queued jobs (a sharded job is one job). 0 =
+  /// queue past this many queued jobs. 0 =
   /// unbounded, the pre-governance behavior.
   std::size_t max_queue_depth = 0;
   /// Full-queue policy; only consulted when `max_queue_depth != 0`.
@@ -216,9 +201,8 @@ class Executor {
   /// server's queue-depth metric. A racy snapshot by nature.
   std::size_t queue_depth() const;
 
-  /// Enqueues one suite job as one task; a sharded job's session spawns
-  /// its own estimator threads. Never throws for request defects — they
-  /// come back as `SuiteResult::error` on the handle.
+  /// Enqueues one suite job as one task. Never throws for request
+  /// defects — they come back as `SuiteResult::error` on the handle.
   ///
   /// Governance: a request's `deadline_ms` clock starts here, at
   /// submission — time spent waiting in the queue counts against the

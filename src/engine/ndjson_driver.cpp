@@ -62,9 +62,6 @@ ParsedLine parse_request_line(const std::string& raw,
   }
   if (!job.input_error.empty()) return job;
   const bool flags_win = defaults.flags_override;
-  if (defaults.shards > 0 && (flags_win || job.request.shards <= 1)) {
-    job.request.shards = defaults.shards;
-  }
   if (defaults.deadline_ms > 0 &&
       (flags_win || job.request.deadline_ms == 0)) {
     job.request.deadline_ms = defaults.deadline_ms;

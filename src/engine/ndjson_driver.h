@@ -65,10 +65,9 @@ std::string ndjson_dirname(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// Driver-level knobs applied to every parsed request line — the
-/// `--shards/--deadline-ms/--max-nodes/--image-strategy` flags both
-/// binaries accept.
+/// `--deadline-ms/--max-nodes/--image-strategy` flags both binaries
+/// accept.
 struct RequestDefaults {
-  std::size_t shards = 0;       ///< 0 = leave the request's own value.
   std::size_t deadline_ms = 0;  ///< 0 = leave the request's own value.
   std::size_t max_nodes = 0;    ///< 0 = leave the request's own value.
   /// Unset = per-request value.

@@ -139,7 +139,6 @@ std::string to_json(const CoverageRequest& request,
   w.field_bool("skip_failing", request.skip_failing);
   w.field_count("uncovered_limit", request.uncovered_limit);
   w.field_bool("want_traces", request.want_traces);
-  w.field_count("shards", request.shards);
   w.field_string("image_strategy",
                  image::to_string(request.options.image_strategy));
   // Governance limits are omitted when unset, so pre-governance
@@ -303,9 +302,6 @@ CoverageRequest request_from_json(const std::string& text) {
       request.uncovered_limit = as_count(value, "uncovered_limit");
     } else if (key == "want_traces") {
       request.want_traces = as_bool(value, "want_traces");
-    } else if (key == "shards") {
-      request.shards = as_count(value, "shards");
-      if (request.shards == 0) schema_fail("'shards' must be >= 1");
     } else if (key == "deadline_ms") {
       request.deadline_ms = as_count(value, "deadline_ms");
       if (request.deadline_ms == 0) schema_fail("'deadline_ms' must be >= 1");

@@ -18,7 +18,6 @@
 //     "skip_failing": false,
 //     "uncovered_limit": 4,
 //     "want_traces": false,
-//     "shards": 1,                      // estimator threads (>= 1)
 //     "image_strategy": "partitioned",  // or "monolithic", "chaining"
 //     "deadline_ms": 500,               // wall-clock budget (>= 1);
 //                                       //     omitted when unlimited
@@ -31,7 +30,7 @@
 // contract). The parser accepts any field order, rejects unknown keys
 // and type mismatches with positional messages, and never accepts
 // values the execution layer would misinterpret (negative or fractional
-// counts, shards = 0).
+// counts, zero budgets).
 #pragma once
 
 #include <string>

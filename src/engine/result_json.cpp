@@ -161,10 +161,6 @@ void write_phase(JsonWriter& w, const PhaseStats& phase) {
     w.key("largest_cluster");
     w.number(static_cast<std::uint64_t>(phase.largest_cluster));
   }
-  if (phase.shared_gc_runs != 0) {  // Only reclaiming shared runs carry it.
-    w.key("shared_gc_runs");
-    w.number(static_cast<std::uint64_t>(phase.shared_gc_runs));
-  }
   w.end_object();
 }
 

@@ -346,9 +346,7 @@ bdd::Bdd PartitionedRelation::preimage(const Bdd& states_next,
 }
 
 const bdd::Bdd& PartitionedRelation::monolithic() const {
-  // Engaged at most once; the lock makes the lazy build safe if a
-  // shared-mode thread asks for the monolithic relation first.
-  std::lock_guard<std::mutex> lock(monolithic_mu_);
+  // Engaged at most once.
   if (!monolithic_) {
     Bdd t = mgr_->bdd_true();
     for (const Bdd& c : clusters_) {

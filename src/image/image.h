@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -139,7 +138,7 @@ class PartitionedRelation {
   /// Clusters `parts` (visited in `order`) and precomputes the early
   /// quantification schedules. `img_quantify` are the variables an
   /// image quantifies out (current + input), `pre_quantify` those a
-  /// preimage does (next). Must be called before shared mode.
+  /// preimage does (next).
   void build(bdd::BddManager& mgr, const std::vector<bdd::Bdd>& parts,
              const std::vector<std::size_t>& order,
              const std::vector<bdd::Var>& img_quantify,
@@ -156,9 +155,8 @@ class PartitionedRelation {
   bdd::Bdd preimage(const bdd::Bdd& states_next,
                     ImageStrategy strategy) const;
 
-  /// The full conjunction, built lazily under a lock (safe to first
-  /// request from a shared-mode thread). Also used for input labelling
-  /// of traces.
+  /// The full conjunction, built lazily on first request. Also used for
+  /// input labelling of traces.
   const bdd::Bdd& monolithic() const;
 
   // -- Introspection (PhaseStats, tests) -----------------------------------
@@ -211,7 +209,6 @@ class PartitionedRelation {
   bdd::Bdd img_full_cube_;  ///< All image-quantified vars (monolithic).
   bdd::Bdd pre_full_cube_;
 
-  mutable std::mutex monolithic_mu_;
   mutable std::optional<bdd::Bdd> monolithic_;
 };
 

@@ -98,9 +98,11 @@ class FaultInjector {
 /// Wall-clock governor for one suite run. The deadline is fixed at
 /// construction (steady clock, so unaffected by wall-time jumps);
 /// `tick()` throws DeadlineExceeded once it has passed and keeps
-/// throwing via a latched flag, so sharded estimator threads sharing
-/// one governor all stop at their next tick. Thread-safe: ticking
-/// reads an immutable time point and one atomic.
+/// throwing via a latched flag, so every later tick of the run — phase
+/// boundaries and fixpoint loops alike — stops too. The executor
+/// creates a job's governor on the submitting thread and ticks it on the
+/// worker; ticking reads an immutable time point and one atomic, so
+/// `expired()` may be polled from any thread.
 class RunGovernor {
  public:
   /// `budget_ms` = 0 means no real deadline; ticks still honour fault

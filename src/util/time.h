@@ -1,5 +1,5 @@
 // Shared wall-clock helpers: the one timing basis every layer's
-// reported milliseconds come from (engine phase stats, executor shard
+// reported milliseconds come from (engine phase stats, executor job
 // totals). Header-only on purpose.
 #pragma once
 

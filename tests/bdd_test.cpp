@@ -9,6 +9,9 @@
 #include <sstream>
 #include <vector>
 
+#include "circuits/circuits.h"
+#include "fsm/symbolic_fsm.h"
+
 namespace covest::bdd {
 namespace {
 
@@ -688,6 +691,58 @@ TEST(BddCacheTest, TableFollowsThePoolUnlessStorePressureIsSustained) {
   store_fillers(m, 1u << 22, 1);
   EXPECT_EQ(m.stats().cache_entries, 16 * start);
   EXPECT_LE(m.stats().cache_entries, occupied());
+}
+
+TEST(BddCacheTest, EntriesFromBeforeClearCacheStopMatching) {
+  // clear_cache's O(1) epoch bump invalidates every earlier entry.
+  BddManager m(1, /*cache_size_log2=*/2);
+  m.debug_cache_store(9, 1, 2, 3, 42);
+  NodeIndex out = 0;
+  EXPECT_TRUE(m.debug_cache_find(9, 1, 2, 3, &out));
+  EXPECT_EQ(out, 42u);
+  m.clear_cache();
+  EXPECT_FALSE(m.debug_cache_find(9, 1, 2, 3, &out));
+  m.debug_cache_store(9, 1, 2, 3, 43);  // Stores after the bump match.
+  EXPECT_TRUE(m.debug_cache_find(9, 1, 2, 3, &out));
+  EXPECT_EQ(out, 43u);
+}
+
+TEST(BddCacheTest, ColdRecomputationOverAModelReusesEveryNode) {
+  // Every entry-point class over a real model's transition parts, run
+  // again after clear_cache: each recursion re-runs instead of
+  // replaying a memo, lands on the same canonical edges, and finds
+  // every node in the unique tables, so the pool does not grow.
+  circuits::TokenRingSpec spec;
+  spec.cells = 16;
+  fsm::SymbolicFsm fsm(circuits::make_token_ring(spec));
+  BddManager& mgr = fsm.mgr();
+  const auto battery = [&fsm, &mgr] {
+    const std::vector<Bdd>& parts = fsm.transition_parts();
+    Bdd a = mgr.bdd_true();
+    Bdd b = mgr.bdd_true();
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      (i % 2 == 0 ? a : b) &= parts[i];
+    }
+    Bdd cube = mgr.bdd_true();
+    for (const Var v : fsm.next_vars()) cube &= mgr.var(v);
+    const Bdd conj = mgr.apply_and(a, b);
+    return std::vector<Bdd>{conj,
+                            mgr.apply_xor(a, b),
+                            mgr.apply_ite(fsm.initial_states(), a, b),
+                            mgr.exists(conj, cube),
+                            mgr.and_exists(a, b, cube),
+                            fsm.reachable(fsm.initial_states())};
+  };
+  const std::vector<Bdd> first = battery();
+  mgr.live_node_count();  // Refreshes stats().allocated_nodes.
+  const std::size_t after_first = mgr.stats().allocated_nodes;
+  for (int round = 0; round < 3; ++round) {
+    mgr.clear_cache();
+    EXPECT_EQ(battery(), first) << "round " << round;
+  }
+  mgr.live_node_count();
+  EXPECT_LE(mgr.stats().allocated_nodes, after_first);
+  EXPECT_TRUE(mgr.check_canonical());
 }
 
 TEST(BddStressTest, LargeXorChainHasLinearNodes) {

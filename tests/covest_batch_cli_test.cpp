@@ -57,12 +57,9 @@ TEST(CovestBatchCliTest, JobsFourIsByteIdenticalToJobsOne) {
       {model_path("counter.cov"), model_path("arbiter.cov")});
   const RunOutcome serial = run_batch("--jobs 1 " + manifest);
   const RunOutcome parallel = run_batch("--jobs 4 " + manifest);
-  const RunOutcome sharded = run_batch("--jobs 4 --shards 3 " + manifest);
   EXPECT_EQ(serial.exit_code, 0);
   EXPECT_EQ(parallel.exit_code, 0);
-  EXPECT_EQ(sharded.exit_code, 0);
   EXPECT_EQ(serial.output, parallel.output);
-  EXPECT_EQ(serial.output, sharded.output);
 }
 
 TEST(CovestBatchCliTest, BatchLinesMatchTheSerialEngineByteForByte) {
@@ -175,7 +172,6 @@ TEST(CovestBatchCliTest, RequestValidationErrorsSurfacePerJob) {
 
 TEST(CovestBatchCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run_batch("--jobs nope /dev/null").exit_code, 2);
-  EXPECT_EQ(run_batch("--shards 0 /dev/null").exit_code, 2);
   EXPECT_EQ(run_batch("--bogus-flag /dev/null").exit_code, 2);
   EXPECT_EQ(run_batch("/nonexistent/manifest.txt").exit_code, 2);
   EXPECT_EQ(run_batch("a.txt b.txt").exit_code, 2);
@@ -185,6 +181,16 @@ TEST(CovestBatchCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run_batch("--max-nodes nope /dev/null").exit_code, 2);
   EXPECT_EQ(run_batch("--max-nodes 0 /dev/null").exit_code, 2);
   EXPECT_EQ(run_batch("--max-queue 0 /dev/null").exit_code, 2);
+}
+
+TEST(CovestBatchCliTest, RemovedShardsFlagIsUnknown) {
+  // No intra-suite sharding flag exists: it must fail as an unknown
+  // option, never be silently accepted.
+  const RunOutcome r = run_shell(std::string(COVEST_BATCH_TOOL_PATH) +
+                                 " --shards 2 /dev/null 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--shards'"), std::string::npos)
+      << r.output;
 }
 
 TEST(CovestBatchCliTest, ParallelApplyFlagIsUnknown) {

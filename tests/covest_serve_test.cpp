@@ -647,6 +647,16 @@ TEST(CovestServeTest, SigtermDrainsPendingResultLinesThenExitsClean) {
   EXPECT_EQ(server.wait(), 0);
 }
 
+TEST(CovestServeTest, RemovedShardsFlagIsUnknown) {
+  // The server rejects the retired sharding flag like covest_batch does:
+  // a usage error before it binds anything.
+  const RunOutcome r = run_shell(std::string(COVEST_SERVE_PATH) +
+                                 " --port 0 --shards 2 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--shards'"), std::string::npos)
+      << r.output;
+}
+
 #else
 TEST(CovestServeTest, DISABLED_BinaryPathsNotConfigured) {}
 #endif

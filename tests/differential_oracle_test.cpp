@@ -1,6 +1,6 @@
 // Randomized differential battery: the whole suite pipeline
 // (engine::Session — parse/elaborate, symbolic verification, Table-1
-// coverage estimation over the shared BddManager) against the
+// coverage estimation over one BddManager) against the
 // independent explicit-state oracle (xstate::ExplicitModel +
 // brute-force Definition-3 coverage), on hundreds of seeded random
 // models and random ACTL suites.
@@ -11,8 +11,8 @@
 //   * identical reachable-state and coverage-space counts,
 //   * identical covered-state counts and coverage percentages for every
 //     signal row,
-// and, on a sub-sample of seeds, that the sharded runs stay
-// byte-identical to the serial run.
+// and, on a sub-sample of seeds, that replays under the other image
+// strategies stay byte-identical to the default run.
 //
 // Reproduction: every failure message carries its seed; set
 // COVEST_DIFF_SEED=<n> to re-run exactly that seed (and only it),
@@ -50,7 +50,7 @@ struct GeneratedSuite {
   model::Model model;
   std::vector<Formula> formulas;            ///< Parallel to request props.
   std::vector<std::string> signal_names;    ///< Requested row order.
-  CoverageRequest request;                  ///< Serial form (shards = 1).
+  CoverageRequest request;
 };
 
 /// Random boolean expression over the given signal names.
@@ -245,10 +245,10 @@ std::string canonical(const SuiteResult& r) {
 }
 
 /// One seed, end to end; returns how many signal rows had a non-empty
-/// covered set (generator-health accounting). `check_sharded`
-/// additionally replays the suite sharded and holds it to
-/// byte-identity.
-std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
+/// covered set (generator-health accounting). `check_strategies`
+/// additionally replays the suite under the other image strategies and
+/// holds it to byte-identity.
+std::size_t run_seed(std::uint32_t seed, bool check_strategies) {
   SCOPED_TRACE("COVEST_DIFF_SEED=" + std::to_string(seed));
   const GeneratedSuite g = generate(seed);
 
@@ -287,17 +287,13 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
     if (o.covered_counts[i] > 0.0) ++interesting;
   }
 
-  if (check_sharded) {
+  if (check_strategies) {
     const std::string expect = canonical(serial);
-    CoverageRequest sharded = g.request;
-    sharded.shards = 3;
-    EXPECT_EQ(canonical(session->run(sharded)), expect) << "sharded";
-
     // Image-strategy parity: the baseline above ran under the default
     // (partitioned). Each strategy bakes a different image engine and
     // fix-point discipline into the session at elaboration, so replay
-    // through a *fresh* session per strategy — serial and sharded — and
-    // hold every run to byte-identity.
+    // through a *fresh* session per strategy and hold it to
+    // byte-identity.
     for (const image::ImageStrategy strategy :
          {image::ImageStrategy::kMonolithic, image::ImageStrategy::kChaining}) {
       SCOPED_TRACE(image::to_string(strategy));
@@ -305,10 +301,6 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
       replay.options.image_strategy = strategy;
       auto strategy_session = eng.open(replay);
       EXPECT_EQ(canonical(strategy_session->run(replay)), expect);
-      CoverageRequest sharded_replay = replay;
-      sharded_replay.shards = 3;
-      EXPECT_EQ(canonical(strategy_session->run(sharded_replay)), expect)
-          << "sharded";
     }
   }
   return interesting;
@@ -323,15 +315,15 @@ std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
 TEST(DifferentialOracleTest, RandomSuitesAgreeWithExplicitOracle) {
   const char* pinned = std::getenv("COVEST_DIFF_SEED");
   if (pinned != nullptr && *pinned != '\0') {
-    // Reproduction mode: exactly the reported seed, with the sharded
-    // replay always on.
-    (void)run_seed(env_u32("COVEST_DIFF_SEED", 0), /*check_sharded=*/true);
+    // Reproduction mode: exactly the reported seed, with the strategy
+    // replays always on.
+    (void)run_seed(env_u32("COVEST_DIFF_SEED", 0), /*check_strategies=*/true);
     return;
   }
   const std::uint32_t count = env_u32("COVEST_DIFF_COUNT", 200);
   std::size_t interesting_rows = 0;
   for (std::uint32_t seed = 0; seed < count; ++seed) {
-    interesting_rows += run_seed(seed, /*check_sharded=*/seed % 8 == 0);
+    interesting_rows += run_seed(seed, /*check_strategies=*/seed % 8 == 0);
     if (HasFailure()) {
       return;  // The SCOPED_TRACE already names the failing seed.
     }

@@ -1,14 +1,17 @@
 // The async multi-worker executor: submit/wait round-trips, deterministic
-// ordering, bit-identical parity with the serial engine (including
-// signal-sharded suites), streaming job events, cancellation, structured
-// per-job errors, and the BDD thread-affinity hand-off.
+// ordering, bit-identical parity with the serial engine, streaming job
+// events, cancellation, structured per-job errors, and the BDD
+// thread-affinity hand-off.
 #include <gtest/gtest.h>
 #include <poll.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +43,7 @@ std::string model_path(const char* name) {
 }
 
 /// Deterministic serialization (no stats) — the byte-level identity the
-/// sharded and parallel paths are held to.
+/// multi-worker paths are held to.
 std::string canonical(const SuiteResult& r) {
   engine::JsonOptions opts;
   opts.include_stats = false;
@@ -106,65 +109,42 @@ TEST(ExecutorTest, FourWorkersMatchOneWorkerByteForByte) {
   }
 }
 
-// --------------------------------------------------------------------------
-// Signal sharding
-// --------------------------------------------------------------------------
-
-TEST(ExecutorShardingTest, ShardedSuiteIsBitIdenticalToSerial) {
-  for (const std::size_t shards : {2u, 3u, 8u}) {
-    CoverageRequest req = path_request("arbiter.cov");
+TEST(ExecutorTest, RandomizedInterleavedBatchesRunEachPhaseOnce) {
+  // Several rounds of a shuffled deck of every example model, all in
+  // flight on one 4-worker executor at once (traces included), so jobs
+  // interleave on the workers. Every result matches the one-shot engine
+  // byte for byte, and each job parsed, verified and estimated exactly
+  // once. Fixed seed: reproducible runs.
+  const char* models[] = {"counter.cov", "arbiter.cov", "handshake.cov",
+                          "shift.cov", "traffic.cov"};
+  std::vector<std::string> deck;
+  std::map<std::string, std::string> expected;
+  for (const char* m : models) {
+    CoverageRequest req = path_request(m);
     req.want_traces = true;
-    const std::string serial = canonical(Engine().run(req));
-
-    req.shards = shards;
+    expected.emplace(m, canonical(Engine().run(req)));
+    for (int copy = 0; copy < 3; ++copy) deck.push_back(m);
+  }
+  std::mt19937 rng(0x5eed5eed);
+  for (int round = 0; round < 3; ++round) {
+    std::shuffle(deck.begin(), deck.end(), rng);
     Executor ex{ExecutorOptions{4, nullptr}};
-    const SuiteResult sharded = ex.submit(req).take();
-    EXPECT_TRUE(sharded.error.empty()) << sharded.error;
-    EXPECT_EQ(canonical(sharded), serial) << "shards=" << shards;
+    std::vector<JobHandle> handles;
+    for (const std::string& m : deck) {
+      CoverageRequest req = path_request(m.c_str());
+      req.want_traces = true;
+      handles.push_back(ex.submit(req));
+    }
+    for (std::size_t i = 0; i < deck.size(); ++i) {
+      const SuiteResult r = handles[i].take();
+      EXPECT_TRUE(r.error.empty()) << deck[i] << ": " << r.error;
+      EXPECT_EQ(canonical(r), expected.at(deck[i]))
+          << "round " << round << " " << deck[i];
+      EXPECT_EQ(r.elaborate.passes, 1u) << deck[i];
+      EXPECT_EQ(r.verify.passes, 1u) << deck[i];
+      EXPECT_EQ(r.estimate.passes, 1u) << deck[i];
+    }
   }
-}
-
-TEST(ExecutorShardingTest, ShardedCoveredHandlesStayLive) {
-  // Rows estimated on different shard threads keep their covered-set
-  // handles valid: the merged result retains the (single, shared)
-  // session, and take() rebinds its manager to the consuming thread.
-  CoverageRequest req = path_request("arbiter.cov");
-  req.shards = 2;
-  Executor ex{ExecutorOptions{2, nullptr}};
-  const SuiteResult r = ex.submit(req).take();
-  ASSERT_EQ(r.signals.size(), 2u);
-  for (const engine::SignalRow& row : r.signals) {
-    ASSERT_TRUE(row.covered.valid());
-    EXPECT_FALSE(row.covered.is_false());
-    // Composing with the handle exercises node construction on this
-    // thread — the debug affinity guard must accept it after rebind.
-    const bdd::Bdd complement = !row.covered;
-    EXPECT_FALSE((row.covered & complement).is_true());
-  }
-}
-
-TEST(ExecutorShardingTest, MoreShardsThanSignalsIsHarmless) {
-  CoverageRequest req = path_request("counter.cov");  // One signal row.
-  req.shards = 6;
-  Executor ex{ExecutorOptions{2, nullptr}};
-  const SuiteResult r = ex.submit(req).take();
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  ASSERT_EQ(r.signals.size(), 1u);
-  EXPECT_DOUBLE_EQ(r.signals[0].percent, 80.0);
-}
-
-TEST(ExecutorShardingTest, AbsurdShardCountsAreClampedToThePool) {
-  // An untrusted NDJSON request must not translate a huge shards value
-  // into unbounded thread creation: effective_shards clamps to the
-  // signal-row count (and kMaxEstimatorThreads), so the job still runs
-  // and still matches the serial result byte for byte.
-  CoverageRequest req = path_request("arbiter.cov");
-  req.shards = 1000000000;
-  Executor ex{ExecutorOptions{2, nullptr}};
-  const SuiteResult r = ex.submit(req).take();
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  ASSERT_EQ(r.signals.size(), 2u);
-  EXPECT_EQ(canonical(r), canonical(Engine().run(path_request("arbiter.cov"))));
 }
 
 // --------------------------------------------------------------------------
@@ -319,25 +299,22 @@ TEST(ExecutorErrorTest, UnknownSignalNameIsAStructuredError) {
   EXPECT_NE(r.error.find("bogus_signal"), std::string::npos) << r.error;
 }
 
-TEST(ExecutorErrorTest, ShardedErrorsAreErrorOnlyLikeSerial) {
-  // A defect in any shard's rows makes the whole job error-only: no
-  // partial rows from sibling shards, byte-identical to the serial
-  // error result (the documented sharding determinism contract).
+TEST(ExecutorErrorTest, LaterRowErrorsAreErrorOnly) {
+  // A defect in a later row makes the whole job error-only: no partial
+  // rows from the valid rows before it, on one worker or four.
   CoverageRequest req = path_request("counter.cov");
   req.signals = {"count", "count", "bogus_signal"};
 
   Executor serial{ExecutorOptions{1, nullptr}};
-  CoverageRequest serial_req = req;
-  const SuiteResult expect = serial.submit(serial_req).take();
+  const SuiteResult expect = serial.submit(req).take();
   ASSERT_FALSE(expect.error.empty());
   EXPECT_TRUE(expect.signals.empty());
 
-  req.shards = 3;
   Executor ex{ExecutorOptions{4, nullptr}};
   const SuiteResult r = ex.submit(req).take();
   EXPECT_FALSE(r.error.empty());
   EXPECT_TRUE(r.signals.empty());
-  EXPECT_FALSE(r.cancelled);  // An aborted sibling is not a user cancel.
+  EXPECT_FALSE(r.cancelled);  // A defect is not a user cancel.
   EXPECT_EQ(canonical(r), canonical(expect));
 }
 
@@ -620,15 +597,14 @@ TEST(ExecutorGovernanceTest, DeadlineExpiryCoversEveryPhaseBoundary) {
   EXPECT_EQ(canonical(Engine().run(req)), baseline);
 }
 
-TEST(ExecutorGovernanceTest, ShardedDeadlinePartialsKeepChunkPrefixes) {
-  // An expiry mid-fan-out must stop every shard at its next tick and
-  // merge only whole rows — each surviving row byte-equal to its serial
-  // twin, in order.
+TEST(ExecutorGovernanceTest, DeadlinePartialsOnAWorkerPoolArePrefixes) {
+  // An expiry on a multi-worker executor keeps only whole rows — each
+  // surviving row byte-equal to its uninterrupted twin, in order — and
+  // the next run on a fresh manager is byte-identical again.
   struct Disarm {
     ~Disarm() { FaultInjector::disarm(); }
   } disarm;
-  CoverageRequest req = path_request("arbiter.cov");
-  req.shards = 2;
+  const CoverageRequest req = path_request("arbiter.cov");
   const SuiteResult base = Engine().run(req);
   const std::string baseline = canonical(base);
 
@@ -638,8 +614,7 @@ TEST(ExecutorGovernanceTest, ShardedDeadlinePartialsKeepChunkPrefixes) {
     const SuiteResult r = ex.submit(req).take();
     FaultInjector::disarm();
     if (r.status == engine::ResultStatus::kOk) {
-      // Tick n never fired (shared-cache warm paths tick less often);
-      // then the run must be untouched.
+      // Tick n never fired; then the run must be untouched.
       EXPECT_EQ(canonical(r), baseline) << "tick " << n;
     } else {
       ASSERT_EQ(r.status, engine::ResultStatus::kDeadlineExceeded) << n;
@@ -647,7 +622,7 @@ TEST(ExecutorGovernanceTest, ShardedDeadlinePartialsKeepChunkPrefixes) {
       EXPECT_FALSE(r.cancelled);  // Expiry is not a user cancel.
       expect_governed_prefix(r, base);
     }
-    // Recovery including a full sharded pass on a fresh manager.
+    // Recovery: a full pass on a fresh manager.
     Executor again{ExecutorOptions{2, nullptr}};
     EXPECT_EQ(canonical(again.submit(req).take()), baseline)
         << "after tick " << n;
@@ -658,7 +633,6 @@ TEST(ExecutorGovernanceTest, GenerousDeadlineThroughExecutorChangesNothing) {
   CoverageRequest req = path_request("handshake.cov");
   const std::string baseline = canonical(Engine().run(req));
   req.deadline_ms = 3'600'000;
-  req.shards = 2;
   Executor ex{ExecutorOptions{2, nullptr}};
   const SuiteResult r = ex.submit(req).take();
   EXPECT_EQ(r.status, engine::ResultStatus::kOk);

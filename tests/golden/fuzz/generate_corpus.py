@@ -79,7 +79,6 @@ w('bad_request/uncovered_negative.json', '{"uncovered_limit": -1}')
 w('bad_request/uncovered_fractional.json', '{"uncovered_limit": 1.5}')
 w('bad_request/uncovered_bool.json', '{"uncovered_limit": true}')
 w('bad_request/uncovered_saturated.json', '{"uncovered_limit": 1e999}')
-w('bad_request/shards_zero.json', '{"shards": 0}')
 w('bad_request/image_strategy_unknown.json',
   '{"model_path": "m.cov", "image_strategy": "saturation"}')
 w('bad_request/image_strategy_wrong_type.json',
@@ -97,13 +96,14 @@ w('bad_request/max_nodes_zero.json', '{"max_live_nodes": 0}')
 w('bad_request/max_nodes_fractional.json', '{"max_live_nodes": 2.5}')
 w('bad_request/max_nodes_wrong_type.json', '{"max_live_nodes": true}')
 # Retired fields are unknown keys: there is no in-operation
-# parallelism, one shared-table synchronization and one sharded path.
+# parallelism, no shared BDD table and no intra-suite sharding.
 w('bad_request/parallel_apply_removed.json',
   '{"model_path": "m.cov", "parallel_apply": 2}')
 w('bad_request/table_mode_removed.json',
-  '{"model_path": "m.cov", "shards": 2, "table_mode": "striped"}')
+  '{"model_path": "m.cov", "table_mode": "striped"}')
 w('bad_request/shard_mode_removed.json',
-  '{"model_path": "m.cov", "shards": 2, "shard_mode": "shared_manager"}')
+  '{"model_path": "m.cov", "shard_mode": "shared_manager"}')
+w('bad_request/shards_removed.json', '{"model_path": "m.cov", "shards": 2}')
 # Duplicate keys (grammar-valid; the schema rejects two-jobs-at-once),
 # including duplicates buried in nested objects.
 w('bad_request/duplicate_top_level.json',

@@ -39,7 +39,6 @@ CoverageRequest sample_request() {
   req.skip_failing = true;
   req.uncovered_limit = 7;
   req.want_traces = true;
-  req.shards = 3;
   req.deadline_ms = 1500;
   req.max_live_nodes = 250000;
   return req;
@@ -60,7 +59,6 @@ void expect_same_request(const CoverageRequest& a, const CoverageRequest& b) {
   EXPECT_EQ(a.skip_failing, b.skip_failing);
   EXPECT_EQ(a.uncovered_limit, b.uncovered_limit);
   EXPECT_EQ(a.want_traces, b.want_traces);
-  EXPECT_EQ(a.shards, b.shards);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.max_live_nodes, b.max_live_nodes);
 }
@@ -118,7 +116,6 @@ TEST(RequestJsonTest, MinimalInputGetsDefaults) {
   EXPECT_FALSE(req.skip_failing);
   EXPECT_EQ(req.uncovered_limit, 4u);
   EXPECT_FALSE(req.want_traces);
-  EXPECT_EQ(req.shards, 1u);
   EXPECT_EQ(req.deadline_ms, 0u);       // Unlimited, spelled by omission.
   EXPECT_EQ(req.max_live_nodes, 0u);
 }
@@ -264,17 +261,23 @@ TEST(FuzzCorpusTest, RemovedParallelApplyFieldIsAnUnknownKey) {
 }
 
 TEST(FuzzCorpusTest, RemovedTableSelectorFieldIsAnUnknownKey) {
-  // Shared epochs have one synchronization: the striped locks.
+  // No shared-table mode exists.
   const std::string error = bad_request_error("table_mode_removed.json");
   EXPECT_NE(error.find("unknown key 'table_mode'"), std::string::npos)
       << error;
 }
 
 TEST(FuzzCorpusTest, RemovedShardSelectorFieldIsAnUnknownKey) {
-  // A sharded request has one path: verify once, fan the rows out.
+  // No sharding mode exists.
   const std::string error = bad_request_error("shard_mode_removed.json");
   EXPECT_NE(error.find("unknown key 'shard_mode'"), std::string::npos)
       << error;
+}
+
+TEST(FuzzCorpusTest, RemovedShardsFieldIsAnUnknownKey) {
+  // A suite's rows are estimated one after another on its worker.
+  const std::string error = bad_request_error("shards_removed.json");
+  EXPECT_NE(error.find("unknown key 'shards'"), std::string::npos) << error;
 }
 
 TEST(RequestJsonTest, HostileNestingDepthIsRejectedNotACrash) {
@@ -321,13 +324,13 @@ TEST(RequestJsonTest, SurrogatePairsDecodeLoneSurrogatesDoNot) {
 
 TEST(RequestJsonTest, AcceptsFieldOrderVariations) {
   const CoverageRequest req = engine::request_from_json(R"json({
-    "shards": 2,
+    "uncovered_limit": 2,
     "signals": ["count"],
     "model_path": "counter.cov",
     "properties": [{"comment": "c", "observe": ["count"],
                     "ctl": "AG (count == 0 -> AX (count == 1))"}]
   })json");
-  EXPECT_EQ(req.shards, 2u);
+  EXPECT_EQ(req.uncovered_limit, 2u);
   EXPECT_EQ(req.model_path, "counter.cov");
   ASSERT_EQ(req.properties.size(), 1u);
   EXPECT_EQ(req.properties[0].comment, "c");
@@ -383,7 +386,7 @@ TEST_F(GoldenRequestTest, PathRequest) {
   check_round_trip("request_counter.json", req);
 }
 
-TEST_F(GoldenRequestTest, FullRequestWithInlineModelAndSharding) {
+TEST_F(GoldenRequestTest, FullRequestWithInlineModel) {
   CoverageRequest req;
   req.model_source =
       "MODULE gate;\nVAR q : bool;\nIVAR en : bool;\n"
@@ -395,8 +398,7 @@ TEST_F(GoldenRequestTest, FullRequestWithInlineModelAndSharding) {
   req.options.exclude_dontcares = false;
   req.skip_failing = true;
   req.uncovered_limit = 2;
-  req.shards = 2;
-  check_round_trip("request_sharded_inline.json", req);
+  check_round_trip("request_inline.json", req);
 }
 
 }  // namespace
