@@ -90,35 +90,6 @@ void BM_QueueReachability(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueReachability)->Arg(2)->Arg(4)->Arg(6);
 
-// Image-strategy comparison on the token ring, the model family built
-// to separate them: 2*cells mostly-local transition partials plus two
-// cross-ring taps. Partitioned/chaining apply small clusters with early
-// quantification; monolithic conjoins everything and pays for the
-// long-range reads on every image — the gap widens superlinearly with
-// `cells` (BENCH_bdd.json records it at each size).
-void BM_ImageStrategy(benchmark::State& state) {
-  const auto strategy =
-      static_cast<image::ImageStrategy>(state.range(0));
-  const unsigned cells = static_cast<unsigned>(state.range(1));
-  for (auto _ : state) {
-    fsm::SymbolicFsm f(circuits::make_token_ring(
-                           circuits::TokenRingSpec{cells, 2}),
-                       0, strategy);
-    const Bdd reached = f.reachable(f.initial_states());
-    benchmark::DoNotOptimize(reached.index());
-    state.PauseTiming();
-    state.counters["peak_live_nodes"] = static_cast<double>(
-        f.mgr().stats().peak_live_nodes);
-    state.ResumeTiming();
-  }
-  state.SetLabel(image::to_string(strategy));
-}
-BENCHMARK(BM_ImageStrategy)
-    ->ArgNames({"strategy", "cells"})
-    ->Args({0, 8})->Args({0, 16})->Args({0, 24})
-    ->Args({1, 8})->Args({1, 16})->Args({1, 24})
-    ->Args({2, 8})->Args({2, 16})->Args({2, 24});
-
 void BM_SiftingReorder(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -1,6 +1,6 @@
 // Suite-throughput benchmark for the engine layer: how many coverage
 // suites per second the `engine::Executor` sustains at different worker
-// counts, over the server loopback and per image strategy.
+// counts and over the server loopback.
 // `bench/run_bench.sh` runs it over the example-model manifest and
 // writes BENCH_engine.json so the engine layer has a perf trajectory PR
 // over PR (the BDD layer has had one since PR 1).
@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "circuits/circuits.h"
 #include "engine/executor.h"
 #include "server/covest_server.h"
 #include "util/cli.h"
@@ -54,12 +53,6 @@ struct Config {
   std::vector<std::string> models;
 };
 
-/// Ring size of the image-strategy comparison. 16 stations = 32 state
-/// bits, where the conjoined monolithic relation already pays several
-/// times the partitioned cost (see BM_ImageStrategy in bdd_microbench
-/// for the per-size scaling).
-constexpr unsigned kRingCells = 16;
-
 /// The deterministic benchmark names a configuration produces, in
 /// measurement order; `main` consumes them positionally, and the
 /// run_bench.sh staleness gate holds BENCH_engine.json to them.
@@ -73,10 +66,6 @@ std::vector<std::string> benchmark_names(const Config& config) {
   const std::string jobs_suffix = "/jobs:" + std::to_string(max_workers);
   names.push_back("server_loopback/cache:off" + jobs_suffix);
   names.push_back("server_loopback/cache:on" + jobs_suffix);
-  for (const char* strategy : {"monolithic", "partitioned", "chaining"}) {
-    names.push_back(std::string("image_strategy/") + strategy +
-                    "/cells:" + std::to_string(kRingCells) + jobs_suffix);
-  }
   return names;
 }
 
@@ -135,58 +124,6 @@ Measurement measure(const Config& config, std::size_t workers,
     m.verify_passes += r.verify.passes;
   }
 
-  m.name = std::move(name);
-  m.jobs = workers;
-  m.suites = results.size();
-  m.wall_ms = wall_ms;
-  m.suites_per_sec =
-      wall_ms > 0.0 ? static_cast<double>(results.size()) * 1000.0 / wall_ms
-                    : 0.0;
-  return m;
-}
-
-/// The image-strategy configuration: `repeat` copies of the token-ring
-/// suite (in-memory model, so no .cov file is involved) through the
-/// executor, everything identical except `CoverageOptions::image_strategy`.
-/// Results are byte-identical across strategies — the ratio is purely
-/// the image engine.
-Measurement measure_image_strategy(const Config& config, std::size_t workers,
-                                   image::ImageStrategy strategy,
-                                   std::string name) {
-  const circuits::TokenRingSpec spec{kRingCells, 2};
-  std::vector<engine::CoverageRequest> requests;
-  requests.reserve(config.repeat);
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    engine::CoverageRequest req;
-    req.model = circuits::make_token_ring(spec);
-    for (const ctl::Formula& f : circuits::ring_safety_properties(spec)) {
-      engine::PropertySpec prop;
-      prop.formula = f;
-      prop.observe = {"tok1"};
-      req.properties.push_back(std::move(prop));
-    }
-    req.signals = {"tok1"};
-    req.uncovered_limit = 0;
-    req.options.image_strategy = strategy;
-    requests.push_back(std::move(req));
-  }
-
-  engine::Executor executor{engine::ExecutorOptions{workers, nullptr}};
-  const auto t0 = Clock::now();
-  const std::vector<engine::SuiteResult> results =
-      executor.run_all(std::move(requests));
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-  Measurement m;
-  for (const engine::SuiteResult& r : results) {
-    if (!r.error.empty() || r.failures > 0) {
-      std::fprintf(stderr, "error: ring suite failed (%s)\n",
-                   r.error.c_str());
-      std::exit(1);
-    }
-    m.verify_passes += r.verify.passes;
-  }
   m.name = std::move(name);
   m.jobs = workers;
   m.suites = results.size();
@@ -358,30 +295,6 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf("warm cache vs cold over loopback: %.2fx\n", cache_speedup);
 
-  // Image strategies on the token ring: one conjoined relation against
-  // clustered partials with early quantification against saturation-style
-  // chaining, byte-identical results throughout.
-  Measurement img_monolithic = measure_image_strategy(
-      config, max_workers, image::ImageStrategy::kMonolithic,
-      names[name_index++]);
-  Measurement img_partitioned = measure_image_strategy(
-      config, max_workers, image::ImageStrategy::kPartitioned,
-      names[name_index++]);
-  Measurement img_chaining = measure_image_strategy(
-      config, max_workers, image::ImageStrategy::kChaining,
-      names[name_index++]);
-  for (const Measurement* m :
-       {&img_monolithic, &img_partitioned, &img_chaining}) {
-    std::printf("%s: %.1f suites/sec\n", m->name.c_str(), m->suites_per_sec);
-    measurements.push_back(*m);
-  }
-  const double image_speedup =
-      img_monolithic.suites_per_sec > 0.0
-          ? img_partitioned.suites_per_sec / img_monolithic.suites_per_sec
-          : 0.0;
-  std::printf("partitioned vs monolithic on token_ring(%u): %.2fx\n",
-              kRingCells, image_speedup);
-
   if (!config.out_path.empty()) {
     std::FILE* out = std::fopen(config.out_path.c_str(), "w");
     if (out == nullptr) {
@@ -414,11 +327,8 @@ int main(int argc, char** argv) {
                    "jobs=2.\",\n");
     }
     std::fprintf(out, "  \"speedup_max_jobs_vs_1\": %.3f,\n", speedup);
-    std::fprintf(out, "  \"warm_cache_vs_cold_speedup\": %.3f,\n",
+    std::fprintf(out, "  \"warm_cache_vs_cold_speedup\": %.3f\n}\n",
                  cache_speedup);
-    std::fprintf(out,
-                 "  \"partitioned_vs_monolithic_speedup\": %.3f\n}\n",
-                 image_speedup);
     std::fclose(out);
     std::printf("wrote %s\n", config.out_path.c_str());
   }

@@ -128,7 +128,7 @@ echo "wrote ${OUT_JSON}"
 
 # Engine-layer suite throughput: every example model's default suite,
 # repeated, fanned out through the executor at 1/2/4 workers, then the
-# server-loopback and image-strategy families.
+# server-loopback family.
 "${BUILD_DIR}/engine_throughput" \
   --repeat "${ENGINE_REPEAT}" \
   --jobs 1,2,4 \

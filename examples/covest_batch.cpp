@@ -55,11 +55,6 @@ void usage(std::FILE* to) {
       "\n"
       "options:\n"
       "  --jobs N     worker threads (default 1; 0 = hardware threads)\n"
-      "  --image-strategy monolithic|partitioned|chaining\n"
-      "               image computation: one conjoined transition\n"
-      "               relation, clustered partials with early\n"
-      "               quantification (default), or saturation-style\n"
-      "               chained fixpoints; results are byte-identical\n"
       "  --deadline-ms N\n"
       "               per-job wall-clock budget; an expired job emits a\n"
       "               partial result with status deadline_exceeded\n"
@@ -123,17 +118,6 @@ int main(int argc, char** argv) {
         usage(stderr);
         return 2;
       }
-    } else if (std::strcmp(arg, "--image-strategy") == 0) {
-      const char* name = i + 1 < argc ? argv[++i] : "";
-      image::ImageStrategy strategy;
-      if (!image::image_strategy_from_string(name, &strategy)) {
-        std::fprintf(stderr,
-                     "error: --image-strategy needs 'monolithic', "
-                     "'partitioned' or 'chaining'\n\n");
-        usage(stderr);
-        return 2;
-      }
-      options.defaults.image_strategy = strategy;
     } else if (std::strcmp(arg, "--trace") == 0) {
       options.defaults.want_traces = true;
     } else if (std::strcmp(arg, "--stats") == 0) {

@@ -17,14 +17,13 @@
 //
 // Every emitted model round-trips through model::parse_model before
 // anything is recorded — the corpus is parseable by construction — and
-// each suite is run in-process under all three image strategies
-// (monolithic, partitioned, chaining); generation aborts if any pair of
-// strategies disagrees byte-for-byte, so the corpus doubles as a
-// strategy-parity battery:
+// each suite is run in-process under both cluster visit orders
+// (partitioned, then the chaining reference order); generation aborts
+// if the two disagree byte-for-byte, so the corpus doubles as an
+// image-order parity battery. The recorded oracle is then a target for
+// the batch driver:
 //
 //   covest_batch corpus/manifest.ndjson | diff - corpus/oracle.ndjson
-//   covest_batch --image-strategy chaining corpus/manifest.ndjson \
-//     | diff - corpus/oracle.ndjson
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -54,8 +53,8 @@ void usage(std::FILE* to) {
       "Writes DIR/seed_NNNN.cov for seeds S .. S+N-1 plus\n"
       "DIR/manifest.ndjson (covest_batch requests) and\n"
       "DIR/oracle.ndjson (their canonical results). Each suite is\n"
-      "replayed under all three image strategies before it is recorded;\n"
-      "generation fails on any byte difference.\n"
+      "replayed under the partitioned and the chaining image order\n"
+      "before it is recorded; generation fails on any byte difference.\n"
       "\n"
       "options:\n"
       "  --seeds N    corpus size (required, positive)\n"
@@ -283,15 +282,14 @@ int main(int argc, char** argv) {
     request.uncovered_limit = 0;  // Counts and percentages, byte-stable.
 
     // The oracle line: the same request resolved in-process, replayed
-    // under every image strategy; any byte of disagreement kills the
-    // corpus rather than recording a strategy-dependent "truth".
+    // under both image orders; any byte of disagreement kills the
+    // corpus rather than recording an order-dependent "truth".
     engine::CoverageRequest resolved = request;
     resolved.model_path.clear();
     resolved.model_source = g.cov_text;
     std::string expect;
     for (const image::ImageStrategy strategy :
-         {image::ImageStrategy::kMonolithic,
-          image::ImageStrategy::kPartitioned,
+         {image::ImageStrategy::kPartitioned,
           image::ImageStrategy::kChaining}) {
       resolved.options.image_strategy = strategy;
       const engine::SuiteResult result = engine::Engine().run(resolved);
@@ -305,8 +303,8 @@ int main(int argc, char** argv) {
         expect = got;
       } else if (got != expect) {
         std::fprintf(stderr,
-                     "error: seed %u: image strategy '%s' diverged from the "
-                     "monolithic baseline\n",
+                     "error: seed %u: image order '%s' diverged from the "
+                     "partitioned result\n",
                      seed, image::to_string(strategy));
         return 1;
       }

@@ -70,9 +70,6 @@ void usage(std::FILE* to) {
       "  --max-nodes N\n"
       "               default per-job BDD node budget (a request's own\n"
       "               max_live_nodes wins)\n"
-      "  --image-strategy monolithic|partitioned|chaining\n"
-      "               default image computation strategy for every job\n"
-      "               (results are byte-identical across strategies)\n"
       "  --cache N    warm model cache capacity in parked sessions\n"
       "               (default 8; 0 disables caching)\n"
       "  --max-connections N\n"
@@ -91,9 +88,6 @@ void usage(std::FILE* to) {
       "               suites, drain in-flight jobs and run a full GC\n"
       "               over the warm cache's parked sessions (default\n"
       "               0 = no maintenance)\n"
-      "  --gc-sift    also sift-reorder parked sessions during\n"
-      "               maintenance (changes witness/trace bytes, so\n"
-      "               byte-stable deployments leave it off)\n"
       "  --stats      include timing/BDD statistics in result lines\n");
 }
 
@@ -172,19 +166,6 @@ int main(int argc, char** argv) {
       options.drain_ms = drain;
     } else if (count_flag("--gc-interval", &gc_interval, true)) {
       options.gc_interval = gc_interval;
-    } else if (std::strcmp(arg, "--gc-sift") == 0) {
-      options.gc_sift = true;
-    } else if (std::strcmp(arg, "--image-strategy") == 0) {
-      const char* name = i + 1 < argc ? argv[++i] : "";
-      image::ImageStrategy strategy;
-      if (!image::image_strategy_from_string(name, &strategy)) {
-        std::fprintf(stderr,
-                     "error: --image-strategy needs 'monolithic', "
-                     "'partitioned' or 'chaining'\n\n");
-        usage(stderr);
-        return 2;
-      }
-      options.defaults.image_strategy = strategy;
     } else if (std::strcmp(arg, "--stats") == 0) {
       options.stats = true;
     } else if (std::strcmp(arg, "--help") == 0) {

@@ -123,7 +123,7 @@ std::vector<ctl::Formula> pipeline_properties_initial(const PipelineSpec&);
 std::vector<ctl::Formula> pipeline_hold_properties(const PipelineSpec&);
 
 // --------------------------------------------------------------------------
-// Token ring: the scalable image-strategy stressor
+// Token ring: the scalable image-computation stressor
 // --------------------------------------------------------------------------
 
 struct TokenRingSpec {
@@ -138,9 +138,9 @@ struct TokenRingSpec {
 /// mostly-local support — the shape partitioned image computation with
 /// early quantification is built for — while the `taps` cross-ring reads
 /// deny any variable order that keeps *every* partial local, so the
-/// conjoined monolithic relation pays for the long-range dependencies on
-/// every image. Scaling `cells` separates the image strategies without
-/// changing the model's character.
+/// conjoined monolithic relation would pay for the long-range
+/// dependencies on every image. Scaling `cells` grows the image work
+/// without changing the model's character.
 model::Model make_token_ring(const TokenRingSpec& spec = {});
 
 /// Safety suite, all holding: token uniqueness on adjacent station pairs

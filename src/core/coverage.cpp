@@ -52,23 +52,12 @@ Bdd CoverageEstimator::reachable_fair(const Bdd& s) {
   if (it != reach_cache_.end() && it->second.from == s) {
     return it->second.result;
   }
-  // Under kChaining the loop uses the accumulated-set discipline (same
-  // least fixpoint, chained intermediates); otherwise frontier BFS.
   Bdd reached = s;
-  if (options_.image_strategy == image::ImageStrategy::kChaining) {
-    while (true) {
-      covest::governor_tick();
-      const Bdd next = reached | forward_fair(reached);
-      if (next == reached) break;
-      reached = next;
-    }
-  } else {
-    Bdd frontier = s;
-    while (!frontier.is_false()) {
-      covest::governor_tick();
-      frontier = forward_fair(frontier) - reached;
-      reached |= frontier;
-    }
+  Bdd frontier = s;
+  while (!frontier.is_false()) {
+    covest::governor_tick();
+    frontier = forward_fair(frontier) - reached;
+    reached |= frontier;
   }
   reach_cache_[s.index()] = ReachEntry{s, reached};
   return reached;
@@ -113,21 +102,11 @@ Bdd CoverageEstimator::traverse(const Bdd& s0, const Bdd& t1, const Bdd& t2) {
   }
   const Bdd band = t1 - t2;
   Bdd acc = s0 & band;
-  if (options_.image_strategy == image::ImageStrategy::kChaining) {
-    // Accumulated-set discipline of lfp X. (S0∧band) ∪ (forward(X)∧band).
-    while (true) {
-      covest::governor_tick();
-      const Bdd next = acc | (forward_fair(acc) & band);
-      if (next == acc) break;
-      acc = next;
-    }
-  } else {
-    Bdd frontier = acc;
-    while (!frontier.is_false()) {
-      covest::governor_tick();
-      frontier = (forward_fair(frontier) & band) - acc;
-      acc |= frontier;
-    }
+  Bdd frontier = acc;
+  while (!frontier.is_false()) {
+    covest::governor_tick();
+    frontier = (forward_fair(frontier) & band) - acc;
+    acc |= frontier;
   }
   traverse_cache_[key].push_back(TraverseEntry{s0, t1, t2, acc});
   return acc;
@@ -140,10 +119,8 @@ Bdd CoverageEstimator::firstreached(const Bdd& s0, const Bdd& t2) {
   for (const FirstEntry& e : first_cache_[key]) {
     if (e.s0 == s0 && e.t2 == t2) return e.result;
   }
-  // Always layered BFS, whatever the image strategy: the recurrence
-  // prunes paths *through* t2 states via the frontier, so the visit
-  // discipline is part of the definition (unlike the plain fixpoints
-  // above). Strategies still differ inside each forward_fair step.
+  // Layered BFS: the recurrence prunes paths *through* t2 states via the
+  // frontier, so the visit discipline is part of the definition.
   Bdd first = s0 & t2;
   Bdd visited = s0;
   Bdd frontier = s0 - t2;

@@ -54,9 +54,10 @@ struct CoverageOptions {
   /// (Definition 3 presupposes M |= f). When false, failing properties
   /// contribute an empty covered set instead.
   bool require_holds = true;
-  /// How images/preimages traverse the partitioned transition relation
-  /// (image/image.h). Results are byte-identical across strategies;
-  /// only the intermediates — and so the wall time — differ.
+  /// The cluster visit order of the FSM an engine session elaborates
+  /// (image/image.h). Not on the request wire: kChaining exists only as
+  /// an in-process reference order for parity checks. Results are
+  /// byte-identical across strategies; only the intermediates differ.
   image::ImageStrategy image_strategy = image::ImageStrategy::kPartitioned;
 };
 
@@ -115,8 +116,8 @@ class CoverageEstimator {
   /// caller, so the estimator does not run the same fixpoint again. It
   /// is adopted only when the fair restriction is vacuous (no FAIRNESS,
   /// or `restrict_to_fair` off): then the fair-restricted traversal from
-  /// the initial states is that very set, as the same canonical BDD
-  /// under every image strategy. Otherwise this is a no-op.
+  /// the initial states is that very set, as the same canonical BDD.
+  /// Otherwise this is a no-op.
   void seed_reachable(const bdd::Bdd& reachable);
 
   /// Uncovered states for a covered set: space − covered.

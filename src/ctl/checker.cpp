@@ -85,22 +85,11 @@ Bdd ModelChecker::eu(const Bdd& p, const Bdd& q) {
 }
 
 Bdd ModelChecker::eu_plain(const Bdd& p, const Bdd& q) {
-  // lfp Z. (q & care) | (p & care & EX Z). Under kChaining the loop
-  // keeps the classic accumulated-set (Gauss-Seidel) discipline — the
-  // whole Z goes back through the chained clusters each round;
-  // otherwise it runs the frontier (BFS) discipline, which preimages
-  // only the newly-added states (preimage distributes over union, so
-  // both converge to the identical least fixpoint).
+  // lfp Z. (q & care) | (p & care & EX Z), by frontier BFS: each round
+  // preimages only the newly-added states, which suffices because
+  // preimage distributes over union.
   const Bdd pc = p & care_;
   Bdd z = q & care_;
-  if (fsm_.image_strategy() == image::ImageStrategy::kChaining) {
-    while (true) {
-      covest::governor_tick();
-      const Bdd next = z | (pc & fsm_.backward(z));
-      if (next == z) return z;
-      z = next;
-    }
-  }
   Bdd frontier = z;
   while (!frontier.is_false()) {
     covest::governor_tick();

@@ -220,8 +220,8 @@ SuiteResult Session::run(const CoverageRequest& request,
   result.model_name = m.name();
   result.state_bits = m.state_bit_count();
 
-  // Every phase snapshot carries the partitioned-relation shape, so a
-  // strategy's per-phase win is observable next to its timings.
+  // Every phase snapshot carries the partitioned-relation shape, so the
+  // clustering is observable next to the phase timings.
   const auto snap = [this](double ms) {
     PhaseStats p = snapshot(fsm_.mgr(), ms);
     p.partial_relations = fsm_.relation().partial_count();

@@ -131,9 +131,8 @@ struct CoverageRequest {
   std::vector<std::string> signals;
 
   // -- Policy ---------------------------------------------------------------
-  /// Estimator policy. `options.image_strategy` travels as the
-  /// top-level `"image_strategy"` JSON field, not inside the
-  /// `"options"` object.
+  /// Estimator policy. `options.image_strategy` has no JSON field: it
+  /// is an in-process switch for parity checks (core/coverage.h).
   core::CoverageOptions options;
   /// When false (default), properties that fail verification are skipped:
   /// they contribute nothing to coverage, matching Definition 3's

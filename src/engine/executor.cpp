@@ -580,7 +580,7 @@ std::size_t Executor::cancel_all() {
   return reached;
 }
 
-MaintenanceStats Executor::maintenance(bool sift) {
+MaintenanceStats Executor::maintenance() {
   std::unique_lock<std::mutex> lock(impl_->mu);
   impl_->maintenance = true;
   // Drain: workers stop popping once the flag is up; wait for the tasks
@@ -590,7 +590,7 @@ MaintenanceStats Executor::maintenance(bool sift) {
   if (impl_->session_cache) {
     // Holding `mu` for the pass is the point: submitters and workers
     // stay parked, so every cached session is reachable and quiescent.
-    stats = impl_->session_cache->maintain(sift);
+    stats = impl_->session_cache->maintain();
   }
   impl_->maintenance = false;
   lock.unlock();

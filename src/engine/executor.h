@@ -223,13 +223,12 @@ class Executor {
 
   /// Stop-the-world maintenance window: stops handing queued tasks to
   /// workers, waits for every in-flight task to finish, then runs a
-  /// full exclusive GC (and, when `sift` is set, a variable reorder —
-  /// which changes witness/trace bytes, so byte-stable servers keep it
-  /// off) over every session parked in the warm cache, and resumes.
+  /// full exclusive GC over every session parked in the warm cache, and
+  /// resumes.
   /// Queued jobs are not lost — they run as soon as the window closes;
   /// submitters block for the duration. No-op counters when the
   /// executor has no session cache. One caller at a time.
-  MaintenanceStats maintenance(bool sift = false);
+  MaintenanceStats maintenance();
 
  private:
   struct Impl;

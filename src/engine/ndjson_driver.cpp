@@ -70,9 +70,6 @@ ParsedLine parse_request_line(const std::string& raw,
       (flags_win || job.request.max_live_nodes == 0)) {
     job.request.max_live_nodes = defaults.max_nodes;
   }
-  if (defaults.image_strategy) {
-    job.request.options.image_strategy = *defaults.image_strategy;
-  }
   return job;
 }
 

@@ -35,11 +35,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "engine/executor.h"
-#include "image/image.h"
 
 namespace covest::engine {
 
@@ -65,13 +63,10 @@ std::string ndjson_dirname(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// Driver-level knobs applied to every parsed request line — the
-/// `--deadline-ms/--max-nodes/--image-strategy` flags both binaries
-/// accept.
+/// `--deadline-ms/--max-nodes` flags both binaries accept.
 struct RequestDefaults {
   std::size_t deadline_ms = 0;  ///< 0 = leave the request's own value.
   std::size_t max_nodes = 0;    ///< 0 = leave the request's own value.
-  /// Unset = per-request value.
-  std::optional<image::ImageStrategy> image_strategy;
   bool want_traces = false;  ///< Applied to bare model-path lines only.
   /// How a set flag meets a request that also sets the field: the batch
   /// driver's flags win (true — a CLI override for the whole batch);

@@ -9,7 +9,6 @@
 
 #include "ctl/ctl.h"
 #include "engine/json.h"
-#include "image/image.h"
 
 namespace covest::engine {
 
@@ -139,8 +138,6 @@ std::string to_json(const CoverageRequest& request,
   w.field_bool("skip_failing", request.skip_failing);
   w.field_count("uncovered_limit", request.uncovered_limit);
   w.field_bool("want_traces", request.want_traces);
-  w.field_string("image_strategy",
-                 image::to_string(request.options.image_strategy));
   // Governance limits are omitted when unset, so pre-governance
   // documents (and their goldens) stay byte-identical.
   if (request.deadline_ms != 0) {
@@ -309,14 +306,6 @@ CoverageRequest request_from_json(const std::string& text) {
       request.max_live_nodes = as_count(value, "max_live_nodes");
       if (request.max_live_nodes == 0) {
         schema_fail("'max_live_nodes' must be >= 1");
-      }
-    } else if (key == "image_strategy") {
-      const std::string& strategy = as_string(value, "image_strategy");
-      if (!image::image_strategy_from_string(
-              strategy, &request.options.image_strategy)) {
-        schema_fail(
-            "'image_strategy' must be 'monolithic', 'partitioned' or "
-            "'chaining'");
       }
     } else {
       schema_fail("unknown key '" + key + "'");

@@ -18,7 +18,6 @@
 //     "skip_failing": false,
 //     "uncovered_limit": 4,
 //     "want_traces": false,
-//     "image_strategy": "partitioned",  // or "monolithic", "chaining"
 //     "deadline_ms": 500,               // wall-clock budget (>= 1);
 //                                       //     omitted when unlimited
 //     "max_live_nodes": 100000          // BDD node budget (>= 1);

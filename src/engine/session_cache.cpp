@@ -120,7 +120,7 @@ void SessionCache::release(const SessionKey& key,
   if (doomed) destroy_here(std::move(doomed));
 }
 
-MaintenanceStats SessionCache::maintain(bool sift) {
+MaintenanceStats SessionCache::maintain() {
   MaintenanceStats out;
   std::lock_guard<std::mutex> lock(state_->mu);
   for (Entry& e : state_->entries) {
@@ -130,7 +130,6 @@ MaintenanceStats SessionCache::maintain(bool sift) {
     mgr.rebind_to_current_thread();
     out.live_nodes_before += e.live_nodes;
     mgr.gc();
-    if (sift) mgr.reorder_sift();
     e.live_nodes = mgr.live_node_count();
     out.live_nodes_after += e.live_nodes;
     ++out.sessions;

@@ -63,7 +63,7 @@ struct SessionKey {
 struct MaintenanceStats {
   std::size_t sessions = 0;          ///< Parked sessions visited.
   std::size_t live_nodes_before = 0;  ///< As recorded at release time.
-  std::size_t live_nodes_after = 0;   ///< Re-measured after GC (+sift).
+  std::size_t live_nodes_after = 0;   ///< Re-measured after GC.
 };
 
 /// Point-in-time counters of a `SessionCache`. Hits + misses equal the
@@ -113,17 +113,11 @@ class SessionCache {
   void release(const SessionKey& key, std::shared_ptr<Session> session,
                std::size_t live_nodes);
 
-  /// Runs a full exclusive GC (and, when `sift` is set, a variable
-  /// reorder) on every parked session, rebinding each manager to the
-  /// calling thread. The caller must guarantee no concurrent
+  /// Runs a full GC on every parked session, rebinding each manager to
+  /// the calling thread. The caller must guarantee no concurrent
   /// acquire/release holds a lease it intends to return mid-pass — the
-  /// executor's maintenance window drains in-flight jobs first. Parked
-  /// sessions are in exclusive mode (shared epochs never outlive a
-  /// run), so plain `gc()`/`reorder_sift()` apply. Sifting preserves
-  /// node slots and live handles (see bdd_reorder.cpp) but changes the
-  /// variable order — and with it witness/trace bytes — so byte-stable
-  /// servers keep it off.
-  MaintenanceStats maintain(bool sift);
+  /// executor's maintenance window drains in-flight jobs first.
+  MaintenanceStats maintain();
 
   /// Destroys every parked session (on the calling thread).
   void clear();

@@ -15,14 +15,12 @@ using bdd::Var;
 SymbolicFsm::SymbolicFsm(const model::Model& model,
                          std::size_t max_live_nodes,
                          image::ImageStrategy strategy)
-    : model_(model),
-      mgr_(std::make_unique<bdd::BddManager>()),
-      strategy_(strategy) {
+    : model_(model), mgr_(std::make_unique<bdd::BddManager>()) {
   mgr_->set_max_live_nodes(max_live_nodes);
   model_.validate();
   allocate_variables();
   build_transition();
-  build_image_engine();
+  build_image_engine(strategy);
   build_initial_states();
 
   for (const expr::Expr& f : model_.fairness()) {
@@ -118,7 +116,7 @@ void SymbolicFsm::build_transition() {
   }
 }
 
-void SymbolicFsm::build_image_engine() {
+void SymbolicFsm::build_image_engine(image::ImageStrategy strategy) {
   // Dependency matrix from the parts' actual BDD supports (not the
   // declaration order): which current/input variables each next-state
   // bit reads.
@@ -136,7 +134,7 @@ void SymbolicFsm::build_image_engine() {
   if (!ordering.order.empty()) mgr_->set_order(ordering.order);
 
   rel_.build(*mgr_, parts_, dep_.part_order(ordering), current_vars_,
-             next_vars_);
+             next_vars_, strategy);
 }
 
 void SymbolicFsm::build_initial_states() {
@@ -174,10 +172,6 @@ void SymbolicFsm::build_initial_states() {
   }
 }
 
-const Bdd& SymbolicFsm::transition_relation() const {
-  return rel_.monolithic();
-}
-
 Bdd SymbolicFsm::to_next(const Bdd& current_set) const {
   return mgr_->permute(current_set, perm_to_next_);
 }
@@ -187,26 +181,14 @@ Bdd SymbolicFsm::to_current(const Bdd& next_set) const {
 }
 
 Bdd SymbolicFsm::forward(const Bdd& states) const {
-  return to_current(rel_.image(states, strategy_));
+  return to_current(rel_.image(states));
 }
 
 Bdd SymbolicFsm::backward(const Bdd& states) const {
-  return rel_.preimage(to_next(states), strategy_);
+  return rel_.preimage(to_next(states));
 }
 
 Bdd SymbolicFsm::reachable(const Bdd& from) const {
-  if (strategy_ == image::ImageStrategy::kChaining) {
-    // Accumulated-set (Gauss-Seidel) discipline: feed the whole reached
-    // set back through the chained clusters until nothing is new. Same
-    // least fixpoint as the BFS below, different intermediates.
-    Bdd reached = from;
-    while (true) {
-      covest::governor_tick();
-      const Bdd next = reached | forward(reached);
-      if (next == reached) return reached;
-      reached = next;
-    }
-  }
   Bdd reached = from;
   Bdd frontier = from;
   while (!frontier.is_false()) {

@@ -19,10 +19,10 @@
 // matrix suggests (current/next pairs move as blocks, so renaming stays
 // a valid permutation), clusters the partial relations in dependency
 // order, and precomputes early-quantification schedules. The
-// `ImageStrategy` selects how `forward`/`backward` and the fix-point
-// loops traverse those clusters; every strategy yields the identical
-// canonical BDDs. The monolithic relation is kept lazily for the
-// kMonolithic baseline and for input labelling of traces.
+// `ImageStrategy` selects the order `forward`/`backward` visit those
+// clusters in; both orders yield the identical canonical BDDs. The full
+// conjunction of the parts is never built: traces label inputs by
+// walking `backward` over the forward rings (fsm/trace.h).
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,8 @@ class SymbolicFsm {
   /// before elaboration starts, so a pathological model cannot OOM even
   /// while building its transition relation — exhaustion throws
   /// covest::ResourceExhausted out of the constructor. `strategy`
-  /// selects the image-computation path for this FSM's whole life;
-  /// results are byte-identical across strategies.
+  /// selects the cluster visit order for this FSM's whole life; results
+  /// are byte-identical across strategies.
   explicit SymbolicFsm(
       const model::Model& model, std::size_t max_live_nodes = 0,
       image::ImageStrategy strategy = image::ImageStrategy::kPartitioned);
@@ -84,12 +84,6 @@ class SymbolicFsm {
   /// One conjunct per assigned latch bit: `next_bit <-> f(l, i)`, in
   /// declaration order (the partitioned engine re-orders internally).
   const std::vector<bdd::Bdd>& transition_parts() const { return parts_; }
-
-  /// The full conjunction of the parts (built lazily, cached).
-  const bdd::Bdd& transition_relation() const;
-
-  /// The image strategy this FSM was elaborated with.
-  image::ImageStrategy image_strategy() const { return strategy_; }
 
   /// The clustered conjunctive relation behind forward/backward.
   const image::PartitionedRelation& relation() const { return rel_; }
@@ -122,16 +116,13 @@ class SymbolicFsm {
   bdd::Bdd backward(const bdd::Bdd& states) const;
 
   /// Least fixpoint of `forward` containing `from` (the paper's
-  /// `reachable(S0)`). Frontier BFS under kMonolithic/kPartitioned;
-  /// the accumulated-set discipline under kChaining — both converge to
-  /// the identical set.
+  /// `reachable(S0)`), by frontier BFS.
   bdd::Bdd reachable(const bdd::Bdd& from) const;
 
   /// Breadth-first "onion rings": rings[0] = from, rings[k+1] = states
   /// first reached in k+1 steps. Stops early once `target` (if given) is
-  /// intersected; used for shortest-path trace generation. Always
-  /// strict BFS — the ring structure is part of the trace contract —
-  /// whatever the image strategy inside each step.
+  /// intersected; used for shortest-path trace generation. The ring
+  /// structure is part of the trace contract.
   std::vector<bdd::Bdd> forward_rings(
       const bdd::Bdd& from, const bdd::Bdd* target = nullptr) const;
 
@@ -160,11 +151,10 @@ class SymbolicFsm {
   void allocate_variables();
   void build_transition();
   void build_initial_states();
-  void build_image_engine();
+  void build_image_engine(image::ImageStrategy strategy);
 
   model::Model model_;
   std::unique_ptr<bdd::BddManager> mgr_;
-  image::ImageStrategy strategy_;
   std::vector<SignalLayout> layouts_;
   std::unordered_map<std::string, std::size_t> layout_index_;
 

@@ -1,6 +1,7 @@
 #include "image/image.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "util/governance.h"
@@ -15,27 +16,7 @@ using bdd::Var;
 // ---------------------------------------------------------------------------
 
 const char* to_string(ImageStrategy strategy) noexcept {
-  switch (strategy) {
-    case ImageStrategy::kMonolithic:
-      return "monolithic";
-    case ImageStrategy::kPartitioned:
-      return "partitioned";
-    case ImageStrategy::kChaining:
-      return "chaining";
-  }
-  return "partitioned";  // Unreachable for in-range enums.
-}
-
-bool image_strategy_from_string(const std::string& text, ImageStrategy* out) {
-  for (const ImageStrategy s :
-       {ImageStrategy::kMonolithic, ImageStrategy::kPartitioned,
-        ImageStrategy::kChaining}) {
-    if (text == to_string(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
+  return strategy == ImageStrategy::kChaining ? "chaining" : "partitioned";
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +186,7 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
                                 const std::vector<std::size_t>& order,
                                 const std::vector<Var>& img_quantify,
                                 const std::vector<Var>& pre_quantify,
+                                ImageStrategy strategy,
                                 std::size_t cluster_node_limit) {
   if (order.size() != parts.size()) {
     throw std::invalid_argument(
@@ -214,7 +196,6 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
   partial_count_ = parts.size();
   clusters_.clear();
   parts_per_cluster_.clear();
-  monolithic_.reset();
 
   // Greedy clustering in the given order: grow a cluster until its
   // conjunction would exceed the node limit, then seal it. A single
@@ -248,53 +229,49 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
   }
   seal();
 
-  // Natural (dependency) visit order, and the chaining order: clusters
-  // sorted by the topmost level their support reaches (saturation-style
-  // "fire the shallowest relation first"), ties by dependency position.
-  std::vector<std::size_t> natural(clusters_.size());
-  for (std::size_t i = 0; i < natural.size(); ++i) natural[i] = i;
-  std::vector<std::size_t> chain = natural;
-  // One support traversal per cluster serves the chaining order and all
-  // four schedules.
+  // One support traversal per cluster serves the visit order and both
+  // schedules.
   std::vector<std::vector<Var>> supports;
   supports.reserve(clusters_.size());
   for (const Bdd& c : clusters_) supports.push_back(mgr.support(c));
-  {
+
+  // Dependency order, or for chaining the clusters sorted by the topmost
+  // level their support reaches (saturation-style "fire the shallowest
+  // relation first"), ties by dependency position.
+  visit_.resize(clusters_.size());
+  for (std::size_t i = 0; i < visit_.size(); ++i) visit_[i] = i;
+  if (strategy == ImageStrategy::kChaining) {
     std::vector<unsigned> top(clusters_.size(), 0);
     for (std::size_t i = 0; i < clusters_.size(); ++i) {
       unsigned best = static_cast<unsigned>(-1);
       for (const Var v : supports[i]) best = std::min(best, mgr.level_of(v));
       top[i] = best;
     }
-    std::stable_sort(chain.begin(), chain.end(),
+    std::stable_sort(visit_.begin(), visit_.end(),
                      [&top](std::size_t a, std::size_t b) {
                        if (top[a] != top[b]) return top[a] < top[b];
                        return a < b;
                      });
   }
 
-  sched_img_ = make_schedule(natural, img_quantify, supports);
-  sched_pre_ = make_schedule(natural, pre_quantify, supports);
-  chain_sched_img_ = make_schedule(chain, img_quantify, supports);
-  chain_sched_pre_ = make_schedule(chain, pre_quantify, supports);
-  img_full_cube_ = mgr.cube(img_quantify);
-  pre_full_cube_ = mgr.cube(pre_quantify);
+  sched_img_ = make_schedule(img_quantify, supports);
+  sched_pre_ = make_schedule(pre_quantify, supports);
 }
 
 PartitionedRelation::Schedule PartitionedRelation::make_schedule(
-    const std::vector<std::size_t>& visit, const std::vector<Var>& quantify,
+    const std::vector<Var>& quantify,
     const std::vector<std::vector<Var>>& supports) const {
   // For each variable to quantify, find the last visited cluster whose
   // support contains it; it can be quantified out right after that
   // cluster is conjoined (early quantification). Variables in no
   // cluster are quantified directly from the argument set.
   std::vector<int> last(mgr_->num_vars(), -1);
-  for (std::size_t pos = 0; pos < visit.size(); ++pos) {
-    for (const Var v : supports[visit[pos]]) {
+  for (std::size_t pos = 0; pos < visit_.size(); ++pos) {
+    for (const Var v : supports[visit_[pos]]) {
       last[v] = static_cast<int>(pos);
     }
   }
-  std::vector<std::vector<Var>> per_pos(visit.size());
+  std::vector<std::vector<Var>> per_pos(visit_.size());
   std::vector<Var> rest;
   for (const Var v : quantify) {
     if (last[v] >= 0) {
@@ -304,7 +281,6 @@ PartitionedRelation::Schedule PartitionedRelation::make_schedule(
     }
   }
   Schedule sched;
-  sched.visit = visit;
   for (const auto& vars : per_pos) sched.cubes.push_back(mgr_->cube(vars));
   sched.rest = mgr_->cube(rest);
   return sched;
@@ -313,49 +289,18 @@ PartitionedRelation::Schedule PartitionedRelation::make_schedule(
 bdd::Bdd PartitionedRelation::apply(const Bdd& set,
                                     const Schedule& sched) const {
   Bdd x = mgr_->exists(set, sched.rest);
-  for (std::size_t pos = 0; pos < sched.visit.size(); ++pos) {
-    x = mgr_->and_exists(x, clusters_[sched.visit[pos]], sched.cubes[pos]);
+  for (std::size_t pos = 0; pos < visit_.size(); ++pos) {
+    x = mgr_->and_exists(x, clusters_[visit_[pos]], sched.cubes[pos]);
   }
   return x;
 }
 
-bdd::Bdd PartitionedRelation::image(const Bdd& states,
-                                    ImageStrategy strategy) const {
-  switch (strategy) {
-    case ImageStrategy::kMonolithic:
-      return mgr_->and_exists(states, monolithic(), img_full_cube_);
-    case ImageStrategy::kPartitioned:
-      return apply(states, sched_img_);
-    case ImageStrategy::kChaining:
-      return apply(states, chain_sched_img_);
-  }
-  return apply(states, sched_img_);  // Unreachable for in-range enums.
+bdd::Bdd PartitionedRelation::image(const Bdd& states) const {
+  return apply(states, sched_img_);
 }
 
-bdd::Bdd PartitionedRelation::preimage(const Bdd& states_next,
-                                       ImageStrategy strategy) const {
-  switch (strategy) {
-    case ImageStrategy::kMonolithic:
-      return mgr_->and_exists(states_next, monolithic(), pre_full_cube_);
-    case ImageStrategy::kPartitioned:
-      return apply(states_next, sched_pre_);
-    case ImageStrategy::kChaining:
-      return apply(states_next, chain_sched_pre_);
-  }
+bdd::Bdd PartitionedRelation::preimage(const Bdd& states_next) const {
   return apply(states_next, sched_pre_);
-}
-
-const bdd::Bdd& PartitionedRelation::monolithic() const {
-  // Engaged at most once.
-  if (!monolithic_) {
-    Bdd t = mgr_->bdd_true();
-    for (const Bdd& c : clusters_) {
-      covest::governor_tick();  // The build itself can be the blow-up.
-      t &= c;
-    }
-    monolithic_ = t;
-  }
-  return *monolithic_;
 }
 
 std::size_t PartitionedRelation::largest_cluster() const {

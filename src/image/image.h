@@ -1,5 +1,5 @@
-// Partitioned image computation: conjunctive transition relations,
-// early quantification, and strategy-selectable image/preimage.
+// Partitioned image computation: conjunctive transition relations and
+// early quantification.
 //
 // The transition relation of a synchronous model is a conjunction of
 // per-signal-bit partial relations
@@ -25,25 +25,18 @@
 //    mentions it, so the relational product never carries a variable
 //    longer than it must.
 //
-// Three strategies select how an image is computed; all three produce
-// the *identical canonical BDD* (the set is the set), they only differ
-// in the shape and cost of the intermediates:
+// The strategy picks the order the clusters are visited in. Both orders
+// produce the *identical canonical BDD* (the set is the set); they only
+// differ in the shape and cost of the intermediates:
 //
-//  * kMonolithic — conjoin everything once (lazily), one `and_exists`
-//    per image. The oracle baseline the other two are measured against.
-//  * kPartitioned — clustered conjunction in dependency order with
-//    early quantification. The default.
-//  * kChaining — the same clusters visited in a saturation-style order
-//    (topmost-variable cluster first), with the early-quantification
-//    schedule recomputed for that order. Callers additionally switch
-//    their fix-point loops to the accumulated-set (Gauss-Seidel)
-//    discipline under this strategy; both disciplines converge to the
-//    same least/greatest fix-point, so results stay byte-identical.
+//  * kPartitioned — dependency order. The default, and the only order
+//    reachable from the request wire.
+//  * kChaining — topmost-support cluster first, with the
+//    early-quantification schedule computed for that order. It is kept
+//    as an in-process reference order for parity checks.
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -55,17 +48,12 @@ namespace covest::image {
 // ---------------------------------------------------------------------------
 
 enum class ImageStrategy {
-  kMonolithic,   ///< One lazily-built conjunction, one and_exists per image.
-  kPartitioned,  ///< Clustered conjunction + early quantification (default).
-  kChaining,     ///< Saturation-style cluster order + accumulated fix-points.
+  kPartitioned,  ///< Clusters in dependency order (default).
+  kChaining,     ///< Clusters by topmost support level (reference order).
 };
 
-/// JSON/CLI spelling: "monolithic", "partitioned", "chaining".
+/// Spelling for messages: "partitioned", "chaining".
 const char* to_string(ImageStrategy strategy) noexcept;
-
-/// Strict inverse of `to_string`: false (and `*out` untouched) for
-/// anything but the three canonical spellings.
-bool image_strategy_from_string(const std::string& text, ImageStrategy* out);
 
 // ---------------------------------------------------------------------------
 // Dependency matrix
@@ -135,7 +123,8 @@ class PartitionedRelation {
 
   PartitionedRelation() = default;
 
-  /// Clusters `parts` (visited in `order`) and precomputes the early
+  /// Clusters `parts` (conjoined in `order`), fixes the cluster visit
+  /// order `strategy` names and precomputes that order's early
   /// quantification schedules. `img_quantify` are the variables an
   /// image quantifies out (current + input), `pre_quantify` those a
   /// preimage does (next).
@@ -143,21 +132,17 @@ class PartitionedRelation {
              const std::vector<std::size_t>& order,
              const std::vector<bdd::Var>& img_quantify,
              const std::vector<bdd::Var>& pre_quantify,
+             ImageStrategy strategy = ImageStrategy::kPartitioned,
              std::size_t cluster_node_limit = kDefaultClusterNodeLimit);
 
   /// Image of `states` (over current/input vars): the successor set,
-  /// still over *next* vars — the caller renames. All strategies return
-  /// the identical canonical BDD.
-  bdd::Bdd image(const bdd::Bdd& states, ImageStrategy strategy) const;
+  /// still over *next* vars — the caller renames. Both visit orders
+  /// return the identical canonical BDD.
+  bdd::Bdd image(const bdd::Bdd& states) const;
 
   /// Preimage of `states_next` (over next vars): the predecessor set
   /// over current/input vars.
-  bdd::Bdd preimage(const bdd::Bdd& states_next,
-                    ImageStrategy strategy) const;
-
-  /// The full conjunction, built lazily on first request. Also used for
-  /// input labelling of traces.
-  const bdd::Bdd& monolithic() const;
+  bdd::Bdd preimage(const bdd::Bdd& states_next) const;
 
   // -- Introspection (PhaseStats, tests) -----------------------------------
   std::size_t partial_count() const { return partial_count_; }
@@ -167,31 +152,27 @@ class PartitionedRelation {
   const std::vector<std::size_t>& parts_per_cluster() const {
     return parts_per_cluster_;
   }
-  /// Chaining visit order over the clusters (topmost support first).
-  const std::vector<std::size_t>& chain_order() const {
-    return chain_sched_img_.visit;
-  }
-  /// Early-quantification cubes of the partitioned image schedule,
-  /// parallel to the clusters; exposed for the schedule unit tests.
+  /// The order image and preimage visit the clusters in.
+  const std::vector<std::size_t>& visit_order() const { return visit_; }
+  /// Early-quantification cubes of the image schedule, parallel to
+  /// `visit_order()`; exposed for the schedule unit tests.
   const std::vector<bdd::Bdd>& image_cubes() const {
     return sched_img_.cubes;
   }
   const bdd::Bdd& image_rest_cube() const { return sched_img_.rest; }
 
  private:
-  /// One visit order's early-quantification plan: after conjoining
-  /// cluster visit[k], quantify cubes[k] (the variables whose last
-  /// mention is in that cluster). `rest` holds the variables no cluster
-  /// mentions — quantified straight out of the argument set.
+  /// An early-quantification plan: after conjoining cluster
+  /// visit_[k], quantify cubes[k] (the variables whose last mention is
+  /// in that cluster). `rest` holds the variables no cluster mentions —
+  /// quantified straight out of the argument set.
   struct Schedule {
-    std::vector<std::size_t> visit;  ///< Cluster indices, visit order.
-    std::vector<bdd::Bdd> cubes;     ///< Parallel to `visit`.
+    std::vector<bdd::Bdd> cubes;  ///< Parallel to `visit_`.
     bdd::Bdd rest;
   };
 
   /// `supports[i]` is the support of `clusters_[i]`.
-  Schedule make_schedule(const std::vector<std::size_t>& visit,
-                         const std::vector<bdd::Var>& quantify,
+  Schedule make_schedule(const std::vector<bdd::Var>& quantify,
                          const std::vector<std::vector<bdd::Var>>& supports)
       const;
   bdd::Bdd apply(const bdd::Bdd& set, const Schedule& sched) const;
@@ -201,15 +182,9 @@ class PartitionedRelation {
   std::vector<std::size_t> parts_per_cluster_;
   std::size_t partial_count_ = 0;
 
-  Schedule sched_img_;        ///< Partitioned order, image.
-  Schedule sched_pre_;        ///< Partitioned order, preimage.
-  Schedule chain_sched_img_;  ///< Chaining order, image.
-  Schedule chain_sched_pre_;  ///< Chaining order, preimage.
-
-  bdd::Bdd img_full_cube_;  ///< All image-quantified vars (monolithic).
-  bdd::Bdd pre_full_cube_;
-
-  mutable std::optional<bdd::Bdd> monolithic_;
+  std::vector<std::size_t> visit_;  ///< Cluster indices, visit order.
+  Schedule sched_img_;
+  Schedule sched_pre_;
 };
 
 }  // namespace covest::image

@@ -185,8 +185,7 @@ struct CovestServer::Impl {
       if (suites_total() - last_maintained < options.gc_interval) continue;
       last_maintained = suites_total();
       lock.unlock();
-      const engine::MaintenanceStats ms =
-          executor->maintenance(options.gc_sift);
+      const engine::MaintenanceStats ms = executor->maintenance();
       ++maintenance_runs;
       maintenance_sessions.store(ms.sessions, std::memory_order_relaxed);
       maintenance_live_before.store(ms.live_nodes_before,

@@ -83,11 +83,6 @@ struct ServerOptions {
   /// parked session, resume) so the warm cache's managers stop
   /// accumulating garbage forever. 0 disables maintenance.
   std::uint64_t gc_interval = 0;
-  /// Also sift-reorder parked sessions during maintenance. Off by
-  /// default: sifting changes the variable order and with it
-  /// witness/trace bytes, breaking the byte-identical warm-replay
-  /// contract.
-  bool gc_sift = false;
 };
 
 class CovestServer {

@@ -193,6 +193,17 @@ TEST(CovestBatchCliTest, RemovedShardsFlagIsUnknown) {
       << r.output;
 }
 
+TEST(CovestBatchCliTest, RemovedImageStrategyFlagIsUnknown) {
+  // Every job runs the partitioned image order: the retired flag fails
+  // as an unknown option.
+  const RunOutcome r = run_shell(std::string(COVEST_BATCH_TOOL_PATH) +
+                                 " --image-strategy chaining /dev/null 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--image-strategy'"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(CovestBatchCliTest, ParallelApplyFlagIsUnknown) {
   // No in-operation parallelism flag exists: it must fail as an unknown
   // option, never be silently accepted.

@@ -657,6 +657,25 @@ TEST(CovestServeTest, RemovedShardsFlagIsUnknown) {
       << r.output;
 }
 
+TEST(CovestServeTest, RemovedImageStrategyFlagIsUnknown) {
+  const RunOutcome r = run_shell(std::string(COVEST_SERVE_PATH) +
+                                 " --port 0 --image-strategy chaining 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--image-strategy'"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(CovestServeTest, RemovedGcSiftFlagIsUnknown) {
+  // Maintenance only collects garbage; it never reorders a parked
+  // session's variables.
+  const RunOutcome r = run_shell(std::string(COVEST_SERVE_PATH) +
+                                 " --port 0 --gc-sift 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--gc-sift'"), std::string::npos)
+      << r.output;
+}
+
 #else
 TEST(CovestServeTest, DISABLED_BinaryPathsNotConfigured) {}
 #endif

@@ -187,8 +187,7 @@ TEST(EngineTest, ReachableCareSetKeepsRingSuitesByteIdentical) {
   for (const unsigned cells : {12u, 24u}) {
     const circuits::TokenRingSpec spec{cells, 2};
     for (const image::ImageStrategy strategy :
-         {image::ImageStrategy::kMonolithic,
-          image::ImageStrategy::kPartitioned,
+         {image::ImageStrategy::kPartitioned,
           image::ImageStrategy::kChaining}) {
       CoverageRequest req;
       req.model = circuits::make_token_ring(spec);

@@ -185,8 +185,7 @@ TEST(FaultInjectionTest, DeadlineInReachabilityStopsVerifyAndRecovers) {
   // with no property checked, the care set stays uninstalled, and the
   // same session's next run is byte-identical to a fresh one.
   for (const image::ImageStrategy strategy :
-       {image::ImageStrategy::kMonolithic, image::ImageStrategy::kPartitioned,
-        image::ImageStrategy::kChaining}) {
+       {image::ImageStrategy::kPartitioned, image::ImageStrategy::kChaining}) {
     for (const char* model : kModels) {
       CoverageRequest req = path_request(model);
       req.options.image_strategy = strategy;
@@ -235,68 +234,61 @@ TEST(FaultInjectionTest, TinyRealBudgetSurfacesStructurally) {
 }
 
 // ---------------------------------------------------------------------------
-// Image-strategy sweeps
+// Chaining-order sweeps
 // ---------------------------------------------------------------------------
 
-/// Deadline and node-budget injection under the non-default image
-/// strategies. Each strategy runs a different fix-point discipline with
-/// its own trigger-point count (chaining ticks once per cluster
-/// application), so the sweep recalibrates per strategy — and holds
-/// every interruption to the same contract as the default engine: a
+/// Deadline and node-budget injection under the chaining reference
+/// order. Its clusters run in another order with other intermediates,
+/// so the sweep recalibrates its trigger points — and holds every
+/// interruption to the same contract as the default engine: a
 /// structured status, no error string, and a byte-exact
-/// completed-property prefix of that strategy's own baseline. The
-/// baseline itself must match the default engine's bytes (canonical
-/// sets don't depend on how the image was scheduled).
+/// completed-property prefix of its own baseline. The baseline itself
+/// must match the default engine's bytes (canonical sets don't depend
+/// on how the image was scheduled).
 TEST(FaultInjectionTest, StrategySweepsKeepStructuredStatusesAndPrefixes) {
   InjectorGuard guard;
-  for (const image::ImageStrategy strategy :
-       {image::ImageStrategy::kMonolithic, image::ImageStrategy::kChaining}) {
-    for (const char* model : {"arbiter.cov", "traffic.cov"}) {
-      CoverageRequest req = path_request(model);
-      req.options.image_strategy = strategy;
-      const SuiteResult base = Engine().run(req);
-      const std::string baseline = canonical(base);
-      EXPECT_EQ(baseline, canonical(Engine().run(path_request(model))))
-          << image::to_string(strategy) << " diverged on " << model;
+  for (const char* model : {"arbiter.cov", "traffic.cov"}) {
+    CoverageRequest req = path_request(model);
+    req.options.image_strategy = image::ImageStrategy::kChaining;
+    const SuiteResult base = Engine().run(req);
+    const std::string baseline = canonical(base);
+    EXPECT_EQ(baseline, canonical(Engine().run(path_request(model))))
+        << "chaining diverged on " << model;
 
-      const std::uint64_t deadline_total =
-          calibrate(FaultInjector::Site::kDeadline, req, baseline);
-      ASSERT_GT(deadline_total, 0u) << model;
-      for (const std::uint64_t n : sweep_points(deadline_total)) {
-        FaultInjector::arm(FaultInjector::Site::kDeadline, n);
-        const SuiteResult r = Engine().run(req);
-        FaultInjector::disarm();
-        ASSERT_EQ(r.status, ResultStatus::kDeadlineExceeded)
-            << image::to_string(strategy) << " " << model << " @ tick " << n;
-        EXPECT_TRUE(r.error.empty()) << r.error;
-        ASSERT_LE(r.properties.size(), base.properties.size());
-        for (std::size_t i = 0; i < r.properties.size(); ++i) {
-          EXPECT_EQ(r.properties[i].ctl_text, base.properties[i].ctl_text);
-          EXPECT_EQ(r.properties[i].holds, base.properties[i].holds);
-        }
-        EXPECT_EQ(canonical(Engine().run(req)), baseline)
-            << image::to_string(strategy) << " " << model
-            << " after tick " << n;
+    const std::uint64_t deadline_total =
+        calibrate(FaultInjector::Site::kDeadline, req, baseline);
+    ASSERT_GT(deadline_total, 0u) << model;
+    for (const std::uint64_t n : sweep_points(deadline_total)) {
+      FaultInjector::arm(FaultInjector::Site::kDeadline, n);
+      const SuiteResult r = Engine().run(req);
+      FaultInjector::disarm();
+      ASSERT_EQ(r.status, ResultStatus::kDeadlineExceeded)
+          << "chaining " << model << " @ tick " << n;
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      ASSERT_LE(r.properties.size(), base.properties.size());
+      for (std::size_t i = 0; i < r.properties.size(); ++i) {
+        EXPECT_EQ(r.properties[i].ctl_text, base.properties[i].ctl_text);
+        EXPECT_EQ(r.properties[i].holds, base.properties[i].holds);
       }
+      EXPECT_EQ(canonical(Engine().run(req)), baseline)
+          << "chaining " << model << " after tick " << n;
+    }
 
-      const std::uint64_t alloc_total =
-          calibrate(FaultInjector::Site::kAllocation, req, baseline);
-      ASSERT_GT(alloc_total, 0u) << model;
-      for (const std::uint64_t n :
-           {std::uint64_t{1}, alloc_total / 2, alloc_total}) {
-        if (n < 1) continue;
-        FaultInjector::arm(FaultInjector::Site::kAllocation, n);
-        const SuiteResult r = Engine().run(req);
-        FaultInjector::disarm();
-        EXPECT_EQ(r.status, ResultStatus::kResourceExhausted)
-            << image::to_string(strategy) << " " << model
-            << " @ allocation " << n;
-        EXPECT_TRUE(r.error.empty()) << r.error;
-        EXPECT_FALSE(r.status_detail.empty());
-        EXPECT_EQ(canonical(Engine().run(req)), baseline)
-            << image::to_string(strategy) << " " << model
-            << " after allocation " << n;
-      }
+    const std::uint64_t alloc_total =
+        calibrate(FaultInjector::Site::kAllocation, req, baseline);
+    ASSERT_GT(alloc_total, 0u) << model;
+    for (const std::uint64_t n :
+         {std::uint64_t{1}, alloc_total / 2, alloc_total}) {
+      if (n < 1) continue;
+      FaultInjector::arm(FaultInjector::Site::kAllocation, n);
+      const SuiteResult r = Engine().run(req);
+      FaultInjector::disarm();
+      EXPECT_EQ(r.status, ResultStatus::kResourceExhausted)
+          << "chaining " << model << " @ allocation " << n;
+      EXPECT_TRUE(r.error.empty()) << r.error;
+      EXPECT_FALSE(r.status_detail.empty());
+      EXPECT_EQ(canonical(Engine().run(req)), baseline)
+          << "chaining " << model << " after allocation " << n;
     }
   }
 }

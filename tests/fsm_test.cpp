@@ -92,12 +92,25 @@ TEST_F(FsmTest, ForwardRingsStopEarlyAtTarget) {
 }
 
 TEST_F(FsmTest, TransitionRelationMatchesPartsProduct) {
-  const Bdd t = fsm.transition_relation();
-  // T & (c==2 & en) must force next c == 3.
-  Bdd state = c_equals(2) & fsm.blast_bool(Expr::var("en"));
-  const Bdd constrained = t & state;
-  const Bdd next_c3 = fsm.to_next(c_equals(3));
-  EXPECT_TRUE(constrained.subset_of(next_c3));
+  // From every single state, `forward` is the successor set the product
+  // of the transition parts defines: conjoin, quantify the current
+  // space, rename back.
+  bdd::BddManager& mgr = fsm.mgr();
+  Bdd product = mgr.bdd_true();
+  for (const Bdd& part : fsm.transition_parts()) product &= part;
+  const Bdd cur_cube = mgr.cube(fsm.current_vars());
+  const auto minterms =
+      mgr.enumerate_minterms(mgr.bdd_true(), fsm.current_vars(), 16);
+  ASSERT_EQ(minterms.size(), 8u);
+  for (const auto& minterm : minterms) {
+    const Bdd state = fsm.state_cube(minterm);
+    const Bdd successors =
+        fsm.to_current(mgr.and_exists(state, product, cur_cube));
+    EXPECT_EQ(fsm.forward(state), successors);
+  }
+  // T & (c==2 & en) forces next c == 3.
+  EXPECT_EQ(fsm.forward(c_equals(2) & fsm.blast_bool(Expr::var("en"))),
+            c_equals(3));
 }
 
 TEST_F(FsmTest, RenamingRoundTrips) {

@@ -79,10 +79,6 @@ w('bad_request/uncovered_negative.json', '{"uncovered_limit": -1}')
 w('bad_request/uncovered_fractional.json', '{"uncovered_limit": 1.5}')
 w('bad_request/uncovered_bool.json', '{"uncovered_limit": true}')
 w('bad_request/uncovered_saturated.json', '{"uncovered_limit": 1e999}')
-w('bad_request/image_strategy_unknown.json',
-  '{"model_path": "m.cov", "image_strategy": "saturation"}')
-w('bad_request/image_strategy_wrong_type.json',
-  '{"model_path": "m.cov", "image_strategy": 1}')
 w('bad_request/unknown_top_level_key.json', '{"modle_path": "m.cov"}')
 # Resource-governance counts: both must be >= 1 integers when present
 # (0 is spelled by omission), and the shared count grammar already
@@ -96,7 +92,8 @@ w('bad_request/max_nodes_zero.json', '{"max_live_nodes": 0}')
 w('bad_request/max_nodes_fractional.json', '{"max_live_nodes": 2.5}')
 w('bad_request/max_nodes_wrong_type.json', '{"max_live_nodes": true}')
 # Retired fields are unknown keys: there is no in-operation
-# parallelism, no shared BDD table and no intra-suite sharding.
+# parallelism, no shared BDD table, no intra-suite sharding and no
+# per-request image strategy.
 w('bad_request/parallel_apply_removed.json',
   '{"model_path": "m.cov", "parallel_apply": 2}')
 w('bad_request/table_mode_removed.json',
@@ -104,6 +101,8 @@ w('bad_request/table_mode_removed.json',
 w('bad_request/shard_mode_removed.json',
   '{"model_path": "m.cov", "shard_mode": "shared_manager"}')
 w('bad_request/shards_removed.json', '{"model_path": "m.cov", "shards": 2}')
+w('bad_request/image_strategy_removed.json',
+  '{"model_path": "m.cov", "image_strategy": "chaining"}')
 # Duplicate keys (grammar-valid; the schema rejects two-jobs-at-once),
 # including duplicates buried in nested objects.
 w('bad_request/duplicate_top_level.json',
@@ -133,8 +132,6 @@ w('good_json/escapes.json', r'["\"\\\/\b\f\n\r\t "]')
 w('good_request/minimal.json', '{"model_path": "m.cov"}')
 w('good_request/utf8_path.json',
   '{"model_path": "mödel\U0001f44d.cov"}'.encode('utf-8'))
-w('good_request/image_strategy_chaining.json',
-  '{"model_path": "m.cov", "image_strategy": "chaining"}')
 w('good_request/deadline_and_budget.json',
   '{"model_path": "m.cov", "deadline_ms": 500, "max_live_nodes": 100000}')
 

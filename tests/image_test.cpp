@@ -1,10 +1,10 @@
 // Unit tests for the partitioned image engine (src/image): dependency-
 // matrix derivation from next-state supports, the FORCE-derived static
 // variable order, early-quantification schedules, cluster-order
-// determinism, and strategy parity — every strategy must return the
-// identical canonical BDD for every image/preimage/fix-point, because
-// the set is the set regardless of how the relational product was
-// scheduled.
+// determinism, and visit-order parity — both cluster orders must return
+// the identical canonical BDD for every image/preimage/fix-point, and so
+// must the full conjunction of the parts, because the set is the set
+// regardless of how the relational product was scheduled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,20 +29,9 @@ using image::ImageStrategy;
 // Strategy spellings
 // --------------------------------------------------------------------------
 
-TEST(ImageStrategyTest, SpellingsRoundTrip) {
-  for (const ImageStrategy s :
-       {ImageStrategy::kMonolithic, ImageStrategy::kPartitioned,
-        ImageStrategy::kChaining}) {
-    ImageStrategy parsed{};
-    ASSERT_TRUE(image::image_strategy_from_string(image::to_string(s),
-                                                  &parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  ImageStrategy out = ImageStrategy::kChaining;
-  EXPECT_FALSE(image::image_strategy_from_string("Monolithic", &out));
-  EXPECT_FALSE(image::image_strategy_from_string("", &out));
-  EXPECT_FALSE(image::image_strategy_from_string("saturation", &out));
-  EXPECT_EQ(out, ImageStrategy::kChaining);  // Untouched on failure.
+TEST(ImageStrategyTest, Spellings) {
+  EXPECT_STREQ(image::to_string(ImageStrategy::kPartitioned), "partitioned");
+  EXPECT_STREQ(image::to_string(ImageStrategy::kChaining), "chaining");
 }
 
 // --------------------------------------------------------------------------
@@ -157,18 +146,20 @@ TEST(PartitionedRelationTest, ImageCubesPartitionTheQuantifiedVariables) {
 }
 
 TEST(PartitionedRelationTest, ClusteringIsDeterministicAndComplete) {
-  const fsm::SymbolicFsm a(
-      circuits::make_token_ring(circuits::TokenRingSpec{12, 2}));
-  const fsm::SymbolicFsm b(
-      circuits::make_token_ring(circuits::TokenRingSpec{12, 2}));
+  const model::Model m =
+      circuits::make_token_ring(circuits::TokenRingSpec{12, 2});
+  const fsm::SymbolicFsm a(m);
+  const fsm::SymbolicFsm b(m);
+  const fsm::SymbolicFsm c(m, 0, ImageStrategy::kChaining);
   const image::PartitionedRelation& ra = a.relation();
   const image::PartitionedRelation& rb = b.relation();
+  const image::PartitionedRelation& rc = c.relation();
 
   EXPECT_EQ(ra.partial_count(), 24u);  // 2 bits per station.
   EXPECT_EQ(ra.partial_count(), rb.partial_count());
   EXPECT_EQ(ra.cluster_count(), rb.cluster_count());
   EXPECT_EQ(ra.parts_per_cluster(), rb.parts_per_cluster());
-  EXPECT_EQ(ra.chain_order(), rb.chain_order());
+  EXPECT_EQ(ra.visit_order(), rb.visit_order());
 
   // Every partial lands in exactly one cluster.
   std::size_t total = 0;
@@ -178,40 +169,65 @@ TEST(PartitionedRelationTest, ClusteringIsDeterministicAndComplete) {
             *std::max_element(ra.parts_per_cluster().begin(),
                               ra.parts_per_cluster().end()));
 
-  // The chain order visits each cluster exactly once.
-  std::set<std::size_t> visited(ra.chain_order().begin(),
-                                ra.chain_order().end());
-  EXPECT_EQ(visited.size(), ra.cluster_count());
+  // The strategy picks only the visit order: the clusters are the same,
+  // the partitioned order is the dependency order, and the chaining
+  // order visits each cluster exactly once.
+  EXPECT_EQ(rc.parts_per_cluster(), ra.parts_per_cluster());
+  for (std::size_t i = 0; i < ra.visit_order().size(); ++i) {
+    EXPECT_EQ(ra.visit_order()[i], i);
+  }
+  const std::set<std::size_t> visited(rc.visit_order().begin(),
+                                      rc.visit_order().end());
+  EXPECT_EQ(rc.visit_order().size(), rc.cluster_count());
+  EXPECT_EQ(visited.size(), rc.cluster_count());
 }
 
 // --------------------------------------------------------------------------
-// Strategy parity
+// Visit-order parity
 // --------------------------------------------------------------------------
 
-/// On one relation (one manager), every strategy must return the
-/// *identical* canonical BDD for images and preimages of assorted sets.
+/// On one manager, the FSM's partitioned relation, a second relation
+/// built from the same parts under the chaining order, and a reference
+/// that conjoins every part and quantifies with one `and_exists` must
+/// return the *identical* canonical BDD for images and preimages of
+/// assorted sets.
 TEST(PartitionedRelationTest, StrategiesAgreeNodeForNode) {
   const fsm::SymbolicFsm f(
       circuits::make_token_ring(circuits::TokenRingSpec{8, 2}));
+  bdd::BddManager& mgr = f.mgr();
   const image::PartitionedRelation& rel = f.relation();
+
+  const image::VariableOrdering ordering =
+      f.dependency_matrix().derive_order(f.current_vars(), f.next_vars());
+  image::PartitionedRelation chained;
+  chained.build(mgr, f.transition_parts(),
+                f.dependency_matrix().part_order(ordering), f.current_vars(),
+                f.next_vars(), ImageStrategy::kChaining);
+  ASSERT_EQ(chained.cluster_count(), rel.cluster_count());
+
+  Bdd conjunction = mgr.bdd_true();
+  for (const Bdd& part : f.transition_parts()) conjunction &= part;
+  const Bdd cur_cube = mgr.cube(f.current_vars());
+  const Bdd next_cube = mgr.cube(f.next_vars());
 
   std::vector<Bdd> sets = {f.initial_states(),
                            f.reachable(f.initial_states())};
   sets.push_back(sets[0] | f.forward(sets[0]));
   for (const Bdd& s : sets) {
-    const Bdd img = rel.image(s, ImageStrategy::kMonolithic);
-    EXPECT_EQ(img, rel.image(s, ImageStrategy::kPartitioned));
-    EXPECT_EQ(img, rel.image(s, ImageStrategy::kChaining));
+    const Bdd img = mgr.and_exists(s, conjunction, cur_cube);
+    EXPECT_EQ(img, rel.image(s));
+    EXPECT_EQ(img, chained.image(s));
 
-    const Bdd pre = rel.preimage(f.to_next(s), ImageStrategy::kMonolithic);
-    EXPECT_EQ(pre, rel.preimage(f.to_next(s), ImageStrategy::kPartitioned));
-    EXPECT_EQ(pre, rel.preimage(f.to_next(s), ImageStrategy::kChaining));
+    const Bdd s_next = f.to_next(s);
+    const Bdd pre = mgr.and_exists(s_next, conjunction, next_cube);
+    EXPECT_EQ(pre, rel.preimage(s_next));
+    EXPECT_EQ(pre, chained.preimage(s_next));
   }
 }
 
 /// Reachable sets, ring decompositions and state counts must agree
-/// across strategies on every benchmark circuit (separate managers, so
-/// the comparison is on counts and ring shapes).
+/// across visit orders on every benchmark circuit (separate managers,
+/// so the comparison is on counts and ring shapes).
 TEST(ImageStrategyParityTest, FixpointsAgreeAcrossCircuits) {
   const std::vector<model::Model> models = {
       circuits::make_mod_counter(circuits::CounterSpec{}),
@@ -225,16 +241,14 @@ TEST(ImageStrategyParityTest, FixpointsAgreeAcrossCircuits) {
     std::size_t ring_count = 0;
     std::vector<double> ring_sizes;
     for (const ImageStrategy strategy :
-         {ImageStrategy::kMonolithic, ImageStrategy::kPartitioned,
-          ImageStrategy::kChaining}) {
+         {ImageStrategy::kPartitioned, ImageStrategy::kChaining}) {
       SCOPED_TRACE(m.name() + std::string(" under ") +
                    image::to_string(strategy));
       const fsm::SymbolicFsm f(m, 0, strategy);
-      EXPECT_EQ(f.image_strategy(), strategy);
       const Bdd reached = f.reachable(f.initial_states());
       const double count = f.count_states(reached);
 
-      // forward_rings is strict BFS under every strategy (the ring
+      // forward_rings is strict BFS under both orders (the ring
       // decomposition is part of the trace contract), so sizes must
       // match exactly, not just the union.
       const std::vector<Bdd> rings = f.forward_rings(f.initial_states());

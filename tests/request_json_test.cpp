@@ -280,6 +280,13 @@ TEST(FuzzCorpusTest, RemovedShardsFieldIsAnUnknownKey) {
   EXPECT_NE(error.find("unknown key 'shards'"), std::string::npos) << error;
 }
 
+TEST(FuzzCorpusTest, RemovedImageStrategyFieldIsAnUnknownKey) {
+  // Every request runs the partitioned image order.
+  const std::string error = bad_request_error("image_strategy_removed.json");
+  EXPECT_NE(error.find("unknown key 'image_strategy'"), std::string::npos)
+      << error;
+}
+
 TEST(RequestJsonTest, HostileNestingDepthIsRejectedNotACrash) {
   // One untrusted NDJSON line of brackets must produce a parse error,
   // not a stack overflow of the whole batch process.
