@@ -8,6 +8,7 @@
 //   coverage_tool examples/models/counter.cov
 //   coverage_tool examples/models/arbiter.cov --uncovered 8 --trace
 //   coverage_tool examples/models/arbiter.cov --json
+//   coverage_tool examples/models/arbiter.cov --json --stats
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,6 +29,7 @@ void usage(std::FILE* to) {
       "  --trace         print a shortest input trace to an uncovered state\n"
       "  --skip-failing  estimate coverage even when some SPECs fail\n"
       "  --json          emit the structured result as JSON\n"
+      "  --stats         include timing/BDD statistics in the JSON\n"
       "\n"
       "The model file declares properties and observed signals:\n"
       "  SPEC AG (full -> AX !grant) OBSERVE full;\n");
@@ -47,6 +49,10 @@ int main(int argc, char** argv) {
 
   engine::CoverageRequest request;
   bool want_json = false;
+  // Off by default, as in covest_batch: without timings two runs of the
+  // same request print the same bytes.
+  engine::JsonOptions json;
+  json.include_stats = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--uncovered") == 0) {
@@ -62,6 +68,8 @@ int main(int argc, char** argv) {
       request.skip_failing = true;
     } else if (std::strcmp(arg, "--json") == 0) {
       want_json = true;
+    } else if (std::strcmp(arg, "--stats") == 0) {
+      json.include_stats = true;
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "error: unknown option '%s'\n\n", arg);
       usage(stderr);
@@ -83,7 +91,7 @@ int main(int argc, char** argv) {
   try {
     const engine::SuiteResult result = engine::Engine().run(request);
     if (want_json) {
-      std::fputs(engine::to_json(result).c_str(), stdout);
+      std::fputs(engine::to_json(result, json).c_str(), stdout);
     } else {
       engine::TextOptions text;
       text.cli_hints = true;

@@ -142,12 +142,11 @@ BddManager::BddManager(unsigned initial_vars, std::size_t cache_size_log2) {
   cache_.resize(std::min(cache_max_size_, std::size_t{1} << 8));
   cache_mask_ = cache_.size() - 1;
   stats_.cache_entries = cache_.size();
-  gc_threshold_ = 1u << 16;
   // Tests and soak harnesses force small pools into collection without
   // plumbing a setter through every layer that owns a manager.
   if (const char* env = std::getenv("COVEST_GC_THRESHOLD")) {
     const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) gc_threshold_ = static_cast<std::size_t>(v);
+    if (v > 0) set_gc_threshold(static_cast<std::size_t>(v));
   }
   for (unsigned i = 0; i < initial_vars; ++i) new_var();
 }
@@ -407,32 +406,38 @@ std::size_t BddManager::gc() {
     ++free_count_;
     ++freed;
   }
-  clear_cache();
+  invalidate_cache();
   ++stats_.gc_runs;
+  // Occupancy is exactly the live set now. Waiting for `live` fresh
+  // allocations before the next collection keeps the mark-and-sweep
+  // work O(1) amortized per node; the floor keeps small pools from
+  // collecting at all.
+  const std::size_t live = allocated() - 1 - free_count_;
+  gc_threshold_ = std::max(gc_floor_, kGcLiveFactor * live);
   return freed;
 }
 
 void BddManager::maybe_gc() {
   if (scratch_.in_operation) return;
-  const std::size_t live_estimate = allocated() - 1 - free_count_;
-  if (live_estimate < gc_threshold_) return;
+  if (allocated() - 1 - free_count_ < gc_threshold_) return;
   gc();
-  const std::size_t live = allocated() - 1 - free_count_;
-  if (live * 4 > gc_threshold_ * 3) gc_threshold_ *= 2;
 }
 
 void BddManager::set_max_live_nodes(std::size_t budget) {
   max_live_nodes_ = budget;
 }
 
-void BddManager::clear_cache() {
+void BddManager::invalidate_cache() {
   // O(1): entries from older epochs simply stop matching. Only the
   // (once per ~2^32 clears) epoch wrap pays for a physical sweep.
   if (++cache_epoch_ == 0) {
     for (CacheEntry& e : cache_) e.epoch = 0;
     cache_epoch_ = 1;
   }
-  // The hit-rate counters describe one cache epoch; restart them with it.
+}
+
+void BddManager::clear_cache() {
+  invalidate_cache();
   stats_.cache_hits = 0;
   stats_.cache_lookups = 0;
 }
@@ -510,7 +515,8 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
 }
 
 void BddManager::set_gc_threshold(std::size_t threshold) {
-  gc_threshold_ = threshold == 0 ? 1 : threshold;
+  gc_floor_ = threshold == 0 ? 1 : threshold;
+  gc_threshold_ = gc_floor_;
 }
 
 }  // namespace covest::bdd

@@ -188,8 +188,11 @@ struct BddStats {
   std::size_t live_nodes = 0;       ///< Nodes reachable from live handles.
   std::size_t allocated_nodes = 0;  ///< Pool size including free-list nodes.
   std::size_t peak_live_nodes = 0;  ///< High-water mark of `live_nodes`.
-  std::size_t gc_runs = 0;
-  std::size_t cache_hits = 0;       ///< Since the last `clear_cache`.
+  std::size_t gc_runs = 0;          ///< Collections run, automatic or not.
+  /// Since the last explicit `clear_cache`. A collection invalidates the
+  /// cache's entries but keeps these counters, so the hit rate spans
+  /// collections.
+  std::size_t cache_hits = 0;
   std::size_t cache_lookups = 0;    ///< Since the last `clear_cache`.
   /// Current computed-cache table size in entries (a gauge, not a
   /// counter; see `maybe_grow_cache` for the growth rule).
@@ -204,8 +207,8 @@ struct BddStats {
   /// node shapes that a complement-free package would have duplicated.
   std::size_t complement_canonicalizations = 0;
 
-  /// Computed-cache hit rate since the manager's last cache clear (every
-  /// GC clears it), in [0, 1].
+  /// Computed-cache hit rate since the last explicit `clear_cache`, in
+  /// [0, 1].
   double cache_hit_rate() const {
     return cache_lookups == 0
                ? 0.0
@@ -330,22 +333,35 @@ class BddManager {
 
   /// Mark-and-sweep collection rooted at live handles. Invalidates nothing
   /// that is still referenced. Returns the number of nodes freed; freed
-  /// slots go straight back to the free list. Must not run inside an
-  /// operation.
+  /// slots go straight back to the free list. Invalidates the computed
+  /// cache (keeping its hit-rate counters) and re-arms the automatic
+  /// trigger at `max(floor, kGcLiveFactor * live)`. Must not run inside
+  /// an operation.
   std::size_t gc();
 
   /// Clears the computed cache (an O(1) epoch bump) and resets the
-  /// per-epoch cache statistics (`cache_hits`, `cache_lookups`); exposed
-  /// mainly for benchmarking cold-cache behaviour.
+  /// cache statistics (`cache_hits`, `cache_lookups`); exposed mainly
+  /// for benchmarking cold-cache behaviour.
   void clear_cache();
 
-  /// Pool-occupancy level (allocated - free) at which automatic
-  /// collection triggers; adapted upward when a collection fails to
-  /// free much. Also seeded from the COVEST_GC_THRESHOLD environment
-  /// variable at construction (tests/soaks force small pools into
-  /// collection that way).
+  /// Automatic collection runs at an operation boundary once the pool's
+  /// occupancy (allocated - free) reaches `gc_threshold()`. Every
+  /// collection re-arms it at `max(floor, kGcLiveFactor * live)`, so a
+  /// collection is paid for by at least `live` fresh allocations and the
+  /// pool stays near `floor + kGcLiveFactor * peak live`. The floor is
+  /// `kGcFloor` unless seeded here or from the COVEST_GC_THRESHOLD
+  /// environment variable at construction (tests and soaks force small
+  /// pools into collection that way); seeding also sets the current
+  /// threshold.
   void set_gc_threshold(std::size_t threshold);
   std::size_t gc_threshold() const noexcept { return gc_threshold_; }
+
+  /// Default collection floor: models whose pools stay below it never
+  /// collect automatically.
+  static constexpr std::size_t kGcFloor = 4096;
+  /// Re-arm factor: the next automatic collection waits until the
+  /// occupancy is this multiple of the live set the last one left.
+  static constexpr std::size_t kGcLiveFactor = 2;
 
   /// Node budget: when nonzero, growing the pool past `budget` occupied
   /// slots throws covest::ResourceExhausted instead of allocating.
@@ -538,6 +554,8 @@ class BddManager {
   void rehash_subtable(Var v, std::size_t new_buckets);
   void maybe_resize_subtable(Var v);
   void maybe_gc();
+  /// O(1) epoch bump: every memo stored before it stops matching.
+  void invalidate_cache();
 
   /// RAII gate every public node-touching entry point passes through:
   /// runs the automatic collection check on entry (the `allow_gc` flag
@@ -635,7 +653,8 @@ class BddManager {
   std::uint32_t cache_epoch_ = 1;  ///< 0 is reserved for "never valid".
   NodeIndex free_head_ = kInvalidIndex;
   std::size_t free_count_ = 0;
-  std::size_t gc_threshold_;
+  std::size_t gc_floor_ = kGcFloor;
+  std::size_t gc_threshold_ = kGcFloor;
   std::size_t max_live_nodes_ = 0;  ///< 0 = unbudgeted (see setter).
   /// Thread-affinity guard: `make_node` asserts (debug builds) that node
   /// construction happens on this thread. See `rebind_to_current_thread`.

@@ -43,6 +43,7 @@ PhaseStats snapshot(bdd::BddManager& mgr, double ms) {
   p.live_nodes = mgr.live_node_count();
   p.peak_live_nodes = st.peak_live_nodes;
   p.cache_hit_rate = st.cache_hit_rate();
+  p.gc_runs = st.gc_runs;
   p.passes = 1;  // This session ran the phase once.
   p.node_budget = mgr.max_live_nodes();
   return p;

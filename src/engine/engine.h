@@ -216,8 +216,11 @@ struct PhaseStats {
   double ms = 0.0;
   std::size_t live_nodes = 0;
   std::size_t peak_live_nodes = 0;
-  /// Computed-cache hit rate since the manager's last cache clear (GC).
+  /// Computed-cache hit rate over the manager's lifetime (collections
+  /// invalidate the cache's entries but keep its counters).
   double cache_hit_rate = 0.0;
+  /// Collections the manager has run so far, automatic or explicit.
+  std::size_t gc_runs = 0;
   /// How many times this phase actually executed for the job: 1 when it
   /// ran, 0 when it never ran (errors, early cancellation, or a
   /// warm-cache replay).

@@ -147,6 +147,8 @@ void write_phase(JsonWriter& w, const PhaseStats& phase) {
   w.number(static_cast<std::uint64_t>(phase.peak_live_nodes));
   w.key("cache_hit_rate");
   w.number(phase.cache_hit_rate);
+  w.key("gc_runs");
+  w.number(static_cast<std::uint64_t>(phase.gc_runs));
   w.key("passes");
   w.number(static_cast<std::uint64_t>(phase.passes));
   if (phase.node_budget != 0) {  // Only budgeted runs carry one.

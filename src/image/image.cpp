@@ -186,8 +186,7 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
                                 const std::vector<std::size_t>& order,
                                 const std::vector<Var>& img_quantify,
                                 const std::vector<Var>& pre_quantify,
-                                ImageStrategy strategy,
-                                std::size_t cluster_node_limit) {
+                                ImageStrategy strategy) {
   if (order.size() != parts.size()) {
     throw std::invalid_argument(
         "PartitionedRelation: `order` must permute the parts");
@@ -218,7 +217,7 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
       continue;
     }
     const Bdd grown = *acc & p;
-    if (mgr.node_count(grown) > cluster_node_limit) {
+    if (mgr.node_count(grown) > kClusterNodeLimit) {
       seal();
       acc = p;
       acc_parts = 1;

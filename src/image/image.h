@@ -117,9 +117,9 @@ class DependencyMatrix {
 
 class PartitionedRelation {
  public:
-  /// Default cap on the node count of one cluster: small enough that
-  /// clusters stay local, large enough that tiny parts coalesce.
-  static constexpr std::size_t kDefaultClusterNodeLimit = 1024;
+  /// Cap on the node count of one cluster: small enough that clusters
+  /// stay local, large enough that tiny parts coalesce.
+  static constexpr std::size_t kClusterNodeLimit = 1024;
 
   PartitionedRelation() = default;
 
@@ -132,8 +132,7 @@ class PartitionedRelation {
              const std::vector<std::size_t>& order,
              const std::vector<bdd::Var>& img_quantify,
              const std::vector<bdd::Var>& pre_quantify,
-             ImageStrategy strategy = ImageStrategy::kPartitioned,
-             std::size_t cluster_node_limit = kDefaultClusterNodeLimit);
+             ImageStrategy strategy = ImageStrategy::kPartitioned);
 
   /// Image of `states` (over current/input vars): the successor set,
   /// still over *next* vars — the caller renames. Both visit orders

@@ -513,6 +513,104 @@ TEST_F(BddTest, HandleCopySemanticsKeepNodesAlive) {
   EXPECT_EQ(b, v(0) & v(1));
 }
 
+// A disjunction of `cubes` random `width`-literal cubes over `vars`
+// variables, built one small operation at a time.
+Bdd random_cover(BddManager& m, std::mt19937& rng, unsigned vars,
+                 unsigned width, int cubes) {
+  std::uniform_int_distribution<Var> pick(0, vars - 1);
+  Bdd f = m.bdd_false();
+  for (int c = 0; c < cubes; ++c) {
+    Bdd cube = m.bdd_true();
+    for (unsigned k = 0; k < width; ++k) {
+      cube &= m.literal(pick(rng), rng() % 2 == 0);
+    }
+    f |= cube;
+  }
+  return f;
+}
+
+TEST(BddGcTest, PoolTracksTheLiveSet) {
+  // Build-and-drop rounds create far more nodes than the floor. Each
+  // collection re-arms at twice the live set it leaves, so the pool
+  // stays near `floor + 2 x peak live` instead of growing with the
+  // total ever created.
+  constexpr unsigned kVars = 20;
+  BddManager m(kVars);
+  m.set_gc_threshold(BddManager::kGcFloor);
+  std::mt19937 rng(5);
+  std::size_t created = 0;
+  std::size_t peak_live = 0;
+  std::size_t peak_pool = 0;
+  std::vector<std::size_t> runs;
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t misses = m.stats().unique_misses;
+    {
+      const Bdd f = random_cover(m, rng, kVars, 8, 150);
+      peak_live = std::max(peak_live, m.live_node_count());
+      peak_pool = std::max(peak_pool, m.stats().allocated_nodes);
+    }
+    created += m.stats().unique_misses - misses;
+    runs.push_back(m.stats().gc_runs);
+  }
+  ASSERT_GT(created, 8 * (BddManager::kGcFloor + peak_live));
+  // Slack: one operation's worth of allocation past the trigger.
+  EXPECT_LE(peak_pool, BddManager::kGcFloor +
+                           BddManager::kGcLiveFactor * peak_live +
+                           peak_live);
+  EXPECT_GT(runs.back(), runs[runs.size() / 2]);
+  EXPECT_GT(runs[runs.size() / 2], runs.front());
+}
+
+TEST(BddGcTest, SeededThresholdIsTheFloor) {
+  BddManager m(12);
+  m.set_gc_threshold(32);
+  EXPECT_EQ(m.gc_threshold(), 32u);
+
+  std::mt19937 rng(9);
+  Bdd keep = random_cover(m, rng, 12, 6, 40);
+  { const Bdd garbage = random_cover(m, rng, 12, 6, 40); }
+  m.gc();
+  const std::size_t live = m.live_node_count();
+  ASSERT_GT(BddManager::kGcLiveFactor * live, 32u);
+  EXPECT_EQ(m.gc_threshold(), BddManager::kGcLiveFactor * live);
+
+  // A live set too small to clear the seed leaves the seed in charge.
+  keep = m.var(0);
+  m.gc();
+  ASSERT_LT(BddManager::kGcLiveFactor * m.live_node_count(), 32u);
+  EXPECT_EQ(m.gc_threshold(), 32u);
+
+  // Automatic collection fires at operation boundaries and re-arms the
+  // same way.
+  const std::size_t runs = m.stats().gc_runs;
+  keep = random_cover(m, rng, 12, 6, 40);
+  EXPECT_GT(m.stats().gc_runs, runs);
+  m.gc();
+  EXPECT_EQ(m.gc_threshold(),
+            std::max<std::size_t>(
+                32, BddManager::kGcLiveFactor * m.live_node_count()));
+}
+
+TEST(BddGcTest, CollectionKeepsTheCacheCounters) {
+  // A collection invalidates the memos but not the hit-rate counters;
+  // only an explicit clear_cache restarts them.
+  BddManager m(8);
+  std::mt19937 rng(3);
+  const Bdd f = random_cover(m, rng, 8, 4, 20);
+  const Bdd g = random_cover(m, rng, 8, 4, 20);
+  const Bdd h = f & g;
+  const std::size_t lookups = m.stats().cache_lookups;
+  const std::size_t hits = m.stats().cache_hits;
+  ASSERT_GT(lookups, 0u);
+  m.gc();
+  EXPECT_EQ(m.stats().cache_lookups, lookups);
+  EXPECT_EQ(m.stats().cache_hits, hits);
+  EXPECT_EQ(f & g, h);  // Recomputed: the memo is gone.
+  EXPECT_GT(m.stats().cache_lookups, lookups);
+  m.clear_cache();
+  EXPECT_EQ(m.stats().cache_lookups, 0u);
+}
+
 // --------------------------------------------------------------------------
 // Reordering
 // --------------------------------------------------------------------------
@@ -716,6 +814,9 @@ TEST(BddCacheTest, ColdRecomputationOverAModelReusesEveryNode) {
   spec.cells = 16;
   fsm::SymbolicFsm fsm(circuits::make_token_ring(spec));
   BddManager& mgr = fsm.mgr();
+  // The battery's garbage outgrows the default collection floor; a
+  // collection would free the nodes a cold rerun is meant to find.
+  mgr.set_gc_threshold(std::size_t{1} << 30);
   const auto battery = [&fsm, &mgr] {
     const std::vector<Bdd>& parts = fsm.transition_parts();
     Bdd a = mgr.bdd_true();

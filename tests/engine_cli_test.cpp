@@ -1,6 +1,7 @@
 // Integration tests for the coverage_tool CLI: spawns the real binary
 // against the example models and checks exit codes, the hardened
-// argument parsing, and that --json output parses.
+// argument parsing, that --json output parses, and that it is
+// stats-free (byte-reproducible) unless --stats asks for the timings.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,6 +33,23 @@ TEST(CoverageToolCliTest, JsonOutputParses) {
     EXPECT_NE(r.output.find("\"coverage_space_states\""), std::string::npos);
     EXPECT_NE(r.output.find("\"signals\""), std::string::npos);
   }
+}
+
+TEST(CoverageToolCliTest, JsonIsStatsFreeAndReproducibleUnlessAsked) {
+  const std::string args = model_path("arbiter.cov") + " --json --trace";
+  const RunOutcome first = run_tool(args);
+  const RunOutcome second = run_tool(args);
+  EXPECT_EQ(first.exit_code, 0) << first.output;
+  EXPECT_EQ(first.output, second.output);
+  EXPECT_EQ(first.output.find("\"stats\""), std::string::npos);
+  EXPECT_EQ(first.output.find("\"check_ms\""), std::string::npos);
+
+  const RunOutcome with_stats = run_tool(args + " --stats");
+  EXPECT_EQ(with_stats.exit_code, 0) << with_stats.output;
+  std::string err;
+  EXPECT_TRUE(engine::validate_json(with_stats.output, &err)) << err;
+  EXPECT_NE(with_stats.output.find("\"stats\""), std::string::npos);
+  EXPECT_NE(with_stats.output.find("\"gc_runs\""), std::string::npos);
 }
 
 TEST(CoverageToolCliTest, TextReportShowsTheTable) {

@@ -219,6 +219,37 @@ TEST(EngineTest, ReachableCareSetKeepsRingSuitesByteIdentical) {
   }
 }
 
+TEST(EngineTest, CollectionAtEveryBoundaryKeepsRingRepliesByteIdentical) {
+  // A floor of one collects at the first operation boundary and then
+  // whenever the pool doubles its live set; collections never touch
+  // reachable structure, so the reply bytes match the default run's.
+  const circuits::TokenRingSpec spec{16, 2};
+  CoverageRequest req;
+  req.model = circuits::make_token_ring(spec);
+  for (const auto& f : circuits::ring_safety_properties(spec)) {
+    req.properties.push_back(PropertySpec::of(f));
+  }
+  req.properties.push_back(
+      PropertySpec::of(ctl::parse_ctl("AG (tok3 -> AX tok3)")));
+  req.signals = {"tok0", "tok1", "v0", "v1"};
+  req.want_traces = true;
+  req.skip_failing = true;
+
+  const SuiteResult baseline = Engine().run(req);
+  ::setenv("COVEST_GC_THRESHOLD", "1", 1);
+  struct RestoreEnv {
+    ~RestoreEnv() { ::unsetenv("COVEST_GC_THRESHOLD"); }
+  } restore;
+  const SuiteResult stressed = Engine().run(req);
+
+  const std::string want = no_stats_json(baseline);
+  EXPECT_NE(want.find("\"uncovered\""), std::string::npos);
+  EXPECT_NE(want.find("\"trace\""), std::string::npos);
+  EXPECT_EQ(no_stats_json(stressed), want);
+  EXPECT_GT(stressed.estimate.gc_runs, baseline.estimate.gc_runs);
+  EXPECT_GT(stressed.estimate.gc_runs, stressed.elaborate.gc_runs);
+}
+
 TEST(EngineTest, FairnessKeepsItsOwnCoverageSpace) {
   // Every initial state has a fair path, but once x is set it stays set,
   // so the reachable x states have none: the fair coverage space, though

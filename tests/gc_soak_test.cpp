@@ -45,21 +45,28 @@ std::string canonical(const SuiteResult& r) {
 // --------------------------------------------------------------------------
 
 TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
-  // Low collection threshold for every manager elaborated below, so
-  // every job collects while it runs (the threshold adapts back up on
-  // its own).
+  // Low collection floor for every manager elaborated below, so every
+  // job collects while it runs (each collection re-arms the trigger at
+  // twice the live set it leaves).
   ::setenv("COVEST_GC_THRESHOLD", "32", 1);
   struct RestoreEnv {
     ~RestoreEnv() { ::unsetenv("COVEST_GC_THRESHOLD"); }
   } restore;
 
-  // Serial cold ground truth, computed once per model.
+  // Serial cold ground truth, computed once per model. The floor must
+  // bite: beyond the one sweep that ends elaboration's reordering, the
+  // models collect again.
   std::vector<std::string> expected;
+  std::size_t cold_collections = 0;
   for (const char* m : kModels) {
     CoverageRequest req;
     req.model_path = model_path(m);
-    expected.push_back(canonical(Engine().run(req)));
+    const SuiteResult r = Engine().run(req);
+    EXPECT_GE(r.estimate.gc_runs, 1u) << m;
+    cold_collections += r.estimate.gc_runs;
+    expected.push_back(canonical(r));
   }
+  EXPECT_GT(cold_collections, 2 * kModelCount);
 
   // Capacity below the model count: every round churns the cache
   // (evictions + re-elaborations), the worst case for reclamation.
@@ -90,6 +97,7 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
     for (std::size_t i = 0; i < handles.size(); ++i) {
       const SuiteResult r = handles[i].take();
       ASSERT_TRUE(r.error.empty()) << kModels[which[i]] << ": " << r.error;
+      EXPECT_GE(r.estimate.gc_runs, 1u) << kModels[which[i]];
       EXPECT_EQ(canonical(r), expected[which[i]])
           << "round " << round << " " << kModels[which[i]];
       ++total;
