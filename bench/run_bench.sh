@@ -1,29 +1,16 @@
 #!/usr/bin/env bash
-# Runs the benchmark suites and writes the per-layer perf trajectories:
-#   BENCH_bdd.json    — BDD microbenchmarks (google-benchmark JSON:
-#                       cpu_time in ns per op, plus peak_live_nodes /
-#                       cache_hit_rate counters)
-#   BENCH_engine.json — engine-layer suite throughput (suites/sec over
-#                       the example-model manifest at --jobs 1, 2, 4,
-#                       via bench/engine_throughput and the executor),
-#                       plus the server_loopback family: the covest_serve wire
-#                       path end to end (an in-process CovestServer on
-#                       127.0.0.1), cache:off against cache:on — the
-#                       warm-model-cache speedup. On boxes with few
-#                       hardware threads the wall-clock columns mostly
-#                       measure scheduling overhead — the file carries
-#                       a "note", and the per-entry verify_passes
-#                       counters confirm each suite verified once.
+# Runs the BDD microbenchmarks and writes their perf trajectory:
+#   BENCH_bdd.json — google-benchmark JSON: cpu_time in ns per op, plus
+#                    peak_live_nodes / cache_hit_rate counters.
+# End-to-end throughput is measured by covest_bench/run.py.
 #
 # Usage: bench/run_bench.sh [build_dir] [output_json]
 #        bench/run_bench.sh --check-stale [build_dir] [bench_json]
 #
-# --check-stale compares the committed trajectory files against the
-# current binaries, in both directions — CI runs it so a PR cannot land
+# --check-stale compares the committed trajectory file against the
+# current binary, in both directions — CI runs it so a PR cannot land
 # a stale file: BENCH_bdd.json must record exactly the benchmark
-# families compiled into bdd_microbench, and BENCH_engine.json exactly
-# the names `engine_throughput --list` prints for the configuration this
-# script drives (--jobs 1,2,4). A missing row means the file
+# families compiled into bdd_microbench. A missing row means the file
 # predates a new benchmark; an extra row is a benchmark that was deleted.
 set -euo pipefail
 
@@ -66,55 +53,17 @@ if missing or extra:
 print(f"{sys.argv[1]} records exactly the {len(binary)} benchmark families")
 EOF
   rm -f "${LIST_FILE}"
-
-  ENGINE_JSON="${REPO_ROOT}/BENCH_engine.json"
-  if [[ ! -x "${BUILD_DIR}/engine_throughput" ]]; then
-    echo "--check-stale: ${BUILD_DIR}/engine_throughput not built" >&2
-    exit 1
-  fi
-  ENGINE_LIST_FILE="$(mktemp)"
-  # Exactly the configuration the measuring run below uses.
-  "${BUILD_DIR}/engine_throughput" --list --jobs 1,2,4 > "${ENGINE_LIST_FILE}"
-  python3 - "${ENGINE_JSON}" "${ENGINE_LIST_FILE}" <<'EOF' || STATUS=$?
-import json, sys
-# Engine benchmark names are fully parameterized (no family prefix
-# collapsing): the recorded names must equal the listed ones verbatim.
-with open(sys.argv[2]) as f:
-    binary = {line.strip() for line in f if line.strip()}
-if not binary:
-    print("--check-stale: engine benchmark list came back empty",
-          file=sys.stderr)
-    sys.exit(1)
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-recorded = {b["name"] for b in data.get("benchmarks", [])}
-missing = sorted(binary - recorded)
-extra = sorted(recorded - binary)
-if missing:
-    print(f"{sys.argv[1]} is stale: missing benchmarks {missing}; "
-          f"regenerate with bench/run_bench.sh", file=sys.stderr)
-if extra:
-    print(f"{sys.argv[1]} is stale: records benchmarks {extra} that "
-          f"engine_throughput no longer runs; drop them or regenerate",
-          file=sys.stderr)
-if missing or extra:
-    sys.exit(1)
-print(f"{sys.argv[1]} records exactly the {len(binary)} engine benchmarks")
-EOF
-  rm -f "${ENGINE_LIST_FILE}"
   exit "${STATUS}"
 fi
 
 BUILD_DIR="${1:-${REPO_ROOT}/build}"
 OUT_JSON="${2:-${REPO_ROOT}/BENCH_bdd.json}"
-ENGINE_OUT_JSON="${ENGINE_OUT_JSON:-${REPO_ROOT}/BENCH_engine.json}"
 MIN_TIME="${BENCH_MIN_TIME:-0.15}"
-ENGINE_REPEAT="${ENGINE_BENCH_REPEAT:-16}"
 
-if [[ ! -x "${BUILD_DIR}/bdd_microbench" || ! -x "${BUILD_DIR}/engine_throughput" ]]; then
-  echo "benchmark drivers not found; building in ${BUILD_DIR}" >&2
+if [[ ! -x "${BUILD_DIR}/bdd_microbench" ]]; then
+  echo "bdd_microbench not found; building in ${BUILD_DIR}" >&2
   cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" >/dev/null
-  cmake --build "${BUILD_DIR}" --target bdd_microbench engine_throughput -j >/dev/null
+  cmake --build "${BUILD_DIR}" --target bdd_microbench -j >/dev/null
 fi
 
 "${BUILD_DIR}/bdd_microbench" \
@@ -125,15 +74,6 @@ fi
   >/dev/null
 
 echo "wrote ${OUT_JSON}"
-
-# Engine-layer suite throughput: every example model's default suite,
-# repeated, fanned out through the executor at 1/2/4 workers, then the
-# server-loopback family.
-"${BUILD_DIR}/engine_throughput" \
-  --repeat "${ENGINE_REPEAT}" \
-  --jobs 1,2,4 \
-  --out "${ENGINE_OUT_JSON}" \
-  "${REPO_ROOT}"/examples/models/*.cov
 
 # Human-readable summary: op/ns and node counters per benchmark.
 python3 - "${OUT_JSON}" <<'EOF'

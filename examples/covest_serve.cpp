@@ -83,11 +83,6 @@ void usage(std::FILE* to) {
       "  --drain-ms N\n"
       "               shutdown grace per in-flight job before it is\n"
       "               cancelled (default 30000)\n"
-      "  --gc-interval N\n"
-      "               maintenance cadence: after every N completed\n"
-      "               suites, drain in-flight jobs and run a full GC\n"
-      "               over the warm cache's parked sessions (default\n"
-      "               0 = no maintenance)\n"
       "  --stats      include timing/BDD statistics in result lines\n");
 }
 
@@ -137,7 +132,6 @@ int main(int argc, char** argv) {
     };
     std::size_t port = 0;
     std::size_t drain = 0;
-    std::size_t gc_interval = 0;
     if (std::strcmp(arg, "--host") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --host needs an address\n\n");
@@ -164,8 +158,6 @@ int main(int argc, char** argv) {
       // Parsed by count_flag.
     } else if (count_flag("--drain-ms", &drain, true)) {
       options.drain_ms = drain;
-    } else if (count_flag("--gc-interval", &gc_interval, true)) {
-      options.gc_interval = gc_interval;
     } else if (std::strcmp(arg, "--stats") == 0) {
       options.stats = true;
     } else if (std::strcmp(arg, "--help") == 0) {

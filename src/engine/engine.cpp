@@ -69,19 +69,6 @@ const char* to_string(ResultStatus status) noexcept {
   return "ok";  // Unreachable for in-range enums.
 }
 
-bool result_status_from_string(const std::string& text, ResultStatus* out) {
-  for (const ResultStatus s :
-       {ResultStatus::kOk, ResultStatus::kCancelled,
-        ResultStatus::kDeadlineExceeded, ResultStatus::kResourceExhausted,
-        ResultStatus::kAdmissionRejected, ResultStatus::kError}) {
-    if (text == to_string(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------

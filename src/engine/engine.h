@@ -106,10 +106,6 @@ enum class ResultStatus {
 /// "resource_exhausted", "admission_rejected", "error".
 const char* to_string(ResultStatus status) noexcept;
 
-/// Strict inverse of `to_string`: false (and `*out` untouched) for
-/// anything but the six canonical spellings.
-bool result_status_from_string(const std::string& text, ResultStatus* out);
-
 /// Declarative description of one suite job.
 struct CoverageRequest {
   // -- Model source: exactly one of the three -------------------------------
@@ -357,10 +353,6 @@ class Session {
   /// must own the session's manager (see
   /// `bdd::BddManager::rebind_to_current_thread`).
   SuiteResult run(const CoverageRequest& request, const RunHooks& hooks = {});
-
-  /// Distinct verified suites recorded by this session (bounded; see
-  /// `kMaxVerifiedSuites`). Exposed for tests and cache diagnostics.
-  std::size_t verified_suite_count() const { return verified_.size(); }
 
   /// Cap on recorded verified suites per session: past it the record is
   /// cleared wholesale (the checker's per-formula memo stays, so a

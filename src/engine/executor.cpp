@@ -381,20 +381,10 @@ struct Executor::Impl {
   std::condition_variable space_cv;
   std::deque<std::shared_ptr<JobState>> queue;
   bool stopping = false;
-  /// Maintenance window: while set, workers stop popping tasks; the
-  /// maintainer waits on `idle_cv` for `active_tasks` to hit zero and
-  /// then owns every parked session (no leases are in flight).
-  bool maintenance = false;
-  std::size_t active_tasks = 0;
-  std::condition_variable idle_cv;
   /// Immutable after construction (read without `mu`).
   std::size_t max_queue_depth = 0;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   std::uint64_t next_job_id = 1;
-  /// Every live submitted job (weak: dead once taken and dropped);
-  /// cancel_all walks it, submit prunes expired entries amortized.
-  std::vector<std::weak_ptr<JobState>> jobs;
-  std::size_t next_prune = 64;
   JobEventFn on_event;
   /// Warm model cache; nullptr when disabled. Held here so it outlives
   /// every job (the destructor drains workers before Impl dies).
@@ -438,26 +428,16 @@ void Executor::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(impl_->mu);
       impl_->cv.wait(lock, [this] {
-        return impl_->stopping ||
-               (!impl_->queue.empty() && !impl_->maintenance);
+        return impl_->stopping || !impl_->queue.empty();
       });
       // Drain semantics: accepted work still runs during shutdown.
       if (impl_->queue.empty()) return;
       job = std::move(impl_->queue.front());
       impl_->queue.pop_front();
-      ++impl_->active_tasks;
     }
     impl_->space_cv.notify_all();  // A bounded queue just gained room.
 
     SuiteResult result = run_job(*job);
-    {
-      // The lease (if any) was returned inside run_job; a waiting
-      // maintenance window may proceed once the last task lands here.
-      std::lock_guard<std::mutex> lock(impl_->mu);
-      --impl_->active_tasks;
-    }
-    impl_->idle_cv.notify_all();
-
     {
       std::lock_guard<std::mutex> lock(job->mu);
       job->result = std::move(result);
@@ -491,14 +471,6 @@ JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     state->id = impl_->next_job_id++;
-    // Amortized registry pruning: dead jobs (taken and dropped) leave
-    // expired weak_ptrs behind; a long-lived executor must not grow.
-    if (impl_->jobs.size() >= impl_->next_prune) {
-      std::erase_if(impl_->jobs,
-                    [](const std::weak_ptr<JobState>& w) { return w.expired(); });
-      impl_->next_prune = std::max<std::size_t>(64, impl_->jobs.size() * 2);
-    }
-    impl_->jobs.push_back(state);
     if (!reject && impl_->max_queue_depth != 0 &&
         impl_->admission == AdmissionPolicy::kReject &&
         impl_->queue.size() >= impl_->max_queue_depth) {
@@ -559,43 +531,6 @@ std::vector<SuiteResult> Executor::run_all(
   results.reserve(handles.size());
   for (const JobHandle& h : handles) results.push_back(h.take());
   return results;
-}
-
-std::size_t Executor::cancel_all() {
-  std::vector<std::weak_ptr<JobState>> jobs;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    jobs = impl_->jobs;
-  }
-  std::size_t reached = 0;
-  for (const std::weak_ptr<JobState>& w : jobs) {
-    if (const std::shared_ptr<JobState> job = w.lock()) {
-      std::unique_lock<std::mutex> lock(job->mu);
-      if (!job->ready) {
-        job->cancel.store(true, std::memory_order_relaxed);
-        ++reached;
-      }
-    }
-  }
-  return reached;
-}
-
-MaintenanceStats Executor::maintenance() {
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->maintenance = true;
-  // Drain: workers stop popping once the flag is up; wait for the tasks
-  // already in flight to return their leases.
-  impl_->idle_cv.wait(lock, [this] { return impl_->active_tasks == 0; });
-  MaintenanceStats stats;
-  if (impl_->session_cache) {
-    // Holding `mu` for the pass is the point: submitters and workers
-    // stay parked, so every cached session is reachable and quiescent.
-    stats = impl_->session_cache->maintain();
-  }
-  impl_->maintenance = false;
-  lock.unlock();
-  impl_->cv.notify_all();
-  return stats;
 }
 
 }  // namespace covest::engine

@@ -185,7 +185,7 @@ struct ExecutorOptions {
 };
 
 /// The worker pool. Destruction drains: it waits for every submitted
-/// job to finish (call `cancel_all` first for a fast shutdown).
+/// job to finish (cancel each job's handle first for a fast shutdown).
 class Executor {
  public:
   explicit Executor(ExecutorOptions options = {});
@@ -215,20 +215,6 @@ class Executor {
   /// Convenience barrier: submits every request, waits, and returns the
   /// results in request order.
   std::vector<SuiteResult> run_all(std::vector<CoverageRequest> requests);
-
-  /// Drain-all cancellation: cancels every job that has not finished
-  /// (queued jobs complete as cancelled without running). Returns the
-  /// number of jobs the cancellation reached.
-  std::size_t cancel_all();
-
-  /// Stop-the-world maintenance window: stops handing queued tasks to
-  /// workers, waits for every in-flight task to finish, then runs a
-  /// full exclusive GC over every session parked in the warm cache, and
-  /// resumes.
-  /// Queued jobs are not lost — they run as soon as the window closes;
-  /// submitters block for the duration. No-op counters when the
-  /// executor has no session cache. One caller at a time.
-  MaintenanceStats maintenance();
 
  private:
   struct Impl;

@@ -160,15 +160,12 @@ void NdjsonDispatcher::drain() {
   while (!pending_.empty()) emit_front();
 }
 
-bool NdjsonDispatcher::drain_for(std::chrono::milliseconds per_job) {
+void NdjsonDispatcher::drain_for(std::chrono::milliseconds per_job) {
   while (!pending_.empty()) {
     const Pending& front = pending_.front();
-    if (front.handle.valid() && !front.handle.wait_for(per_job)) {
-      return false;
-    }
+    if (front.handle.valid() && !front.handle.wait_for(per_job)) return;
     emit_front();
   }
-  return true;
 }
 
 void NdjsonDispatcher::emit_front() {

@@ -143,11 +143,11 @@ class NdjsonDispatcher {
   void drain();
 
   /// Like `drain`, but bounded: waits up to `per_job` for each
-  /// in-flight result (`JobHandle::wait_for`). Returns false — with the
-  /// remaining jobs still in flight — as soon as one result fails to
-  /// arrive in time; the caller decides between another grace period
-  /// and abandoning the drain (the server's SIGTERM path).
-  bool drain_for(std::chrono::milliseconds per_job);
+  /// in-flight result (`JobHandle::wait_for`) and stops, leaving the
+  /// remaining jobs in flight, as soon as one result fails to arrive in
+  /// time (the server's SIGTERM path). The dispatcher's destructor then
+  /// cancels and absorbs whatever is still in flight, without emitting.
+  void drain_for(std::chrono::milliseconds per_job);
 
   /// Aggregated exit code of everything emitted so far, the shared
   /// 0/1/3 contract: 3 = some job was stopped by a resource limit

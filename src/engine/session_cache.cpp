@@ -120,23 +120,6 @@ void SessionCache::release(const SessionKey& key,
   if (doomed) destroy_here(std::move(doomed));
 }
 
-MaintenanceStats SessionCache::maintain() {
-  MaintenanceStats out;
-  std::lock_guard<std::mutex> lock(state_->mu);
-  for (Entry& e : state_->entries) {
-    bdd::BddManager& mgr = e.session->fsm().mgr();
-    // The mutex serializes with the releasing worker, so the rebind
-    // observes the parked manager's final state.
-    mgr.rebind_to_current_thread();
-    out.live_nodes_before += e.live_nodes;
-    mgr.gc();
-    e.live_nodes = mgr.live_node_count();
-    out.live_nodes_after += e.live_nodes;
-    ++out.sessions;
-  }
-  return out;
-}
-
 void SessionCache::clear() {
   std::deque<Entry> drained;
   {

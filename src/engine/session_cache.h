@@ -30,6 +30,11 @@
 // (its manager is rebound here first — destruction is single-threaded
 // by the cache mutex's happens-before).
 //
+// The cache never touches a parked manager. Reclamation is the BDD
+// kernel's own: a manager collects by itself at an operation boundary
+// once its pool outgrows its live set (bdd.h, `set_gc_threshold`), so
+// a parked session holds at most the garbage its last job left.
+//
 // Thread safety: every member is safe to call from any thread.
 #pragma once
 
@@ -57,13 +62,6 @@ struct SessionKey {
 
   /// Exact equality: hash AND every elaboration-shaping input.
   bool matches(const SessionKey& other) const;
-};
-
-/// What one `maintain` pass did, summed over the parked sessions.
-struct MaintenanceStats {
-  std::size_t sessions = 0;          ///< Parked sessions visited.
-  std::size_t live_nodes_before = 0;  ///< As recorded at release time.
-  std::size_t live_nodes_after = 0;   ///< Re-measured after GC.
 };
 
 /// Point-in-time counters of a `SessionCache`. Hits + misses equal the
@@ -112,12 +110,6 @@ class SessionCache {
   /// oldest-released entry.
   void release(const SessionKey& key, std::shared_ptr<Session> session,
                std::size_t live_nodes);
-
-  /// Runs a full GC on every parked session, rebinding each manager to
-  /// the calling thread. The caller must guarantee no concurrent
-  /// acquire/release holds a lease it intends to return mid-pass — the
-  /// executor's maintenance window drains in-flight jobs first.
-  MaintenanceStats maintain();
 
   /// Destroys every parked session (on the calling thread).
   void clear();

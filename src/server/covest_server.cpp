@@ -109,20 +109,6 @@ struct CovestServer::Impl {
   std::atomic<std::size_t> conn_active{0};
   std::atomic<bool> any_error{false}, any_failure{false}, any_limited{false};
 
-  // -- Maintenance window (gc_interval > 0) ---------------------------------
-  /// Background thread: every `gc_interval` completed suites it takes
-  /// the executor's stop-the-world window and GCs the parked sessions.
-  /// Started by `start`, woken by `record`, joined by the destructor
-  /// (request_shutdown stays async-signal-safe — it never notifies).
-  std::thread gc_thread;
-  std::mutex gc_mu;
-  std::condition_variable gc_cv;
-  std::uint64_t last_maintained = 0;  ///< Suite total at the last pass.
-  std::atomic<std::uint64_t> maintenance_runs{0};
-  std::atomic<std::size_t> maintenance_sessions{0};
-  std::atomic<std::size_t> maintenance_live_before{0};
-  std::atomic<std::size_t> maintenance_live_after{0};
-
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
     if (wake_rd >= 0) ::close(wake_rd);
@@ -159,40 +145,6 @@ struct CovestServer::Impl {
         r.status == engine::ResultStatus::kResourceExhausted ||
         r.status == engine::ResultStatus::kAdmissionRejected) {
       any_limited = true;
-    }
-    if (options.gc_interval > 0) gc_cv.notify_one();
-  }
-
-  std::uint64_t suites_total() const {
-    return n_ok + n_cancelled + n_deadline + n_exhausted + n_admission +
-           n_error;
-  }
-
-  void maintenance_loop() {
-    std::unique_lock<std::mutex> lock(gc_mu);
-    for (;;) {
-      // The timed backstop covers the signal-handler shutdown path:
-      // request_shutdown only stores + writes the pipe (it must stay
-      // async-signal-safe, and notifying a condition variable is not),
-      // so this thread re-checks on a coarse tick. It sits on neither
-      // the reply path nor the drain: it only keeps a window from
-      // opening after a signal, and the destructor notifies directly.
-      gc_cv.wait_for(lock, std::chrono::milliseconds(200), [this] {
-        return shutting_down.load(std::memory_order_relaxed) ||
-               suites_total() - last_maintained >= options.gc_interval;
-      });
-      if (shutting_down.load(std::memory_order_relaxed)) return;
-      if (suites_total() - last_maintained < options.gc_interval) continue;
-      last_maintained = suites_total();
-      lock.unlock();
-      const engine::MaintenanceStats ms = executor->maintenance();
-      ++maintenance_runs;
-      maintenance_sessions.store(ms.sessions, std::memory_order_relaxed);
-      maintenance_live_before.store(ms.live_nodes_before,
-                                    std::memory_order_relaxed);
-      maintenance_live_after.store(ms.live_nodes_after,
-                                   std::memory_order_relaxed);
-      lock.lock();
     }
   }
 
@@ -232,13 +184,6 @@ struct CovestServer::Impl {
          << ",\"misses\":" << cs.misses << ",\"insertions\":" << cs.insertions
          << ",\"evictions\":" << cs.evictions << ",\"discards\":" << cs.discards
          << ",\"live_nodes\":" << cs.live_nodes << "}";
-    }
-    if (options.gc_interval > 0) {
-      os << ",\"maintenance\":{\"interval\":" << options.gc_interval
-         << ",\"runs\":" << maintenance_runs
-         << ",\"sessions\":" << maintenance_sessions
-         << ",\"live_nodes_before\":" << maintenance_live_before
-         << ",\"live_nodes_after\":" << maintenance_live_after << "}";
     }
     os << "}}\n";
     return os.str();
@@ -367,18 +312,14 @@ void CovestServer::Impl::handle_connection(std::uint64_t id, int fd) {
   }
 
   // Drain: every submitted job still gets its result line (shutdown
-  // grants `drain_ms` per job, then cancels; the dispatcher destructor
-  // reaps whatever remains without emitting).
+  // grants `drain_ms` per job). A dead client or an expired grace leaves
+  // jobs in flight; the dispatcher destructor cancels and absorbs them
+  // here without emitting.
   if (shutting_down.load(std::memory_order_relaxed)) {
-    if (!dispatch.drain_for(std::chrono::milliseconds(options.drain_ms))) {
-      // Grace expired: results computed so far were flushed; cancel the
-      // rest (cooperative, so the executor drains promptly).
-    }
+    dispatch.drain_for(std::chrono::milliseconds(options.drain_ms));
   } else if (client_alive) {
     dispatch.drain();
   }
-  // A dead client (or an expired drain) leaves jobs in flight; the
-  // dispatcher destructor cancels and absorbs them here.
 
   ::close(fd);
   conn_active.fetch_sub(1, std::memory_order_relaxed);
@@ -412,13 +353,7 @@ CovestServer::CovestServer(ServerOptions options) : impl_(new Impl) {
   impl_->options = std::move(options);
 }
 
-CovestServer::~CovestServer() {
-  if (impl_->gc_thread.joinable()) {
-    impl_->shutting_down.store(true, std::memory_order_relaxed);
-    impl_->gc_cv.notify_all();  // Normal context here: notify is safe.
-    impl_->gc_thread.join();
-  }
-}
+CovestServer::~CovestServer() = default;
 
 bool CovestServer::start(std::string* error) {
   const auto fail = [error](const std::string& what) {
@@ -477,9 +412,6 @@ bool CovestServer::start(std::string* error) {
       std::make_unique<engine::Executor>(std::move(executor_options));
   impl_->window = 2 * impl_->executor->worker_count();
   impl_->started_at = Clock::now();
-  if (impl_->options.gc_interval > 0) {
-    impl_->gc_thread = std::thread([this] { impl_->maintenance_loop(); });
-  }
   return true;
 }
 

@@ -21,7 +21,8 @@
 // queue — the point is to observe a busy server): uptime, suites/sec,
 // per-status result counts, executor queue depth, connection counts and
 // warm-cache occupancy (hits/misses/insertions/evictions/discards and
-// parked live nodes).
+// parked live nodes). The server runs no collection of its own: every
+// session's BDD manager collects by itself while a job runs it.
 //
 // Robustness contract: an input defect never drops the connection. A
 // malformed JSON line produces a single `summary.error` result line in
@@ -77,12 +78,6 @@ struct ServerOptions {
   /// Include timing/BDD stats in result lines (off keeps the wire
   /// deterministic — the covest_batch diff contract).
   bool stats = false;
-  /// Maintenance window cadence: after every `gc_interval` completed
-  /// suite results, a background thread takes the executor's
-  /// stop-the-world window (drain in-flight jobs, full GC on every
-  /// parked session, resume) so the warm cache's managers stop
-  /// accumulating garbage forever. 0 disables maintenance.
-  std::uint64_t gc_interval = 0;
 };
 
 class CovestServer {

@@ -319,46 +319,6 @@ TEST(CovestServeTest, WarmRepeatSkipsElaborateAndVerifyPhases) {
   EXPECT_EQ(server.wait(), 0);
 }
 
-TEST(CovestServeTest, MaintenanceWindowRunsAndKeepsRepliesByteIdentical) {
-  // --gc-interval 1: after every completed suite the background thread
-  // takes the executor's stop-the-world window and GCs the parked
-  // sessions. Replies before/after a window must stay byte-identical
-  // (maintenance reclaims garbage, never live structure).
-  ServerProcess server;
-  ASSERT_TRUE(server.start(
-      COVEST_SERVE_PATH,
-      {"--port", "0", "--jobs", "2", "--gc-interval", "1"}));
-
-  TcpClient client;
-  ASSERT_TRUE(client.connect_to(server.port()));
-  ASSERT_TRUE(client.send_line(request_line("arbiter.cov")));
-  const std::string cold = client.recv_line();
-  ASSERT_FALSE(cold.empty());
-
-  // The window is asynchronous; poll metrics until it has run.
-  double runs = 0.0;
-  for (int i = 0; i < 250 && runs < 1.0; ++i) {
-    ASSERT_TRUE(client.send_line("{\"op\": \"metrics\"}"));
-    const engine::json::Value m = engine::json::parse(client.recv_line());
-    runs = num_at(m, {"metrics", "maintenance", "runs"});
-    if (runs < 1.0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_GE(runs, 1.0);
-
-  // A warm replay through a GC'd session is still byte-identical.
-  ASSERT_TRUE(client.send_line(request_line("arbiter.cov")));
-  EXPECT_EQ(client.recv_line(), cold);
-
-  ASSERT_TRUE(client.send_line("{\"op\": \"metrics\"}"));
-  const engine::json::Value m = engine::json::parse(client.recv_line());
-  EXPECT_EQ(num_at(m, {"metrics", "maintenance", "interval"}), 1.0);
-  EXPECT_GE(num_at(m, {"metrics", "maintenance", "sessions"}), 1.0);
-  EXPECT_GE(num_at(m, {"metrics", "maintenance", "live_nodes_after"}), 1.0);
-
-  server.signal(SIGTERM);
-  EXPECT_EQ(server.wait(), 0);
-}
-
 // --------------------------------------------------------------------------
 // Metrics
 // --------------------------------------------------------------------------
@@ -667,12 +627,22 @@ TEST(CovestServeTest, RemovedImageStrategyFlagIsUnknown) {
 }
 
 TEST(CovestServeTest, RemovedGcSiftFlagIsUnknown) {
-  // Maintenance only collects garbage; it never reorders a parked
-  // session's variables.
+  // The server never reorders a parked session's variables.
   const RunOutcome r = run_shell(std::string(COVEST_SERVE_PATH) +
                                  " --port 0 --gc-sift 2>&1");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("unknown option '--gc-sift'"), std::string::npos)
+      << r.output;
+}
+
+TEST(CovestServeTest, RemovedGcIntervalFlagIsUnknown) {
+  // Parked sessions need no server-side maintenance window: every BDD
+  // manager collects by itself once its pool outgrows its live set.
+  const RunOutcome r = run_shell(std::string(COVEST_SERVE_PATH) +
+                                 " --port 0 --gc-interval 3 2>&1");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown option '--gc-interval'"),
+            std::string::npos)
       << r.output;
 }
 

@@ -335,21 +335,18 @@ TEST(FaultInjectionTest, StatusSurvivesJsonSerialization) {
   EXPECT_TRUE(engine::validate_json(json, &err)) << err;
 }
 
-TEST(FaultInjectionTest, StatusStringsRoundTripStrictly) {
-  using engine::result_status_from_string;
-  for (const ResultStatus s :
-       {ResultStatus::kOk, ResultStatus::kCancelled,
-        ResultStatus::kDeadlineExceeded, ResultStatus::kResourceExhausted,
-        ResultStatus::kAdmissionRejected, ResultStatus::kError}) {
-    ResultStatus parsed = ResultStatus::kOk;
-    ASSERT_TRUE(result_status_from_string(engine::to_string(s), &parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  ResultStatus parsed = ResultStatus::kOk;
-  EXPECT_FALSE(result_status_from_string("OK", &parsed));
-  EXPECT_FALSE(result_status_from_string("deadline", &parsed));
-  EXPECT_FALSE(result_status_from_string("", &parsed));
-  EXPECT_FALSE(result_status_from_string("timeout", &parsed));
+TEST(FaultInjectionTest, StatusStringsAreTheJsonContractSpellings) {
+  // The `status` member of every result line carries one of these six
+  // spellings; clients match on them, so none may change.
+  EXPECT_STREQ(engine::to_string(ResultStatus::kOk), "ok");
+  EXPECT_STREQ(engine::to_string(ResultStatus::kCancelled), "cancelled");
+  EXPECT_STREQ(engine::to_string(ResultStatus::kDeadlineExceeded),
+               "deadline_exceeded");
+  EXPECT_STREQ(engine::to_string(ResultStatus::kResourceExhausted),
+               "resource_exhausted");
+  EXPECT_STREQ(engine::to_string(ResultStatus::kAdmissionRejected),
+               "admission_rejected");
+  EXPECT_STREQ(engine::to_string(ResultStatus::kError), "error");
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // The reclamation soak: the server-shaped executor workload — 100+
-// warm-cache requests with model churn, frequent collections and
-// periodic stop-the-world maintenance windows, held to byte-identical
-// replies and a live-node plateau.
+// warm-cache requests with model churn and frequent collections, held
+// to byte-identical replies and a live-node plateau.
 // Built for the sanitizer CI matrix: every assertion here runs under
 // TSan and ASan+UBSan.
 #include <gtest/gtest.h>
@@ -41,10 +40,10 @@ std::string canonical(const SuiteResult& r) {
 }
 
 // --------------------------------------------------------------------------
-// The server-shaped soak: warm cache, churn, maintenance windows
+// The server-shaped soak: warm cache, churn, in-run collections
 // --------------------------------------------------------------------------
 
-TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
+TEST(GcSoakTest, HundredWarmRequestsStayByteIdentical) {
   // Low collection floor for every manager elaborated below, so every
   // job collects while it runs (each collection re-arms the trigger at
   // twice the live set it leaves).
@@ -79,7 +78,7 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
   constexpr int kRounds = 12;
   constexpr int kPerRound = 10;
   std::size_t total = 0;
-  std::vector<std::size_t> plateau;  ///< live_nodes after each window.
+  std::vector<std::size_t> plateau;  ///< live_nodes after each round.
   for (int round = 0; round < kRounds; ++round) {
     std::vector<JobHandle> handles;
     std::vector<std::size_t> which;
@@ -90,10 +89,6 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
       which.push_back(idx);
       handles.push_back(ex.submit(req));
     }
-    // The stop-the-world window races the in-flight batch: it must
-    // drain active tasks, GC the parked sessions and hand the queue
-    // back without perturbing a single reply byte.
-    const engine::MaintenanceStats window = ex.maintenance();
     for (std::size_t i = 0; i < handles.size(); ++i) {
       const SuiteResult r = handles[i].take();
       ASSERT_TRUE(r.error.empty()) << kModels[which[i]] << ": " << r.error;
@@ -102,14 +97,14 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
           << "round " << round << " " << kModels[which[i]];
       ++total;
     }
-    (void)window;
     plateau.push_back(cache->stats().live_nodes);
   }
   EXPECT_GE(total, 100u);
 
   // The plateau: once every model has been seen (round 3 on), parked
-  // live nodes stop growing — maintenance plus in-run collections keep
-  // the resident set flat across another ~100 requests.
+  // live nodes stop growing — each manager collects by itself once its
+  // pool reaches twice the live set its last collection left, which
+  // keeps the resident set flat across another ~100 requests.
   ASSERT_GE(plateau.size(), 4u);
   const std::size_t baseline = plateau[2];
   EXPECT_GT(baseline, 0u);
