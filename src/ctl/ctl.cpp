@@ -1,5 +1,6 @@
 #include "ctl/ctl.h"
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +39,7 @@ std::size_t node_hash(const FormulaNode& n) {
 Formula Formula::prop(Expr e) {
   auto node = std::make_shared<FormulaNode>();
   node->op = CtlOp::kProp;
+  node->depth = e.valid() ? e.depth() : 1;
   node->prop = std::move(e);
   node->hash = node_hash(*node);
   return Formula(std::move(node));
@@ -52,6 +54,7 @@ Formula Formula::make(CtlOp op, std::vector<Formula> args) {
   node->args = std::move(args);
   for (const Formula& f : node->args) {
     if (!f.valid()) throw std::runtime_error("invalid subformula");
+    node->depth = std::max(node->depth, f.depth() + 1);
   }
   const std::size_t expected =
       (op == CtlOp::kAU || op == CtlOp::kEU || op == CtlOp::kAnd ||

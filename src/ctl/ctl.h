@@ -45,6 +45,9 @@ class Formula {
   /// Subformula access (0-based; AU/EU have two, unary temporal one).
   const Formula& arg(std::size_t i) const;
   std::size_t arity() const;
+  /// Tree depth, atoms counting their expression's depth, so a collapsed
+  /// formula's atoms are never deeper than the formula was.
+  unsigned depth() const;
 
   /// Stable identity for memoization tables.
   const void* id() const { return node_.get(); }
@@ -87,7 +90,11 @@ struct FormulaNode {
   /// construction (subformula hashes are already cached, so this is O(1)
   /// per node).
   std::size_t hash = 0;
+  /// See Formula::depth.
+  unsigned depth = 1;
 };
+
+inline unsigned Formula::depth() const { return node_->depth; }
 
 inline Formula operator!(const Formula& f) {
   return Formula::make(CtlOp::kNot, {f});

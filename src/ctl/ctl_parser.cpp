@@ -1,7 +1,7 @@
 #include "ctl/ctl_parser.h"
 
-#include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "expr/expr_parser.h"
 
@@ -13,10 +13,9 @@ using expr::Token;
 using expr::TokenKind;
 using expr::TokenStream;
 
-const std::set<std::string>& temporal_keywords() {
-  static const std::set<std::string> kws{"AX", "EX", "AF", "EF", "AG",
-                                         "EG", "A",  "E",  "U"};
-  return kws;
+bool is_temporal_keyword(std::string_view id) {
+  return id == "AX" || id == "EX" || id == "AF" || id == "EF" ||
+         id == "AG" || id == "EG" || id == "A" || id == "E" || id == "U";
 }
 
 class CtlParser {
@@ -26,10 +25,16 @@ class CtlParser {
   Formula parse() { return parse_iff(); }
 
  private:
+  /// Returns `f` after failing the parse when it is too deep.
+  Formula checked(Formula f) const {
+    ts_.check_depth(f.depth());
+    return f;
+  }
+
   Formula parse_iff() {
     Formula lhs = parse_implies();
     while (ts_.accept_punct("<->")) {
-      lhs = Formula::make(CtlOp::kIff, {lhs, parse_implies()});
+      lhs = checked(Formula::make(CtlOp::kIff, {lhs, parse_implies()}));
     }
     return lhs;
   }
@@ -37,7 +42,8 @@ class CtlParser {
   Formula parse_implies() {
     Formula lhs = parse_or();
     if (ts_.accept_punct("->")) {
-      return lhs.implies(parse_implies());
+      const TokenStream::Nest nest(ts_);
+      return checked(lhs.implies(parse_implies()));
     }
     return lhs;
   }
@@ -46,7 +52,7 @@ class CtlParser {
     Formula lhs = parse_and();
     while (ts_.peek().is_punct("|") || ts_.peek().is_punct("||")) {
       ts_.next();
-      lhs = lhs | parse_and();
+      lhs = checked(lhs | parse_and());
     }
     return lhs;
   }
@@ -55,34 +61,42 @@ class CtlParser {
     Formula lhs = parse_unary();
     while (ts_.peek().is_punct("&") || ts_.peek().is_punct("&&")) {
       ts_.next();
-      lhs = lhs & parse_unary();
+      lhs = checked(lhs & parse_unary());
     }
     return lhs;
   }
 
   Formula parse_unary() {
-    if (ts_.accept_punct("!")) return !parse_unary();
+    if (ts_.accept_punct("!")) {
+      const TokenStream::Nest nest(ts_);
+      return checked(!parse_unary());
+    }
     const Token& t = ts_.peek();
     if (t.kind == TokenKind::kIdent) {
-      if (t.text == "AX" || t.text == "EX" || t.text == "AF" ||
-          t.text == "EF" || t.text == "AG" || t.text == "EG") {
-        const std::string op = ts_.next().text;
+      const std::string_view op = t.text;
+      if (op == "AX" || op == "EX" || op == "AF" || op == "EF" ||
+          op == "AG" || op == "EG") {
+        ts_.next();
+        const TokenStream::Nest nest(ts_);
         Formula sub = parse_unary();
-        if (op == "AX") return Formula::AX(sub);
-        if (op == "EX") return Formula::EX(sub);
-        if (op == "AF") return Formula::AF(sub);
-        if (op == "EF") return Formula::EF(sub);
-        if (op == "AG") return Formula::AG(sub);
-        return Formula::EG(sub);
+        if (op == "AX") return checked(Formula::AX(sub));
+        if (op == "EX") return checked(Formula::EX(sub));
+        if (op == "AF") return checked(Formula::AF(sub));
+        if (op == "EF") return checked(Formula::EF(sub));
+        if (op == "AG") return checked(Formula::AG(sub));
+        return checked(Formula::EG(sub));
       }
-      if (t.text == "A" || t.text == "E") {
-        const bool universal = ts_.next().text == "A";
+      if (op == "A" || op == "E") {
+        ts_.next();
+        const bool universal = op == "A";
         ts_.expect_punct("[");
+        const TokenStream::Nest nest(ts_);
         Formula left = parse_iff();
         if (!ts_.accept_ident("U")) ts_.fail("expected 'U' in until formula");
         Formula right = parse_iff();
         ts_.expect_punct("]");
-        return universal ? Formula::AU(left, right) : Formula::EU(left, right);
+        return checked(universal ? Formula::AU(left, right)
+                                 : Formula::EU(left, right));
       }
     }
     return parse_primary();
@@ -97,17 +111,22 @@ class CtlParser {
       const std::size_t mark = ts_.position();
       try {
         ts_.next();  // '('
+        const TokenStream::Nest nest(ts_);
         Formula inner = parse_iff();
         ts_.expect_punct(")");
-        static const char* kExprContinuations[] = {"==", "!=", "<",  "<=",
-                                                   ">",  ">=", "+",  "-",
-                                                   "*",  "?",  "^",  "["};
-        for (const char* cont : kExprContinuations) {
-          if (ts_.peek().is_punct(cont)) {
-            throw std::runtime_error("expression continuation");
+        static constexpr std::string_view kExprContinuations[] = {
+            "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "?", "^", "["};
+        const Token& after = ts_.peek();
+        if (after.kind == TokenKind::kPunct) {
+          for (const std::string_view cont : kExprContinuations) {
+            if (after.text == cont) {
+              throw std::runtime_error("expression continuation");
+            }
           }
         }
         return inner;
+      } catch (const expr::SyntaxTooDeep&) {
+        throw;  // The atom reading would nest at least as deep.
       } catch (const std::exception&) {
         ts_.rewind(mark);
         return parse_atom();
@@ -117,7 +136,7 @@ class CtlParser {
   }
 
   Formula parse_atom() {
-    expr::ExprParser parser(ts_, temporal_keywords());
+    expr::ExprParser parser(ts_, is_temporal_keyword);
     return Formula::prop(parser.parse_atom());
   }
 

@@ -90,7 +90,6 @@ core::CoverageOptions lenient(core::CoverageOptions options) {
 /// the observe lists and comments (copied into the results verbatim),
 /// and `skip_failing` (it decides `skipped` and row eligibility).
 std::uint64_t suite_hash(const std::vector<PropertySpec>& specs,
-                         const std::vector<ctl::Formula>& formulas,
                          bool skip_failing) {
   std::uint64_t h = specs.size() + 0x9e3779b97f4a7c15ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -99,7 +98,7 @@ std::uint64_t suite_hash(const std::vector<PropertySpec>& specs,
   const std::hash<std::string> str_hash;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     mix(str_hash(specs[i].ctl_text));
-    mix(static_cast<std::uint64_t>(ctl::structural_hash(formulas[i])));
+    mix(static_cast<std::uint64_t>(ctl::structural_hash(specs[i].formula)));
     mix(specs[i].observe.size());
     for (const std::string& o : specs[i].observe) mix(str_hash(o));
     mix(str_hash(specs[i].comment));
@@ -110,34 +109,50 @@ std::uint64_t suite_hash(const std::vector<PropertySpec>& specs,
 
 }  // namespace
 
-std::vector<PropertySpec> resolve_suite(const CoverageRequest& request,
-                                        const model::Model& model) {
-  if (!request.properties.empty()) return request.properties;
-  std::vector<PropertySpec> specs;
-  specs.reserve(model.specs().size());
-  for (const model::SpecEntry& s : model.specs()) {
-    PropertySpec spec;
-    spec.ctl_text = s.ctl_text;
-    spec.observe = s.observed;
-    spec.comment = s.comment;
-    specs.push_back(std::move(spec));
+ResolvedSuite resolve_suite(const CoverageRequest& request,
+                            const model::Model& model) {
+  ResolvedSuite suite;
+  if (!request.properties.empty()) {
+    suite.properties = request.properties;
+  } else {
+    suite.properties.reserve(model.specs().size());
+    for (const model::SpecEntry& s : model.specs()) {
+      PropertySpec spec;
+      spec.ctl_text = s.ctl_text;
+      spec.observe = s.observed;
+      spec.comment = s.comment;
+      suite.properties.push_back(std::move(spec));
+    }
   }
-  return specs;
+  for (PropertySpec& s : suite.properties) {
+    if (s.formula.valid()) {
+      // Collapsing here (idempotent for parsed text) keys the checker's
+      // structural memo on the exact form the coverage recursion
+      // re-checks.
+      s.formula = ctl::collapse_propositional(s.formula);
+      continue;
+    }
+    try {
+      s.formula = ctl::parse_ctl(s.ctl_text);  // Already collapsed.
+    } catch (const std::exception& e) {
+      throw std::runtime_error("property '" + s.ctl_text + "': " + e.what());
+    }
+  }
+  if (!request.signals.empty()) {
+    suite.signals = request.signals;
+  } else {
+    std::set<std::string> seen;
+    for (const PropertySpec& s : suite.properties) {
+      seen.insert(s.observe.begin(), s.observe.end());
+    }
+    suite.signals.assign(seen.begin(), seen.end());
+  }
+  return suite;
 }
 
-std::vector<std::string> resolve_signal_names(const CoverageRequest& request,
-                                              const model::Model& model) {
-  if (!request.signals.empty()) return request.signals;
-  std::set<std::string> seen;
-  for (const PropertySpec& s : resolve_suite(request, model)) {
-    for (const std::string& n : s.observe) seen.insert(n);
-  }
-  return {seen.begin(), seen.end()};
-}
-
-Session::Session(const model::Model& model, core::CoverageOptions options,
+Session::Session(model::Model model, core::CoverageOptions options,
                  std::size_t max_live_nodes)
-    : fsm_(model, max_live_nodes, options.image_strategy),
+    : fsm_(std::move(model), max_live_nodes, options.image_strategy),
       checker_(fsm_),
       estimator_(checker_, lenient(options)) {}
 
@@ -147,7 +162,6 @@ Session::Session(const model::Model& model, core::CoverageOptions options,
 SignalRow Session::estimate_row(const CoverageRequest& request,
                                 const std::string& name,
                                 const std::vector<PropertySpec>& specs,
-                                const std::vector<ctl::Formula>& formulas,
                                 const std::vector<PropertyResult>& outcomes) {
   const auto t_row = Clock::now();
   const std::vector<core::ObservedSignal> group =
@@ -158,7 +172,7 @@ SignalRow Session::estimate_row(const CoverageRequest& request,
     if (outcomes[j].skipped) continue;
     const std::vector<std::string>& obs = specs[j].observe;
     if (obs.empty() || std::find(obs.begin(), obs.end(), name) != obs.end()) {
-      eligible.push_back(formulas[j]);
+      eligible.push_back(specs[j].formula);
     }
   }
 
@@ -187,6 +201,11 @@ SignalRow Session::estimate_row(const CoverageRequest& request,
 
 SuiteResult Session::run(const CoverageRequest& request,
                          const RunHooks& hooks) {
+  return run(request, resolve_suite(request, model()), hooks);
+}
+
+SuiteResult Session::run(const CoverageRequest& request,
+                         const ResolvedSuite& suite, const RunHooks& hooks) {
   const auto t_run = Clock::now();
 
   // Governance: adopt the ambient governor when one is installed (the
@@ -238,16 +257,7 @@ SuiteResult Session::run(const CoverageRequest& request,
     result.total_ms = ms_since(t_run);
   };
 
-  // -- Resolve the suite ----------------------------------------------------
-  const std::vector<PropertySpec> specs = resolve_suite(request, m);
-  std::vector<ctl::Formula> formulas;
-  formulas.reserve(specs.size());
-  for (const PropertySpec& s : specs) {
-    ctl::Formula f = s.formula.valid() ? s.formula : ctl::parse_ctl(s.ctl_text);
-    // Collapsing here (idempotent for parsed text) keys the checker's
-    // structural memo on the exact form the coverage recursion re-checks.
-    formulas.push_back(ctl::collapse_propositional(f));
-  }
+  const std::vector<PropertySpec>& specs = suite.properties;
 
   // -- Verify ---------------------------------------------------------------
   // Warm path: a suite this session has verified before replays the
@@ -256,7 +266,7 @@ SuiteResult Session::run(const CoverageRequest& request,
   // ticks fire. The estimate phase below runs either way; its caches
   // are keyed by canonical BDDs, so warm rows are byte-identical to
   // cold ones.
-  const std::uint64_t key = suite_hash(specs, formulas, request.skip_failing);
+  const std::uint64_t key = suite_hash(specs, request.skip_failing);
   const auto warm = verified_.find(key);
   if (warm != verified_.end()) {
     result.properties = warm->second.properties;
@@ -276,10 +286,11 @@ SuiteResult Session::run(const CoverageRequest& request,
       for (std::size_t i = 0; i < specs.size(); ++i) {
         governor->tick();  // Phase-boundary deadline check.
         const auto t_prop = Clock::now();
-        const ctl::CheckResult check = checker_.check(formulas[i]);
+        const ctl::CheckResult check = checker_.check(specs[i].formula);
         PropertyResult pr;
-        pr.ctl_text = !specs[i].ctl_text.empty() ? specs[i].ctl_text
-                                                 : ctl::to_string(formulas[i]);
+        pr.ctl_text = !specs[i].ctl_text.empty()
+                          ? specs[i].ctl_text
+                          : ctl::to_string(specs[i].formula);
         pr.comment = specs[i].comment;
         pr.observe = specs[i].observe;
         pr.holds = check.holds;
@@ -323,8 +334,7 @@ SuiteResult Session::run(const CoverageRequest& request,
     verified_.emplace(key, VerifiedSuite{result.properties, result.failures});
   }
 
-  // -- Resolve the signal rows ----------------------------------------------
-  const std::vector<std::string> names = resolve_signal_names(request, m);
+  const std::vector<std::string>& names = suite.signals;
 
   // -- Estimate -------------------------------------------------------------
   // The reachable set comes from the verify phase (a warm run's suite
@@ -354,8 +364,8 @@ SuiteResult Session::run(const CoverageRequest& request,
   try {
     for (std::size_t i = 0; i < names.size(); ++i) {
       governor->tick();  // Per-row deadline check.
-      SignalRow row = estimate_row(request, names[i], specs, formulas,
-                                   result.properties);
+      SignalRow row =
+          estimate_row(request, names[i], specs, result.properties);
 
       Progress p;
       p.phase = Progress::Phase::kEstimate;

@@ -155,17 +155,23 @@ struct CoverageRequest {
   std::size_t max_live_nodes = 0;
 };
 
-/// The effective property suite of a request on its model: the request's
-/// own properties, else the model's SPEC entries. `Session::run` and the
-/// executor's row-count resolution both go through here.
-std::vector<PropertySpec> resolve_suite(const CoverageRequest& request,
-                                        const model::Model& model);
+/// A request's suite resolved against its model, with every property
+/// parsed: what `Session::run` executes. Built once per job.
+struct ResolvedSuite {
+  /// The request's own properties, else the model's SPEC entries. Every
+  /// `formula` is valid and collapsed (`ctl::collapse_propositional`);
+  /// `ctl_text` is kept as given, for reports and the verified-suite key.
+  std::vector<PropertySpec> properties;
+  /// The signal rows in report order: the request's explicit signals,
+  /// else the sorted union of the properties' OBSERVE lists.
+  std::vector<std::string> signals;
+};
 
-/// The effective signal-row names: the request's explicit signals, else
-/// the sorted union of the resolved suite's OBSERVE lists, in the order
-/// the rows are reported.
-std::vector<std::string> resolve_signal_names(const CoverageRequest& request,
-                                              const model::Model& model);
+/// Resolves the suite and parses each text property exactly once.
+/// Throws std::runtime_error "property '<text>': <parse error>" for the
+/// first property that does not parse.
+ResolvedSuite resolve_suite(const CoverageRequest& request,
+                            const model::Model& model);
 
 // ---------------------------------------------------------------------------
 // Result
@@ -210,6 +216,10 @@ struct SignalRow {
 /// BDD-manager snapshot at the end of a pipeline phase.
 struct PhaseStats {
   double ms = 0.0;
+  /// Elaborate phase only: the text front end's share of `ms` — reading
+  /// and parsing the model plus the suite's one CTL pass. 0 when the
+  /// model was leased from the warm cache, and for the other phases.
+  double parse_ms = 0.0;
   std::size_t live_nodes = 0;
   std::size_t peak_live_nodes = 0;
   /// Computed-cache hit rate over the manager's lifetime (collections
@@ -267,7 +277,7 @@ struct SuiteResult {
   /// 50 ms expired", ...). Empty when `status == kOk`.
   std::string status_detail;
 
-  PhaseStats elaborate;  ///< Parse + FSM elaboration.
+  PhaseStats elaborate;  ///< Parse + FSM elaboration (`parse_ms` splits it).
   /// Cold runs: the session's one reachability fixpoint, then model
   /// checking of the suite confined to the reachable states.
   PhaseStats verify;
@@ -336,11 +346,11 @@ struct RunHooks {
 /// cross-request half).
 class Session {
  public:
+  /// Takes the model (move it in; its FSM keeps the one copy).
   /// `max_live_nodes` (0 = unlimited) budgets the session's manager for
   /// its whole life, elaboration included; the constructor throws
   /// covest::ResourceExhausted when elaboration itself exhausts it.
-  explicit Session(const model::Model& model,
-                   core::CoverageOptions options = {},
+  explicit Session(model::Model model, core::CoverageOptions options = {},
                    std::size_t max_live_nodes = 0);
 
   const model::Model& model() const { return fsm_.model(); }
@@ -353,6 +363,13 @@ class Session {
   /// must own the session's manager (see
   /// `bdd::BddManager::rebind_to_current_thread`).
   SuiteResult run(const CoverageRequest& request, const RunHooks& hooks = {});
+
+  /// Runs an already resolved suite (`resolve_suite` on this session's
+  /// model) under `request`'s policy fields; the request's properties
+  /// and signals are not consulted. This is the executor's path: the
+  /// job resolves and parses once, validates, then runs.
+  SuiteResult run(const CoverageRequest& request, const ResolvedSuite& suite,
+                  const RunHooks& hooks = {});
 
   /// Cap on recorded verified suites per session: past it the record is
   /// cleared wholesale (the checker's per-formula memo stays, so a
@@ -371,7 +388,6 @@ class Session {
   SignalRow estimate_row(const CoverageRequest& request,
                          const std::string& name,
                          const std::vector<PropertySpec>& specs,
-                         const std::vector<ctl::Formula>& formulas,
                          const std::vector<PropertyResult>& outcomes);
 
   fsm::SymbolicFsm fsm_;

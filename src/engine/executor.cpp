@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "core/observed.h"
-#include "ctl/ctl_parser.h"
 #include "engine/session_cache.h"
 #include "model/model_parser.h"
 #include "util/governance.h"
@@ -95,23 +94,18 @@ using util::Clock;
 using util::ms_since;
 
 /// Fail-fast request validation, run on the worker before any BDD work:
-/// every property must parse and every requested signal must exist.
-/// Throws std::runtime_error with a per-job message; the worker turns it
-/// into `SuiteResult::error`.
-void validate_request(const CoverageRequest& request, const model::Model& m,
-                      const std::vector<std::string>& signal_names) {
-  for (const PropertySpec& s : resolve_suite(request, m)) {
-    if (s.formula.valid()) continue;
-    try {
-      ctl::parse_ctl(s.ctl_text);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("property '" + s.ctl_text +
-                               "': " + e.what());
-    }
-  }
-  for (const std::string& name : signal_names) {
+/// every property must parse (`resolve_suite` parses each one once and
+/// names the property in its error) and every requested signal must
+/// exist. Throws std::runtime_error with a per-job message; the worker
+/// turns it into `SuiteResult::error`. The resolved suite is what the
+/// session then runs.
+ResolvedSuite validate_request(const CoverageRequest& request,
+                               const model::Model& m) {
+  ResolvedSuite suite = resolve_suite(request, m);
+  for (const std::string& name : suite.signals) {
     core::observe_all_bits(m, name);  // Throws for unknown signals.
   }
+  return suite;
 }
 
 /// Returns a leased (or leasable, freshly elaborated) session to the
@@ -164,19 +158,23 @@ SuiteResult run_job(JobState& job) {
     std::shared_ptr<Session> session;
     std::optional<model::Model> parsed;
     SessionKey cache_key;
+    double parse_ms = 0.0;
     const bool leasable =
         job.cache != nullptr && !job.request.model.has_value();
     if (leasable) {
-      std::string source;
-      if (!job.request.model_source.empty()) {
-        source = job.request.model_source;
-      } else if (!job.request.model_path.empty()) {
-        source = model::read_model_file(job.request.model_path);
-      } else {
-        throw std::runtime_error(
-            "CoverageRequest: set `model`, `model_source` or `model_path` "
-            "as the model source");
+      // Inline source is hashed and parsed in place; a file is read once.
+      std::string file_source;
+      if (job.request.model_source.empty()) {
+        if (job.request.model_path.empty()) {
+          throw std::runtime_error(
+              "CoverageRequest: set `model`, `model_source` or `model_path` "
+              "as the model source");
+        }
+        file_source = model::read_model_file(job.request.model_path);
       }
+      const std::string& source = job.request.model_source.empty()
+                                      ? file_source
+                                      : job.request.model_source;
       cache_key = SessionCache::key_of(source, job.request.options,
                                        job.request.max_live_nodes);
       session = job.cache->acquire(cache_key);
@@ -188,6 +186,10 @@ SuiteResult run_job(JobState& job) {
                                                  job.request.model_path)
                      : model::parse_model(source);
       }
+    } else if (job.request.model) {
+      // The job owns its request: the model moves into the session's
+      // FSM, which keeps the one copy.
+      parsed = std::move(*job.request.model);
     } else {
       parsed = Engine::load_model(job.request);
     }
@@ -196,19 +198,15 @@ SuiteResult run_job(JobState& job) {
     // the cache; only the non-cached path parks it on the job instead.
     LeaseReturn lease{job.cache, cache_key, leasable ? &session : nullptr};
 
-    const model::Model& m = cache_hit ? session->model() : *parsed;
-    const std::vector<std::string> names =
-        resolve_signal_names(job.request, m);
     job.governor->tick();  // Parse-phase deadline boundary.
-
-    CoverageRequest run_request = job.request;
-    run_request.signals = names;
-
-    validate_request(job.request, m, names);
+    const ResolvedSuite suite =
+        validate_request(job.request, cache_hit ? session->model() : *parsed);
+    if (!cache_hit) parse_ms = ms_since(t0);
 
     stage = "elaborate";
     if (!session) {
-      session = std::make_shared<Session>(m, job.request.options,
+      session = std::make_shared<Session>(std::move(*parsed),
+                                          job.request.options,
                                           job.request.max_live_nodes);
     }
     const double elaborate_ms = ms_since(t0);
@@ -227,6 +225,7 @@ SuiteResult run_job(JobState& job) {
         result.cancelled = true;
         result.status = ResultStatus::kCancelled;
         result.elaborate.ms = elaborate_ms;
+        result.elaborate.parse_ms = parse_ms;
         result.total_ms = ms_since(t0);
         return result;
       }
@@ -234,7 +233,7 @@ SuiteResult run_job(JobState& job) {
 
     RunHooks session_hooks;
     bool estimating = false;
-    const std::size_t row_count = names.size();
+    const std::size_t row_count = suite.signals.size();
     const auto emit_estimating = [&job, &estimating, row_count] {
       if (estimating) return;
       estimating = true;
@@ -267,8 +266,9 @@ SuiteResult run_job(JobState& job) {
       }
       return keep_going && !job.cancel.load(std::memory_order_relaxed);
     };
-    result = session->run(run_request, session_hooks);
+    result = session->run(job.request, suite, session_hooks);
     result.elaborate.ms = elaborate_ms;
+    result.elaborate.parse_ms = parse_ms;
     // Parse + elaborate never ran on a hit — the warm half of the
     // contract `covest_serve_test` asserts (`verify.passes == 0` is the
     // session's verified-suite half).

@@ -137,10 +137,16 @@ void write_trace(JsonWriter& w, const TraceResult& trace) {
   w.end_object();
 }
 
-void write_phase(JsonWriter& w, const PhaseStats& phase) {
+/// `front_end` marks the elaborate phase, the one that carries parse_ms.
+void write_phase(JsonWriter& w, const PhaseStats& phase,
+                 bool front_end = false) {
   w.begin_object();
   w.key("ms");
   w.number(phase.ms);
+  if (front_end) {
+    w.key("parse_ms");
+    w.number(phase.parse_ms);
+  }
   w.key("live_nodes");
   w.number(static_cast<std::uint64_t>(phase.live_nodes));
   w.key("peak_live_nodes");
@@ -272,7 +278,7 @@ std::string to_json(const SuiteResult& r, const JsonOptions& options) {
     w.key("stats");
     w.begin_object();
     w.key("elaborate");
-    write_phase(w, r.elaborate);
+    write_phase(w, r.elaborate, /*front_end=*/true);
     w.key("verify");
     write_phase(w, r.verify);
     w.key("estimate");

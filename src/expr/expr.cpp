@@ -1,6 +1,7 @@
 // Expression construction, typing, evaluation, substitution, printing.
 #include "expr/expr.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
@@ -51,6 +52,7 @@ Expr Expr::make(Op op, std::vector<Expr> args) {
   node->args = std::move(args);
   for (const Expr& a : node->args) {
     if (!a.valid()) throw std::runtime_error("invalid operand expression");
+    node->depth = std::max(node->depth, a.depth() + 1);
   }
   return Expr(std::move(node));
 }
@@ -59,6 +61,7 @@ Expr Expr::extract(Expr word, unsigned bit) {
   auto node = std::make_shared<ExprNode>();
   node->op = Op::kExtract;
   node->value = bit;
+  node->depth = word.valid() ? word.depth() + 1 : 1;
   node->args = {std::move(word)};
   return Expr(std::move(node));
 }

@@ -63,6 +63,8 @@ struct ExprNode {
   bool const_is_bool = false;  ///< kConst: boolean literal?
   std::string name;            ///< kVarRef: signal name.
   std::vector<Expr> args;
+  /// Levels from this node down to its deepest leaf; leaves are 1.
+  unsigned depth = 1;
 };
 
 /// Immutable shared-AST expression handle.
@@ -73,6 +75,8 @@ class Expr {
   bool valid() const { return node_ != nullptr; }
   const ExprNode& node() const { return *node_; }
   Op op() const { return node_->op; }
+  /// Tree depth (leaves are 1); the parsers bound it (lexer.h).
+  unsigned depth() const { return node_->depth; }
 
   // -- Factories ------------------------------------------------------------
 

@@ -12,7 +12,22 @@ unsigned min_width(std::uint64_t value) {
   return w;
 }
 
+/// The comparison operators of `cmp`, by spelling.
+struct Comparison {
+  std::string_view spelling;
+  Op op;
+};
+constexpr Comparison kComparisons[] = {
+    {"==", Op::kEq}, {"!=", Op::kNe}, {"<", Op::kLt},
+    {"<=", Op::kLe}, {">", Op::kGt},  {">=", Op::kGe},
+};
+
 }  // namespace
+
+Expr ExprParser::checked(Expr e) const {
+  ts_.check_depth(e.depth());
+  return e;
+}
 
 Expr ExprParser::parse() { return parse_ternary(); }
 
@@ -21,10 +36,11 @@ Expr ExprParser::parse_atom() { return parse_cmp(); }
 Expr ExprParser::parse_ternary() {
   Expr cond = parse_iff();
   if (ts_.accept_punct("?")) {
+    const TokenStream::Nest nest(ts_);
     Expr then_e = parse_ternary();
     ts_.expect_punct(":");
     Expr else_e = parse_ternary();
-    return ite(cond, then_e, else_e);
+    return checked(ite(cond, then_e, else_e));
   }
   return cond;
 }
@@ -32,7 +48,7 @@ Expr ExprParser::parse_ternary() {
 Expr ExprParser::parse_iff() {
   Expr lhs = parse_implies();
   while (ts_.accept_punct("<->")) {
-    lhs = lhs.iff(parse_implies());
+    lhs = checked(lhs.iff(parse_implies()));
   }
   return lhs;
 }
@@ -40,7 +56,8 @@ Expr ExprParser::parse_iff() {
 Expr ExprParser::parse_implies() {
   Expr lhs = parse_or();
   if (ts_.accept_punct("->")) {
-    return lhs.implies(parse_implies());  // Right associative.
+    const TokenStream::Nest nest(ts_);
+    return checked(lhs.implies(parse_implies()));  // Right associative.
   }
   return lhs;
 }
@@ -49,7 +66,7 @@ Expr ExprParser::parse_or() {
   Expr lhs = parse_xor();
   while (ts_.peek().is_punct("|") || ts_.peek().is_punct("||")) {
     ts_.next();
-    lhs = lhs | parse_xor();
+    lhs = checked(lhs | parse_xor());
   }
   return lhs;
 }
@@ -57,7 +74,7 @@ Expr ExprParser::parse_or() {
 Expr ExprParser::parse_xor() {
   Expr lhs = parse_and();
   while (ts_.accept_punct("^")) {
-    lhs = lhs ^ parse_and();
+    lhs = checked(lhs ^ parse_and());
   }
   return lhs;
 }
@@ -66,23 +83,20 @@ Expr ExprParser::parse_and() {
   Expr lhs = parse_cmp();
   while (ts_.peek().is_punct("&") || ts_.peek().is_punct("&&")) {
     ts_.next();
-    lhs = lhs & parse_cmp();
+    lhs = checked(lhs & parse_cmp());
   }
   return lhs;
 }
 
 Expr ExprParser::parse_cmp() {
   Expr lhs = parse_add();
-  for (const char* op : {"==", "!=", "<", "<=", ">", ">="}) {
-    if (ts_.peek().is_punct(op)) {
+  const Token& t = ts_.peek();
+  if (t.kind != TokenKind::kPunct) return lhs;
+  for (const Comparison& c : kComparisons) {
+    if (t.text == c.spelling) {
       ts_.next();
       Expr rhs = parse_add();
-      if (std::string(op) == "==") return lhs == rhs;
-      if (std::string(op) == "!=") return lhs != rhs;
-      if (std::string(op) == "<") return lhs < rhs;
-      if (std::string(op) == "<=") return lhs <= rhs;
-      if (std::string(op) == ">") return lhs > rhs;
-      return lhs >= rhs;
+      return checked(Expr::make(c.op, {std::move(lhs), std::move(rhs)}));
     }
   }
   return lhs;
@@ -93,7 +107,7 @@ Expr ExprParser::parse_add() {
   while (ts_.peek().is_punct("+") || ts_.peek().is_punct("-")) {
     const bool is_add = ts_.next().text == "+";
     Expr rhs = parse_mul();
-    lhs = is_add ? lhs + rhs : lhs - rhs;
+    lhs = checked(is_add ? lhs + rhs : lhs - rhs);
   }
   return lhs;
 }
@@ -101,14 +115,20 @@ Expr ExprParser::parse_add() {
 Expr ExprParser::parse_mul() {
   Expr lhs = parse_unary();
   while (ts_.accept_punct("*")) {
-    lhs = lhs * parse_unary();
+    lhs = checked(lhs * parse_unary());
   }
   return lhs;
 }
 
 Expr ExprParser::parse_unary() {
-  if (ts_.accept_punct("!")) return !parse_unary();
-  if (ts_.accept_punct("~")) return ~parse_unary();
+  if (ts_.accept_punct("!")) {
+    const TokenStream::Nest nest(ts_);
+    return checked(!parse_unary());
+  }
+  if (ts_.accept_punct("~")) {
+    const TokenStream::Nest nest(ts_);
+    return checked(~parse_unary());
+  }
   return parse_primary();
 }
 
@@ -129,21 +149,22 @@ Expr ExprParser::parse_primary() {
   if (t.is_ident("ite")) {
     ts_.next();
     ts_.expect_punct("(");
+    const TokenStream::Nest nest(ts_);
     Expr cond = parse_ternary();
     ts_.expect_punct(",");
     Expr then_e = parse_ternary();
     ts_.expect_punct(",");
     Expr else_e = parse_ternary();
     ts_.expect_punct(")");
-    return ite(cond, then_e, else_e);
+    return checked(ite(cond, then_e, else_e));
   }
   if (t.kind == TokenKind::kIdent) {
-    if (stop_idents_.count(t.text) != 0) {
-      ts_.fail("temporal operator '" + t.text +
+    if (reserved_ != nullptr && reserved_(t.text)) {
+      ts_.fail("temporal operator '" + std::string(t.text) +
                "' cannot appear inside an atomic proposition");
     }
     ts_.next();
-    Expr ref = Expr::var(t.text);
+    Expr ref = Expr::var(std::string(t.text));
     if (ts_.accept_punct("[")) {
       const Token& idx = ts_.peek();
       if (idx.kind != TokenKind::kNumber) ts_.fail("expected bit index");
@@ -154,6 +175,7 @@ Expr ExprParser::parse_primary() {
     return ref;
   }
   if (ts_.accept_punct("(")) {
+    const TokenStream::Nest nest(ts_);
     Expr inner = parse_ternary();
     ts_.expect_punct(")");
     return inner;

@@ -17,12 +17,17 @@
 // Number literals become word constants of minimal width; binary operators
 // zero-extend the narrower operand, so `count + 1` keeps `count`'s width.
 //
-// The CTL parser reuses this parser for atomic propositions; `stop_idents`
+// The CTL parser reuses this parser for atomic propositions; `reserved`
 // makes temporal keywords (AX, AG, A, ...) terminate expression parsing.
+//
+// Every parenthesis, `ite(`, prefix operator and right-associative step
+// is a nesting level of the shared TokenStream, and every node built is
+// checked against kMaxSyntaxDepth (lexer.h), so a parse fails with a
+// located syntax error instead of building a tree deeper than the bound.
 #pragma once
 
-#include <set>
 #include <string>
+#include <string_view>
 
 #include "expr/expr.h"
 #include "expr/lexer.h"
@@ -31,11 +36,12 @@ namespace covest::expr {
 
 class ExprParser {
  public:
-  /// Parses from `stream`; identifiers listed in `stop_idents` are never
-  /// consumed as variable references (used for temporal keywords).
+  /// Parses from `stream`; identifiers for which `reserved` returns true
+  /// are never consumed as variable references (used for temporal
+  /// keywords).
   explicit ExprParser(TokenStream& stream,
-                      std::set<std::string> stop_idents = {})
-      : ts_(stream), stop_idents_(std::move(stop_idents)) {}
+                      bool (*reserved)(std::string_view) = nullptr)
+      : ts_(stream), reserved_(reserved) {}
 
   Expr parse();
 
@@ -57,9 +63,11 @@ class ExprParser {
   Expr parse_mul();
   Expr parse_unary();
   Expr parse_primary();
+  /// Returns `e` after failing the parse when it is too deep.
+  Expr checked(Expr e) const;
 
   TokenStream& ts_;
-  std::set<std::string> stop_idents_;
+  bool (*reserved_)(std::string_view);
 };
 
 /// Parses a complete standalone expression; throws if trailing tokens remain.

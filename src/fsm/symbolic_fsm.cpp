@@ -12,10 +12,9 @@ namespace covest::fsm {
 using bdd::Bdd;
 using bdd::Var;
 
-SymbolicFsm::SymbolicFsm(const model::Model& model,
-                         std::size_t max_live_nodes,
+SymbolicFsm::SymbolicFsm(model::Model model, std::size_t max_live_nodes,
                          image::ImageStrategy strategy)
-    : model_(model), mgr_(std::make_unique<bdd::BddManager>()) {
+    : model_(std::move(model)), mgr_(std::make_unique<bdd::BddManager>()) {
   mgr_->set_max_live_nodes(max_live_nodes);
   model_.validate();
   allocate_variables();

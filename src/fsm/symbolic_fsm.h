@@ -58,8 +58,10 @@ class SymbolicFsm {
   /// covest::ResourceExhausted out of the constructor. `strategy`
   /// selects the cluster visit order for this FSM's whole life; results
   /// are byte-identical across strategies.
+  /// The FSM keeps its own `model()`: move the model in when the caller
+  /// has no further use for it.
   explicit SymbolicFsm(
-      const model::Model& model, std::size_t max_live_nodes = 0,
+      model::Model model, std::size_t max_live_nodes = 0,
       image::ImageStrategy strategy = image::ImageStrategy::kPartitioned);
 
   SymbolicFsm(const SymbolicFsm&) = delete;

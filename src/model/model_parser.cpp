@@ -37,7 +37,7 @@ expr::Type parse_type(TokenStream& ts) {
   }
   if (ts.peek().kind == TokenKind::kNumber) {
     // Range sugar "lo..hi" -> uint of the width needed for hi.
-    const Token lo = ts.next();
+    const Token& lo = ts.next();
     ts.expect_punct("..");
     const Token& hi = ts.peek();
     if (hi.kind != TokenKind::kNumber) ts.fail("expected range upper bound");
@@ -54,18 +54,16 @@ expr::Expr parse_rhs_expression(TokenStream& ts) {
   return parser.parse();
 }
 
-/// Collects the raw text of a SPEC body up to OBSERVE or ';'.
+/// Collects the raw text of a SPEC body up to OBSERVE or ';': its
+/// tokens joined by single spaces.
 std::string collect_spec_text(TokenStream& ts) {
-  std::ostringstream text;
-  bool first = true;
+  std::string text;
   while (!ts.at_end() && !ts.peek().is_punct(";") &&
          !ts.peek().is_ident("OBSERVE")) {
-    const Token t = ts.next();
-    if (!first) text << " ";
-    text << t.text;
-    first = false;
+    if (!text.empty()) text += ' ';
+    text += ts.next().text;
   }
-  return text.str();
+  return text;
 }
 
 }  // namespace
@@ -76,35 +74,33 @@ Model parse_model(const std::string& source) {
   bool named = false;
 
   while (!ts.at_end()) {
-    const Token keyword = ts.expect_ident();
+    const std::string_view keyword = ts.expect_ident().text;
 
-    if (keyword.text == "MODULE") {
-      const Token name = ts.expect_ident();
+    if (keyword == "MODULE") {
+      const Token& name = ts.expect_ident();
       if (!named) {
-        model = Model(name.text);
+        model = Model(std::string(name.text));
         named = true;
       }
       ts.expect_punct(";");
       continue;
     }
 
-    if (keyword.text == "VAR" || keyword.text == "IVAR") {
-      const Token name = ts.expect_ident();
-      ts.expect_punct(":");
+    if (keyword == "VAR" || keyword == "IVAR") {
       Signal s;
-      s.name = name.text;
-      s.kind = keyword.text == "VAR" ? SignalKind::kState : SignalKind::kInput;
+      s.name = ts.expect_ident().text;
+      ts.expect_punct(":");
+      s.kind = keyword == "VAR" ? SignalKind::kState : SignalKind::kInput;
       s.type = parse_type(ts);
       ts.expect_punct(";");
       model.add_signal(std::move(s));
       continue;
     }
 
-    if (keyword.text == "DEFINE") {
-      const Token name = ts.expect_ident();
-      ts.expect_punct(":=");
+    if (keyword == "DEFINE") {
       Signal s;
-      s.name = name.text;
+      s.name = ts.expect_ident().text;
+      ts.expect_punct(":=");
       s.kind = SignalKind::kDefine;
       s.define = parse_rhs_expression(ts);
       ts.expect_punct(";");
@@ -117,13 +113,13 @@ Model parse_model(const std::string& source) {
       continue;
     }
 
-    if (keyword.text == "INIT") {
+    if (keyword == "INIT") {
       // "INIT name := expr;" assigns; "INIT expr;" constrains.
       if (ts.peek().kind == TokenKind::kIdent &&
           ts.peek(1).is_punct(":=")) {
-        const Token name = ts.expect_ident();
+        const std::string name(ts.expect_ident().text);
         ts.expect_punct(":=");
-        model.set_init(name.text, parse_rhs_expression(ts));
+        model.set_init(name, parse_rhs_expression(ts));
       } else {
         model.add_init_constraint(parse_rhs_expression(ts));
       }
@@ -131,32 +127,32 @@ Model parse_model(const std::string& source) {
       continue;
     }
 
-    if (keyword.text == "NEXT") {
-      const Token name = ts.expect_ident();
+    if (keyword == "NEXT") {
+      const std::string name(ts.expect_ident().text);
       ts.expect_punct(":=");
-      model.set_next(name.text, parse_rhs_expression(ts));
+      model.set_next(name, parse_rhs_expression(ts));
       ts.expect_punct(";");
       continue;
     }
 
-    if (keyword.text == "FAIRNESS") {
+    if (keyword == "FAIRNESS") {
       model.add_fairness(parse_rhs_expression(ts));
       ts.expect_punct(";");
       continue;
     }
 
-    if (keyword.text == "DONTCARE") {
+    if (keyword == "DONTCARE") {
       model.add_dontcare(parse_rhs_expression(ts));
       ts.expect_punct(";");
       continue;
     }
 
-    if (keyword.text == "SPEC") {
+    if (keyword == "SPEC") {
       SpecEntry spec;
       spec.ctl_text = collect_spec_text(ts);
       if (ts.accept_ident("OBSERVE")) {
         do {
-          spec.observed.push_back(ts.expect_ident().text);
+          spec.observed.emplace_back(ts.expect_ident().text);
         } while (ts.accept_punct(","));
       }
       ts.expect_punct(";");
@@ -164,7 +160,7 @@ Model parse_model(const std::string& source) {
       continue;
     }
 
-    ts.fail("unknown statement '" + keyword.text + "'");
+    ts.fail("unknown statement '" + std::string(keyword) + "'");
   }
 
   model.validate();

@@ -170,6 +170,45 @@ TEST(CovestBatchCliTest, RequestValidationErrorsSurfacePerJob) {
   EXPECT_NE(r.output.find("bogus"), std::string::npos) << r.output;
 }
 
+TEST(CovestBatchCliTest, SyntaxPastTheDepthBoundIsAnErrorLineNotASignal) {
+  // The depth reproductions of tests/golden/fuzz (generate_corpus.py):
+  // 100,000 levels of CTL negation, of a flat CTL conjunction, and of a
+  // model's NEXT expression used to overflow a worker's stack and kill
+  // the batch with SIGSEGV. Each is one located error line now, and the
+  // job after it still runs.
+  const std::string fuzz =
+      std::string(COVEST_SOURCE_DIR) + "/tests/golden/fuzz/";
+  const std::string counter =
+      "{\"model_path\": \"" + model_path("counter.cov") + "\"}";
+  std::vector<std::string> jobs;
+  for (const char* name :
+       {"bad_job/deep_negation_ctl.json", "bad_job/long_and_chain_ctl.json"}) {
+    std::ifstream in(fuzz + name, std::ios::binary);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line)) << name;
+    jobs.push_back(line);
+  }
+  for (const char* name :
+       {"bad_model/deep_negation_next.cov",
+        "bad_model/deep_parentheses_next.cov",
+        "bad_model/long_xor_chain_next.cov"}) {
+    jobs.push_back(fuzz + name);
+  }
+  for (const std::string& job : jobs) {
+    const RunOutcome r =
+        run_batch("--jobs 2 " + write_manifest({job, counter}));
+    EXPECT_EQ(r.exit_code, 1) << job.substr(0, 80);
+    const std::vector<std::string> lines = split_lines(r.output);
+    ASSERT_EQ(lines.size(), 2u) << job.substr(0, 80);
+    EXPECT_NE(lines[0].find("\"status\":\"error\""), std::string::npos);
+    EXPECT_NE(lines[0].find("nested deeper than 256 levels"),
+              std::string::npos)
+        << lines[0].substr(0, 200);
+    EXPECT_NE(lines[1].find("\"name\":\"counter\""), std::string::npos);
+    EXPECT_EQ(lines[1].find("\"error\""), std::string::npos);
+  }
+}
+
 TEST(CovestBatchCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run_batch("--jobs nope /dev/null").exit_code, 2);
   EXPECT_EQ(run_batch("--bogus-flag /dev/null").exit_code, 2);

@@ -311,6 +311,10 @@ TEST(CovestServeTest, WarmRepeatSkipsElaborateAndVerifyPhases) {
   EXPECT_EQ(num_at(cold, {"stats", "verify", "passes"}), 1.0);
   EXPECT_EQ(num_at(warm, {"stats", "elaborate", "passes"}), 0.0);
   EXPECT_EQ(num_at(warm, {"stats", "verify", "passes"}), 0.0);
+  // The front end's share of elaborate: the cold model parse and CTL
+  // pass, 0 on the warm hit.
+  EXPECT_GT(num_at(cold, {"stats", "elaborate", "parse_ms"}), 0.0);
+  EXPECT_EQ(num_at(warm, {"stats", "elaborate", "parse_ms"}), 0.0);
   // Estimation always runs — that's the per-request half of the split.
   EXPECT_EQ(num_at(cold, {"stats", "estimate", "passes"}), 1.0);
   EXPECT_EQ(num_at(warm, {"stats", "estimate", "passes"}), 1.0);
@@ -463,6 +467,36 @@ TEST(CovestServeTest, MalformedLinesGetOneErrorLineEachAndTheStreamLivesOn) {
 
   server.signal(SIGTERM);
   EXPECT_EQ(server.wait(), 1);  // The error lines count against exit 0.
+}
+
+TEST(CovestServeTest, SyntaxPastTheDepthBoundIsOneErrorLine) {
+  // A property nested 100,000 levels deep used to overflow a worker's
+  // stack and take the shared server down; the corpus reproduction
+  // (tests/golden/fuzz/bad_job) now gets one error line, and the same
+  // connection is served on.
+  ServerProcess server;
+  ASSERT_TRUE(server.start(COVEST_SERVE_PATH, {"--port", "0", "--jobs", "1"}));
+  std::ifstream in(std::string(COVEST_SOURCE_DIR) +
+                       "/tests/golden/fuzz/bad_job/deep_negation_ctl.json",
+                   std::ios::binary);
+  std::string deep;
+  ASSERT_TRUE(std::getline(in, deep));
+
+  TcpClient client;
+  ASSERT_TRUE(client.connect_to(server.port()));
+  ASSERT_TRUE(client.send_line(deep));
+  ASSERT_TRUE(client.send_line(request_line("counter.cov")));
+  const std::string refused = client.recv_line();
+  EXPECT_NE(refused.find("\"status\":\"error\""), std::string::npos)
+      << refused.substr(0, 200);
+  EXPECT_NE(refused.find("nested deeper than 256 levels"), std::string::npos)
+      << refused.substr(0, 200);
+  const std::string ok = client.recv_line();
+  EXPECT_NE(ok.find("\"all_passed\":true"), std::string::npos) << ok;
+  EXPECT_FALSE(client.eof());
+
+  server.signal(SIGTERM);
+  EXPECT_EQ(server.wait(), 1);  // The error line counts against exit 0.
 }
 
 TEST(CovestServeTest, OversizeLineIsRejectedImmediatelyAndTheStreamResyncs) {

@@ -149,6 +149,86 @@ TEST(CtlParserTest, RoundTripsThroughToString) {
   }
 }
 
+// Depth bound (expr::kMaxSyntaxDepth): a formula's depth counts its
+// atoms' expression depth, so one bound covers both parsers.
+std::string repeat(const std::string& s, unsigned n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (unsigned i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+std::string chain(const std::string& term, const std::string& op,
+                  unsigned terms) {
+  std::string out = term;
+  for (unsigned i = 1; i < terms; ++i) out += op + term;
+  return out;
+}
+
+void expect_too_deep(const std::string& text) {
+  try {
+    parse_ctl(text);
+    FAIL() << "accepted " << text.size() << " bytes";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("syntax error at line 1, column ", 0), 0u) << what;
+    EXPECT_NE(what.find("nested deeper than 256 levels"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(CtlDepthBoundTest, FormulasAtTheBoundParse) {
+  const unsigned d = expr::kMaxSyntaxDepth;
+  EXPECT_EQ(parse_ctl(repeat("!", d - 1) + "true").depth(), d);
+  EXPECT_EQ(parse_ctl(repeat("AX ", d - 1) + "p").depth(), d);
+  EXPECT_EQ(parse_ctl(repeat("(", d) + "p" + repeat(")", d)).depth(), 1u);
+  EXPECT_EQ(parse_ctl(chain("true", " & ", d)).depth(), d);
+  // Three nesting levels per `AG (p -> `: AG, the paren and the
+  // right-associative `->`.
+  EXPECT_EQ(parse_ctl(repeat("AG (p -> ", d / 3) + "p" + repeat(")", d / 3))
+                .depth(),
+            2 * (d / 3) + 1);
+  expect_too_deep(repeat("AG (p -> ", d / 3 + 1) + "p" +
+                  repeat(")", d / 3 + 1));
+}
+
+TEST(CtlDepthBoundTest, CrashReproductionsAreLocatedErrors) {
+  // Each of these used to overflow the stack.
+  expect_too_deep(repeat("!", 100000) + "true");
+  expect_too_deep(chain("true", " & ", 100000));
+  expect_too_deep(repeat("(", 100000) + "p" + repeat(")", 100000));
+  // One level past the bound, in each shape.
+  const unsigned d = expr::kMaxSyntaxDepth;
+  expect_too_deep(repeat("!", d) + "true");
+  expect_too_deep(repeat("EF ", d) + "p");
+  expect_too_deep(repeat("A [p U ", d + 1) + "p" + repeat("]", d + 1));
+  expect_too_deep(chain("p", " | ", d + 1));
+  expect_too_deep(chain("p", " -> ", d + 1));
+  expect_too_deep(chain("p", " <-> ", d + 1));
+}
+
+TEST(CtlDepthBoundTest, TemporalAndAtomDepthShareTheBound) {
+  // 200 temporal levels over a 100-level atom: each part alone is
+  // legal, together they pass the bound.
+  const std::string atom = chain("x", " + ", 100);
+  EXPECT_EQ(parse_ctl(repeat("AG ", 150) + atom).depth(), 250u);
+  expect_too_deep(repeat("AG ", 200) + atom);
+  expect_too_deep(repeat("AG (", 200) + atom + repeat(")", 200));
+}
+
+TEST(CtlDepthBoundTest, ParenBacktrackingStaysBounded) {
+  // `(!( ... ) ^ y)`: every '(' first reads as a formula, then backtracks
+  // to an arithmetic atom at the '^' — re-parsing its whole group. The
+  // bound caps the nesting, and with it the quadratic re-parse.
+  const auto nested = [](unsigned levels) {
+    return repeat("(!(", levels) + "x" + repeat(") ^ y)", levels);
+  };
+  const Formula f = parse_ctl(nested(85));  // 255 levels: at the bound.
+  EXPECT_EQ(f.op(), CtlOp::kProp);
+  expect_too_deep(nested(86));
+  expect_too_deep(nested(400));
+}
+
 // --------------------------------------------------------------------------
 // Checker on hand-built models
 // --------------------------------------------------------------------------

@@ -43,6 +43,7 @@ TEST(CoverageToolCliTest, JsonIsStatsFreeAndReproducibleUnlessAsked) {
   EXPECT_EQ(first.output, second.output);
   EXPECT_EQ(first.output.find("\"stats\""), std::string::npos);
   EXPECT_EQ(first.output.find("\"check_ms\""), std::string::npos);
+  EXPECT_EQ(first.output.find("\"parse_ms\""), std::string::npos);
 
   const RunOutcome with_stats = run_tool(args + " --stats");
   EXPECT_EQ(with_stats.exit_code, 0) << with_stats.output;
@@ -50,6 +51,8 @@ TEST(CoverageToolCliTest, JsonIsStatsFreeAndReproducibleUnlessAsked) {
   EXPECT_TRUE(engine::validate_json(with_stats.output, &err)) << err;
   EXPECT_NE(with_stats.output.find("\"stats\""), std::string::npos);
   EXPECT_NE(with_stats.output.find("\"gc_runs\""), std::string::npos);
+  // The front end's share of the elaborate phase.
+  EXPECT_NE(with_stats.output.find("\"parse_ms\""), std::string::npos);
 }
 
 TEST(CoverageToolCliTest, TextReportShowsTheTable) {

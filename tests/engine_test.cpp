@@ -342,6 +342,57 @@ TEST(EngineTest, ExplicitSuiteAndSignalsBypassModelSpecs) {
   EXPECT_FALSE(r.signals[0].covered.is_false());
 }
 
+TEST(EngineTest, TextSuiteMatchesThePreParsedSuiteByteForByte) {
+  // The job parses each text property once and runs the formulas; a
+  // suite handed over already parsed, with the same ctl_text, must
+  // give the very same bytes (traces and holes included).
+  const model::Model m = model::parse_model(kHandshakeSource);
+  CoverageRequest text;
+  text.model = m;
+  text.want_traces = true;
+  CoverageRequest parsed = text;
+  for (const model::SpecEntry& spec : m.specs()) {
+    text.properties.push_back(PropertySpec::text(spec.ctl_text, spec.observed));
+    PropertySpec p = PropertySpec::of(ctl::parse_ctl(spec.ctl_text),
+                                      spec.observed);
+    p.ctl_text = spec.ctl_text;
+    parsed.properties.push_back(std::move(p));
+  }
+  engine::JsonOptions opts;
+  opts.include_stats = false;
+  const std::string from_text = engine::to_json(Engine().run(text), opts);
+  EXPECT_EQ(from_text, engine::to_json(Engine().run(parsed), opts));
+  // The model's own SPEC entries resolve to the same suite too.
+  CoverageRequest specs;
+  specs.model = m;
+  specs.want_traces = true;
+  EXPECT_EQ(from_text, engine::to_json(Engine().run(specs), opts));
+  // And so does a library Session run.
+  auto session = Engine().open(specs);
+  EXPECT_EQ(from_text, engine::to_json(session->run(parsed), opts));
+}
+
+TEST(EngineTest, ResolveSuiteParsesEveryPropertyAndNamesTheBadOne) {
+  const model::Model m = model::parse_model(kHandshakeSource);
+  CoverageRequest req;
+  const engine::ResolvedSuite suite = engine::resolve_suite(req, m);
+  ASSERT_EQ(suite.properties.size(), 2u);
+  for (const PropertySpec& p : suite.properties) {
+    EXPECT_TRUE(p.formula.valid());
+    EXPECT_FALSE(p.ctl_text.empty());
+  }
+  EXPECT_EQ(suite.signals, std::vector<std::string>{"ack"});
+  req.properties = {PropertySpec::text("AG ack"), PropertySpec::text("AX (")};
+  try {
+    engine::resolve_suite(req, m);
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "property 'AX (': syntax error at line 1, column 5: "
+                 "expected an expression (found '<end>')");
+  }
+}
+
 TEST(EngineTest, SessionReuseSharesWorkAcrossSuites) {
   const circuits::CircularQueueSpec spec{3};
   CoverageRequest base;

@@ -19,6 +19,7 @@
 #include "bdd/bdd.h"
 #include "engine/engine.h"
 #include "engine/executor.h"
+#include "expr/lexer.h"
 #include "engine/ndjson_driver.h"
 #include "engine/result_json.h"
 #include "engine/session_cache.h"
@@ -299,11 +300,86 @@ TEST(ExecutorErrorTest, LaterRowErrorsAreErrorOnly) {
 
 TEST(ExecutorErrorTest, UnparsableCtlTextIsAStructuredError) {
   CoverageRequest req = path_request("counter.cov");
-  req.properties = {engine::PropertySpec::text("AG ((count ==")};
+  req.properties = {engine::PropertySpec::text("AG (count < 5)"),
+                    engine::PropertySpec::text("AG ((count ==")};
   Executor ex{ExecutorOptions{1, nullptr}};
   const SuiteResult r = ex.submit(req).take();
   EXPECT_FALSE(r.error.empty());
   EXPECT_NE(r.error.find("AG ((count =="), std::string::npos) << r.error;
+  // The job parses each property once, before elaboration, and the
+  // error names the property: "property '<text>': <parse error>".
+  EXPECT_EQ(r.error,
+            "property 'AG ((count ==': syntax error at line 1, column 14: "
+            "expected an expression (found '<end>')");
+  EXPECT_EQ(r.status, engine::ResultStatus::kError);
+  EXPECT_EQ(r.elaborate.passes, 0u);
+}
+
+TEST(ExecutorTest, ParseMsSplitsTheFrontEndOutOfElaborate) {
+  auto cache = std::make_shared<engine::SessionCache>(4);
+  ExecutorOptions options{1, nullptr};
+  options.session_cache = cache;
+  Executor ex{options};
+  const SuiteResult cold = ex.submit(path_request("arbiter.cov")).take();
+  const SuiteResult warm = ex.submit(path_request("arbiter.cov")).take();
+  ASSERT_TRUE(cold.error.empty()) << cold.error;
+  EXPECT_GT(cold.elaborate.parse_ms, 0.0);
+  EXPECT_LE(cold.elaborate.parse_ms, cold.elaborate.ms);
+  EXPECT_EQ(warm.elaborate.passes, 0u);
+  EXPECT_EQ(warm.elaborate.parse_ms, 0.0);  // The model parse never ran.
+  // Only the elaborate phase carries it, and only with stats on.
+  EXPECT_EQ(cold.verify.parse_ms, 0.0);
+  EXPECT_EQ(cold.estimate.parse_ms, 0.0);
+  EXPECT_EQ(canonical(cold).find("parse_ms"), std::string::npos);
+  engine::JsonOptions compact;
+  compact.pretty = false;
+  const std::string with_stats = engine::to_json(cold, compact);
+  EXPECT_NE(with_stats.find("\"stats\":{\"elaborate\":{\"ms\":"),
+            std::string::npos);
+  const std::size_t first = with_stats.find("\"parse_ms\"");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(with_stats.find("\"parse_ms\"", first + 1), std::string::npos);
+}
+
+TEST(ExecutorTest, DeepestAcceptedSyntaxRunsEndToEndOnAWorker) {
+  // Inputs at kMaxSyntaxDepth, in every shape, go through parse,
+  // elaboration (bit-blasting), verification, the estimator's flip and
+  // DEFINE expansion, and destruction on an executor worker's stack.
+  // The sanitizer builds run this too.
+  const unsigned d = expr::kMaxSyntaxDepth;
+  const auto repeat = [](const std::string& s, unsigned n) {
+    std::string out;
+    for (unsigned i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const auto chain = [](const std::string& term, const std::string& op,
+                        unsigned terms) {
+    std::string out = term;
+    for (unsigned i = 1; i < terms; ++i) out += op + term;
+    return out;
+  };
+  CoverageRequest req;
+  req.model_source =
+      "MODULE deep;\nVAR x : bool;\nVAR y : bool;\nIVAR i : bool;\n"
+      "DEFINE deep_x := " + chain("x", " ^ ", d) + ";\n"
+      "NEXT x := " + repeat("!", d - 1) + "i;\n"
+      "NEXT y := " + repeat("(", d) + chain("y", " & ", d) + repeat(")", d) +
+      ";\n";
+  req.properties = {
+      // Nesting and tree depth both exactly at the bound.
+      engine::PropertySpec::text(repeat("!", d - 2) + "AG x"),
+      engine::PropertySpec::text(repeat("AX ", d - 3) + "(deep_x | !x)"),
+      engine::PropertySpec::text(chain("AG (y -> y)", " & ", d / 2)),
+      engine::PropertySpec::text("AG (" + chain("deep_x", " | ", d - 2) + ")"),
+  };
+  req.signals = {"x", "y"};
+  req.want_traces = true;
+  Executor ex{ExecutorOptions{2, nullptr}};
+  const SuiteResult r = ex.submit(req).take();
+  ASSERT_TRUE(r.error.empty()) << r.error.substr(0, 300);
+  EXPECT_EQ(r.status, engine::ResultStatus::kOk);
+  EXPECT_EQ(r.properties.size(), 4u);
+  EXPECT_EQ(r.signals.size(), 2u);
 }
 
 TEST(ExecutorErrorTest, UnreadableModelFileIsAStructuredError) {

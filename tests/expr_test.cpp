@@ -238,7 +238,7 @@ TEST(LexerTest, TokenizesOperatorsLongestFirst) {
   const auto tokens = tokenize("a <-> b <= c -> d .. e := f");
   std::vector<std::string> puncts;
   for (const auto& t : tokens) {
-    if (t.kind == TokenKind::kPunct) puncts.push_back(t.text);
+    if (t.kind == TokenKind::kPunct) puncts.emplace_back(t.text);
   }
   EXPECT_EQ(puncts,
             (std::vector<std::string>{"<->", "<=", "->", "..", ":="}));
@@ -253,6 +253,163 @@ TEST(LexerTest, SkipsCommentsAndTracksLines) {
 
 TEST(LexerTest, RejectsIllegalCharacters) {
   EXPECT_THROW(tokenize("a @ b"), std::runtime_error);
+}
+
+std::vector<std::string> texts(const std::vector<Token>& tokens) {
+  std::vector<std::string> out;
+  for (const Token& t : tokens) {
+    if (t.kind != TokenKind::kEnd) out.emplace_back(t.text);
+  }
+  return out;
+}
+
+TEST(LexerTest, EveryMultiCharacterOperatorIsOneToken) {
+  for (const std::string op :
+       {"<->", "&&", "||", "->", "==", "!=", "<=", ">=", ":=", ".."}) {
+    const std::string source = "a" + op + "b";  // Tokens view it.
+    const auto tokens = tokenize(source);
+    ASSERT_EQ(tokens.size(), 4u) << op;
+    EXPECT_EQ(tokens[1].kind, TokenKind::kPunct) << op;
+    EXPECT_EQ(tokens[1].text, op);
+    EXPECT_EQ(tokens[2].column, 2 + static_cast<int>(op.size())) << op;
+  }
+  // Prefixes of longer operators fall back to single characters.
+  EXPECT_EQ(texts(tokenize("a<-b")),
+            (std::vector<std::string>{"a", "<", "-", "b"}));
+  EXPECT_EQ(texts(tokenize("a<<=>=b")),
+            (std::vector<std::string>{"a", "<", "<=", ">=", "b"}));
+  EXPECT_EQ(texts(tokenize("a...b")),
+            (std::vector<std::string>{"a", "..", ".", "b"}));
+}
+
+TEST(LexerTest, CommentsAreSkippedAndCountedInColumns) {
+  const auto tokens = tokenize("x -- a comment\ny // another\nz -- eof");
+  EXPECT_EQ(texts(tokens), (std::vector<std::string>{"x", "y", "z"}));
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[3].kind, TokenKind::kEnd);
+  EXPECT_EQ(tokens[3].line, 3);
+  EXPECT_EQ(tokens[3].column, 9);  // Past the trailing comment.
+  // A single '-' or '/' starts no comment.
+  EXPECT_EQ(texts(tokenize("a - -b")),
+            (std::vector<std::string>{"a", "-", "-", "b"}));
+  EXPECT_THROW(tokenize("a / b"), std::runtime_error);
+}
+
+TEST(LexerTest, IdentifiersKeepPrimesDigitsAndUnderscores) {
+  EXPECT_EQ(texts(tokenize("x' _y2'' a_b9 9z")),
+            (std::vector<std::string>{"x'", "_y2''", "a_b9", "9", "z"}));
+  EXPECT_EQ(tokenize("x'")[0].kind, TokenKind::kIdent);
+  EXPECT_THROW(tokenize("'x"), std::runtime_error);
+}
+
+TEST(LexerTest, NumbersCarryTheirValueAndSpelling) {
+  const auto tokens = tokenize("0 42 007 4294967296");
+  ASSERT_EQ(tokens.size(), 5u);
+  EXPECT_EQ(tokens[0].value, 0u);
+  EXPECT_EQ(tokens[1].value, 42u);
+  EXPECT_EQ(tokens[2].value, 7u);
+  EXPECT_EQ(tokens[2].text, "007");
+  EXPECT_EQ(tokens[3].value, 4294967296u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(tokens[i].kind, TokenKind::kNumber);
+}
+
+TEST(LexerTest, LinesAndColumnsOnMultiLineInput) {
+  const auto tokens = tokenize("ab  :=\n\t c;\r\n\n  d");
+  ASSERT_EQ(tokens.size(), 6u);
+  const std::vector<std::pair<int, int>> expected{
+      {1, 1}, {1, 5}, {2, 3}, {2, 4}, {4, 3}, {4, 4}};
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(tokens[i].line, expected[i].first) << i;
+    EXPECT_EQ(tokens[i].column, expected[i].second) << i;
+  }
+  try {
+    tokenize("a\n  b $");
+    FAIL() << "expected a lex error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "lex error at line 2, column 5: unexpected character '$'");
+  }
+}
+
+TEST(LexerTest, TokenStreamRewindsToASavedPosition) {
+  TokenStream ts("a + ( b )");
+  EXPECT_TRUE(ts.accept_ident("a"));
+  const std::size_t mark = ts.position();
+  EXPECT_TRUE(ts.accept_punct("+"));
+  EXPECT_EQ(ts.expect_punct("(").column, 5);
+  EXPECT_EQ(ts.expect_ident().text, "b");
+  ts.rewind(mark);
+  EXPECT_TRUE(ts.peek().is_punct("+"));
+  EXPECT_EQ(ts.peek(2).text, "b");
+  EXPECT_EQ(ts.next().text, "+");
+  ts.next();
+  ts.next();
+  EXPECT_EQ(ts.next().text, ")");
+  EXPECT_TRUE(ts.at_end());
+  EXPECT_TRUE(ts.next().kind == TokenKind::kEnd);  // next() stays at the end.
+  try {
+    ts.expect_punct(";");
+    FAIL() << "expected a syntax error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "syntax error at line 1, column 10: expected ';' "
+                 "(found '<end>')");
+  }
+}
+
+// --------------------------------------------------------------------------
+// Depth bound: kMaxSyntaxDepth levels parse, one more is a located error.
+// --------------------------------------------------------------------------
+
+std::string repeat(const std::string& s, unsigned n) {
+  std::string out;
+  for (unsigned i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+std::string chain(const std::string& term, const std::string& op,
+                  unsigned terms) {
+  std::string out = term;
+  for (unsigned i = 1; i < terms; ++i) out += op + term;
+  return out;
+}
+
+void expect_too_deep(const std::string& text) {
+  try {
+    parse_expression(text);
+    FAIL() << "accepted " << text.size() << " bytes";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("syntax error at line 1, column ", 0), 0u) << what;
+    EXPECT_NE(what.find("nested deeper than 256 levels"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(DepthBoundTest, ExpressionsAtTheBoundParse) {
+  const unsigned d = kMaxSyntaxDepth;
+  EXPECT_EQ(parse_expression(repeat("!", d - 1) + "a").depth(), d);
+  EXPECT_EQ(parse_expression(repeat("(", d) + "a" + repeat(")", d)).depth(),
+            1u);
+  EXPECT_EQ(parse_expression(chain("a", " ^ ", d)).depth(), d);
+  EXPECT_EQ(parse_expression(chain("a", " -> ", d)).depth(), d);
+  EXPECT_EQ(parse_expression(chain("1", " + ", d)).depth(), d);
+}
+
+TEST(DepthBoundTest, OneLevelPastTheBoundIsALocatedError) {
+  const unsigned d = kMaxSyntaxDepth;
+  expect_too_deep(repeat("!", d) + "a");
+  expect_too_deep(repeat("~", d) + "a");
+  expect_too_deep(repeat("(", d + 1) + "a" + repeat(")", d + 1));
+  expect_too_deep(chain("a", " ^ ", d + 1));
+  expect_too_deep(chain("a", " & ", d + 1));
+  expect_too_deep(chain("a", " -> ", d + 1));
+  expect_too_deep(chain("a", " ? a : ", d + 1));
+  expect_too_deep(repeat("ite(a, a, ", d + 1) + "a" + repeat(")", d + 1));
+  // The crash reproductions: 100,000 levels of each shape.
+  expect_too_deep(repeat("!", 100000) + "a");
+  expect_too_deep(repeat("(", 100000) + "a" + repeat(")", 100000));
+  expect_too_deep(chain("a", "^", 100000));
 }
 
 TEST(ParserTest, PrecedenceImpliesIsRightAssociative) {

@@ -5,14 +5,19 @@ The corpus is the fixture set for request_json_test's corpus-driven
 tests: every file in bad_json/ must be rejected by BOTH the RFC 8259
 validator (engine::validate_json) and the request parser; bad_request/
 holds grammar-valid JSON the request schema rejects; good_json/ must
-validate; good_request/ must survive both parsers. Run this script from
-the repo root after changing the parser's limits (e.g. the nesting
-depth) and commit the result.
+validate; good_request/ must survive both parsers. bad_job/ holds
+requests the schema accepts but the job refuses with an error line
+(covest_batch_cli_test), and the generated bad_model/ files join the
+hand-written ones there (model_test). Run this script from the repo
+root after changing a parser's limits (e.g. a nesting depth) and
+commit the result.
 """
+import json
 import os
 
 base = os.path.dirname(os.path.abspath(__file__))
-for d in ('bad_json', 'bad_request', 'good_json', 'good_request'):
+for d in ('bad_json', 'bad_request', 'good_json', 'good_request', 'bad_job',
+          'bad_model'):
     os.makedirs(os.path.join(base, d), exist_ok=True)
 
 
@@ -135,5 +140,31 @@ w('good_request/utf8_path.json',
 w('good_request/deadline_and_budget.json',
   '{"model_path": "m.cov", "deadline_ms": 500, "max_live_nodes": 100000}')
 
-for d in ('bad_json', 'bad_request', 'good_json', 'good_request'):
+# ---- Syntax-depth reproductions: each used to overflow the stack
+# (SIGSEGV) in a parser or in a recursive pass over the tree it built.
+# The parsers now stop at kMaxSyntaxDepth = 256 levels (src/expr/lexer.h)
+# with a located syntax error; 100,000 levels is far past it. ----
+DEEP = 100000
+MODEL = 'MODULE deep;\nVAR x : bool;\nNEXT x := !x;\n'
+# bad_model: the NEXT right-hand side as prefix operators, as nested
+# parentheses, and as a flat left-deep chain.
+w('bad_model/deep_negation_next.cov',
+  'MODULE deep;\nVAR x : bool;\nNEXT x := ' + '!' * DEEP + 'x;\n')
+w('bad_model/deep_parentheses_next.cov',
+  'MODULE deep;\nVAR x : bool;\nNEXT x := ' + '(' * DEEP + 'x' + ')' * DEEP
+  + ';\n')
+w('bad_model/long_xor_chain_next.cov',
+  'MODULE deep;\nVAR x : bool;\nNEXT x := ' + '^'.join(['x'] * DEEP) + ';\n')
+
+
+def job(ctl):
+    return json.dumps({'model': MODEL, 'properties': [{'ctl': ctl}]},
+                      separators=(',', ':')) + '\n'
+
+
+# bad_job: one NDJSON request line each, a property past the bound.
+w('bad_job/deep_negation_ctl.json', job('!' * DEEP + 'true'))
+w('bad_job/long_and_chain_ctl.json', job('&'.join(['x'] * DEEP)))
+
+for d in ('bad_json', 'bad_request', 'good_json', 'good_request', 'bad_job'):
     print(d, len(os.listdir(os.path.join(base, d))))

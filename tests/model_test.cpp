@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "ctl/ctl_parser.h"
 #include "expr/expr_parser.h"
 #include "model/model.h"
 #include "model/model_parser.h"
@@ -256,6 +260,113 @@ TEST(ModelFuzzCorpusTest, GoodModelsParseAndValidate) {
       }
     }
   }
+}
+
+// --------------------------------------------------------------------------
+// Front-end error bytes. Error lines are reply bytes (covest_batch and
+// covest_serve print them verbatim), so every bad_model file and a set
+// of malformed CTL properties are pinned byte for byte: message text,
+// line, column and the `found '...'` token. Regenerate after an
+// intentional message change with
+//   COVEST_REGEN_GOLDEN=1 ./model_test
+// --------------------------------------------------------------------------
+
+/// Malformed CTL properties covering the parser's failure points:
+/// unbalanced brackets, until formulas cut short, trailing input, stray
+/// characters, missing operands and the '(' backtracking fallbacks.
+const std::vector<std::string>& malformed_ctl() {
+  static const std::vector<std::string> cases{
+      "AG (p",
+      "AG p)",
+      "AG ((p -> AX q)",
+      "A [p U q",
+      "A [p q]",
+      "A [p U",
+      "A [p U q] )",
+      "E [",
+      "A p U q",
+      "p @ q",
+      "AG (p -> AX #q)",
+      "AX",
+      "AG AF",
+      "!",
+      "p &",
+      "p -> ",
+      "p <-> <-> q",
+      "p q",
+      "U p",
+      "AG [p]",
+      "(AG p) == q",
+      "(p ? q)",
+      "ite(p, q)",
+      "x[",
+      "x[3",
+      "x[y]",
+      "3 +",
+      "",
+      "AG (p ->\n  AX q",
+      "AG (p &\n\n   (q | )",
+  };
+  return cases;
+}
+
+/// Escapes newlines so every case stays on one golden line.
+std::string one_line(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// "<label>\t<error>" for one input, or "<accepted>" when it parses.
+template <typename Parse>
+std::string golden_line(const std::string& label, Parse parse) {
+  std::string what = "<accepted>";
+  try {
+    parse();
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  return one_line(label) + "\t" + one_line(what) + "\n";
+}
+
+std::string front_end_errors() {
+  std::string out;
+  for (const auto& path : model_corpus("bad_model")) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream source;
+    source << in.rdbuf();
+    const std::string name = path.filename().string();
+    out += golden_line("model " + name, [&] {
+      (void)parse_model_source(source.str(), name);
+    });
+  }
+  for (const std::string& text : malformed_ctl()) {
+    out += golden_line("ctl " + text, [&] { (void)ctl::parse_ctl(text); });
+  }
+  return out;
+}
+
+TEST(FrontEndErrorGoldenTest, ErrorBytesMatchTheGolden) {
+  const std::string actual = front_end_errors();
+  const std::string path =
+      std::string(COVEST_SOURCE_DIR) + "/tests/golden/front_end_errors.txt";
+  if (std::getenv("COVEST_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str());
 }
 
 }  // namespace
