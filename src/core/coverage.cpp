@@ -35,6 +35,11 @@ const Bdd& CoverageEstimator::coverage_space() {
   return *space_;
 }
 
+double CoverageEstimator::space_count() {
+  if (!space_count_) space_count_ = fsm_.count_states(coverage_space());
+  return *space_count_;
+}
+
 void CoverageEstimator::seed_reachable(const Bdd& reachable) {
   if (options_.restrict_to_fair && !fsm_.fairness().empty()) return;
   const Bdd& init = fsm_.initial_states();
@@ -225,20 +230,7 @@ bool mentions_signal(const Formula& f, const std::string& name,
 
 SignalCoverage CoverageEstimator::coverage(
     const std::vector<Formula>& properties, const ObservedSignal& q) {
-  SignalCoverage result;
-  result.signal = q;
-  result.covered = fsm_.mgr().bdd_false();
-  for (const Formula& f : properties) {
-    const Formula collapsed = ctl::collapse_propositional(f);
-    if (!mentions_signal(collapsed, q.name, fsm_.model())) continue;
-    ++result.num_properties;
-    result.covered |= covered_set(collapsed, q);
-  }
-  const Bdd in_space = result.covered & coverage_space();
-  result.covered_count = fsm_.count_states(in_space);
-  const double space = fsm_.count_states(coverage_space());
-  result.percent = space == 0.0 ? 100.0 : 100.0 * result.covered_count / space;
-  return result;
+  return coverage(properties, std::vector<ObservedSignal>{q});
 }
 
 SignalCoverage CoverageEstimator::coverage(
@@ -248,18 +240,25 @@ SignalCoverage CoverageEstimator::coverage(
   merged.covered = fsm_.mgr().bdd_false();
   if (group.empty()) return merged;
   merged.signal = group.front();
+  std::vector<Formula> collapsed;
+  collapsed.reserve(properties.size());
+  for (const Formula& f : properties) {
+    collapsed.push_back(ctl::collapse_propositional(f));
+  }
   for (const ObservedSignal& q : group) {
-    const SignalCoverage sc = coverage(properties, q);
-    merged.covered |= sc.covered;
-    merged.num_properties = std::max(merged.num_properties,
-                                     sc.num_properties);
+    std::size_t num_properties = 0;
+    for (const Formula& f : collapsed) {
+      if (!mentions_signal(f, q.name, fsm_.model())) continue;
+      ++num_properties;
+      merged.covered |= covered_set(f, q);
+    }
+    merged.num_properties = std::max(merged.num_properties, num_properties);
   }
   if (group.size() > 1) {
     merged.signal.bit.reset();  // Whole-word entry.
   }
-  const double space = fsm_.count_states(coverage_space());
-  const Bdd in_space = merged.covered & coverage_space();
-  merged.covered_count = fsm_.count_states(in_space);
+  const double space = space_count();
+  merged.covered_count = fsm_.count_states(merged.covered & coverage_space());
   merged.percent =
       space == 0.0 ? 100.0 : 100.0 * merged.covered_count / space;
   return merged;
@@ -270,7 +269,7 @@ CoverageReport CoverageEstimator::report(
     const std::vector<std::vector<ObservedSignal>>& groups) {
   CoverageReport rep;
   rep.coverage_space = coverage_space();
-  rep.space_count = fsm_.count_states(rep.coverage_space);
+  rep.space_count = space_count();
   for (const auto& group : groups) {
     if (group.empty()) continue;
     rep.signals.push_back(coverage(properties, group));

@@ -93,14 +93,15 @@ class CoverageEstimator {
   bdd::Bdd covered_set(const ctl::Formula& f, const ObservedSignal& q);
 
   /// Union of covered sets over a property suite, with the Definition-4
-  /// percentage for the coverage space.
+  /// percentage for the coverage space: the one-bit group below.
   SignalCoverage coverage(const std::vector<ctl::Formula>& properties,
                           const ObservedSignal& q);
 
   /// One Table-2 row for a group of observed bits: the union of the
   /// per-bit covered sets (a word signal's row unions its bits,
-  /// Section 2). This is the single per-signal aggregation — `report()`
-  /// and the engine facade both delegate here.
+  /// Section 2). This is the single per-signal aggregation and the one
+  /// place a row is counted — the one-bit overload, `report()` and the
+  /// engine facade all delegate here.
   SignalCoverage coverage(const std::vector<ctl::Formula>& properties,
                           const std::vector<ObservedSignal>& group);
 
@@ -111,6 +112,8 @@ class CoverageEstimator {
 
   /// Reachable (∩ fair ∩ ¬dontcare per options) states. Cached.
   const bdd::Bdd& coverage_space();
+  /// |coverage space|, counted once per estimator.
+  double space_count();
 
   /// Hands over `reachable` = reachable(initial states), computed by the
   /// caller, so the estimator does not run the same fixpoint again. It
@@ -148,6 +151,7 @@ class CoverageEstimator {
   const fsm::SymbolicFsm& fsm_;
   CoverageOptions options_;
   std::optional<bdd::Bdd> space_;
+  std::optional<double> space_count_;
 
   // Fix-point caches: property suites share start sets (every AG property
   // traverses reachable(init)), so memoizing the traversal primitives

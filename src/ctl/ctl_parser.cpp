@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "expr/expr_parser.h"
 
@@ -105,25 +107,16 @@ class CtlParser {
   Formula parse_primary() {
     if (ts_.peek().is_punct("(")) {
       // Ambiguity: '(' may open a subformula or an arithmetic atom like
-      // `(x + y) == 3`. Try the formula reading; backtrack if it fails or
-      // if the closing paren is followed by a token that can only
-      // continue an expression.
+      // `(x + y) == 3`. A token after the matching ')' that can only
+      // continue an expression settles it: the group is an atom. Else
+      // try the formula reading, and backtrack to the atom if it fails.
+      if (group_continues_expression()) return parse_atom();
       const std::size_t mark = ts_.position();
       try {
         ts_.next();  // '('
         const TokenStream::Nest nest(ts_);
         Formula inner = parse_iff();
         ts_.expect_punct(")");
-        static constexpr std::string_view kExprContinuations[] = {
-            "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "?", "^", "["};
-        const Token& after = ts_.peek();
-        if (after.kind == TokenKind::kPunct) {
-          for (const std::string_view cont : kExprContinuations) {
-            if (after.text == cont) {
-              throw std::runtime_error("expression continuation");
-            }
-          }
-        }
         return inner;
       } catch (const expr::SyntaxTooDeep&) {
         throw;  // The atom reading would nest at least as deep.
@@ -135,12 +128,52 @@ class CtlParser {
     return parse_atom();
   }
 
+  /// Whether the token after the ')' matching the '(' at the cursor can
+  /// only continue an expression (false for an unbalanced group). Each
+  /// scan records the match of every '(' it passes, so a parse scans
+  /// each token at most once even though every nesting level asks.
+  bool group_continues_expression() {
+    const std::size_t open = ts_.position();
+    auto it = close_of_.find(open);
+    if (it == close_of_.end()) {
+      std::vector<std::size_t> opens;
+      for (std::size_t ahead = 0;; ++ahead) {
+        const Token& t = ts_.peek(ahead);
+        if (t.kind == TokenKind::kEnd) break;
+        if (t.is_punct("(")) {
+          opens.push_back(open + ahead);
+        } else if (t.is_punct(")")) {
+          close_of_.emplace(opens.back(), open + ahead);
+          opens.pop_back();
+          if (opens.empty()) break;
+        }
+      }
+      for (const std::size_t unclosed : opens) {
+        close_of_.emplace(unclosed, kUnbalanced);
+      }
+      it = close_of_.find(open);
+    }
+    if (it->second == kUnbalanced) return false;
+    const Token& after = ts_.peek(it->second - open + 1);
+    if (after.kind != TokenKind::kPunct) return false;
+    static constexpr std::string_view kExprContinuations[] = {
+        "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "?", "^", "["};
+    for (const std::string_view cont : kExprContinuations) {
+      if (after.text == cont) return true;
+    }
+    return false;
+  }
+
   Formula parse_atom() {
     expr::ExprParser parser(ts_, is_temporal_keyword);
     return Formula::prop(parser.parse_atom());
   }
 
+  static constexpr std::size_t kUnbalanced = static_cast<std::size_t>(-1);
+
   TokenStream& ts_;
+  /// Token position of a '(' -> position of its ')' (or kUnbalanced).
+  std::unordered_map<std::size_t, std::size_t> close_of_;
 };
 
 }  // namespace

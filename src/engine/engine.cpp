@@ -69,6 +69,18 @@ const char* to_string(ResultStatus status) noexcept {
   return "ok";  // Unreachable for in-range enums.
 }
 
+ResultStatus status_of(const covest::RunStopped& stop) noexcept {
+  switch (stop.cause()) {
+    case covest::RunStopped::Cause::kCancelled:
+      return ResultStatus::kCancelled;
+    case covest::RunStopped::Cause::kDeadline:
+      return ResultStatus::kDeadlineExceeded;
+    case covest::RunStopped::Cause::kNodeBudget:
+      return ResultStatus::kResourceExhausted;
+  }
+  return ResultStatus::kError;  // Unreachable for in-range enums.
+}
+
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
@@ -199,20 +211,20 @@ SignalRow Session::estimate_row(const CoverageRequest& request,
   return row;
 }
 
-SuiteResult Session::run(const CoverageRequest& request,
-                         const RunHooks& hooks) {
-  return run(request, resolve_suite(request, model()), hooks);
+SuiteResult Session::run(const CoverageRequest& request) {
+  return run(request, resolve_suite(request, model()));
 }
 
 SuiteResult Session::run(const CoverageRequest& request,
-                         const ResolvedSuite& suite, const RunHooks& hooks) {
+                         const ResolvedSuite& suite) {
   const auto t_run = Clock::now();
 
   // Governance: adopt the ambient governor when one is installed (the
-  // executor's, whose clock started at submission so queue time counts);
-  // direct library callers get a local one scoped to this run. Either
-  // way every phase boundary below and every BDD fix-point iteration
-  // under this frame ticks against the same deadline.
+  // executor's, whose clock started at submission so queue time counts,
+  // and which the job's handle cancels); direct library callers get a
+  // local one scoped to this run. Either way every phase boundary below
+  // and every BDD fix-point iteration under this frame ticks the same
+  // governor.
   std::optional<covest::RunGovernor> local_governor;
   std::optional<covest::RunGovernor::Scope> local_scope;
   covest::RunGovernor* governor = covest::RunGovernor::current();
@@ -238,22 +250,23 @@ SuiteResult Session::run(const CoverageRequest& request,
   };
   result.elaborate = snap(0.0);
 
-  const auto progress = [&hooks](const Progress& p) {
-    return !hooks.on_progress || hooks.on_progress(p);
-  };
-
-  // Converts a governance stop into the partial-result contract: the
-  // completed prefix stays, the failing phase's stats record where and
-  // why the run was limited, and nothing throws past this frame.
-  const auto mark_limited = [&](ResultStatus status, const char* phase_name,
-                                const char* what, PhaseStats* phase,
-                                double phase_ms, std::size_t live,
-                                std::size_t budget) {
+  // Converts a governed stop (cancel, deadline, node budget) into the
+  // partial-result contract: the completed prefix stays, the stopped
+  // phase's stats record where and why, and nothing throws past this
+  // frame.
+  const auto mark_stopped = [&](const covest::RunStopped& stop,
+                                const char* phase_name, PhaseStats* phase,
+                                double phase_ms) {
     *phase = snap(phase_ms);
-    if (live != 0) phase->live_nodes = live;
-    if (budget != 0) phase->node_budget = budget;
-    result.status = status;
-    result.status_detail = std::string(phase_name) + ": " + what;
+    if (const auto* exhausted =
+            dynamic_cast<const covest::ResourceExhausted*>(&stop)) {
+      if (exhausted->live_nodes() != 0) {
+        phase->live_nodes = exhausted->live_nodes();
+      }
+      if (exhausted->budget() != 0) phase->node_budget = exhausted->budget();
+    }
+    result.status = status_of(stop);
+    result.status_detail = std::string(phase_name) + ": " + stop.what();
     result.total_ms = ms_since(t_run);
   };
 
@@ -262,10 +275,9 @@ SuiteResult Session::run(const CoverageRequest& request,
   // -- Verify ---------------------------------------------------------------
   // Warm path: a suite this session has verified before replays the
   // recorded outcomes (counterexample traces included) and never enters
-  // the verify loop — verify.passes reports 0 and no verify progress
-  // ticks fire. The estimate phase below runs either way; its caches
-  // are keyed by canonical BDDs, so warm rows are byte-identical to
-  // cold ones.
+  // the verify loop — verify.passes reports 0. The estimate phase below
+  // runs either way; its caches are keyed by canonical BDDs, so warm rows
+  // are byte-identical to cold ones.
   const std::uint64_t key = suite_hash(specs, request.skip_failing);
   const auto warm = verified_.find(key);
   if (warm != verified_.end()) {
@@ -280,11 +292,11 @@ SuiteResult Session::run(const CoverageRequest& request,
       // confines every CTL fixpoint to the reachable states (exact
       // there, which is all holds, counterexamples and coverage read),
       // and the estimator adopts the same set instead of recomputing it.
-      // Computed once per session; a deadline or budget stop inside it
-      // is a verify-phase stop with no properties checked.
+      // Computed once per session; a stop inside it is a verify-phase
+      // stop with no properties checked.
       estimator_.seed_reachable(checker_.restrict_to_reachable());
       for (std::size_t i = 0; i < specs.size(); ++i) {
-        governor->tick();  // Phase-boundary deadline check.
+        governor->tick();  // Per-property stop check.
         const auto t_prop = Clock::now();
         const ctl::CheckResult check = checker_.check(specs[i].formula);
         PropertyResult pr;
@@ -301,29 +313,9 @@ SuiteResult Session::run(const CoverageRequest& request,
         pr.check_ms = ms_since(t_prop);
         if (!pr.holds) ++result.failures;
         result.properties.push_back(std::move(pr));
-  
-        Progress p;
-        p.phase = Progress::Phase::kVerify;
-        p.index = i + 1;
-        p.total = specs.size();
-        p.item = result.properties.back().ctl_text;
-        p.ok = check.holds;
-        if (!progress(p)) {
-          result.cancelled = true;
-          result.status = ResultStatus::kCancelled;
-          result.verify = snap(ms_since(t_verify));
-          result.total_ms = ms_since(t_run);
-          return result;
-        }
       }
-    } catch (const covest::DeadlineExceeded& e) {
-      mark_limited(ResultStatus::kDeadlineExceeded, "verify", e.what(),
-                   &result.verify, ms_since(t_verify), 0, 0);
-      return result;
-    } catch (const covest::ResourceExhausted& e) {
-      mark_limited(ResultStatus::kResourceExhausted, "verify", e.what(),
-                   &result.verify, ms_since(t_verify), e.live_nodes(),
-                   e.budget());
+    } catch (const covest::RunStopped& stop) {
+      mark_stopped(stop, "verify", &result.verify, ms_since(t_verify));
       return result;
     }
     result.verify = snap(ms_since(t_verify));
@@ -334,70 +326,30 @@ SuiteResult Session::run(const CoverageRequest& request,
     verified_.emplace(key, VerifiedSuite{result.properties, result.failures});
   }
 
-  const std::vector<std::string>& names = suite.signals;
-
   // -- Estimate -------------------------------------------------------------
   // The reachable set comes from the verify phase (a warm run's suite
   // was verified cold earlier in this session), so the estimate phase
   // runs no plain-reachability fixpoint: it only counts that set and
   // computes the coverage space, which under a vacuous fair restriction
   // is a cache hit on the same BDD. With FAIRNESS the fair-restricted
-  // traversal can still hit the deadline or budget here.
+  // traversal can still be stopped here.
   const auto t_estimate = Clock::now();
   try {
     if (!reachable_count_) {
       reachable_count_ = fsm_.count_states(checker_.restrict_to_reachable());
     }
     result.reachable_states = *reachable_count_;
-    result.space_count = fsm_.count_states(estimator_.coverage_space());
-  } catch (const covest::DeadlineExceeded& e) {
-    mark_limited(ResultStatus::kDeadlineExceeded, "estimate", e.what(),
-                 &result.estimate, ms_since(t_estimate), 0, 0);
-    return result;
-  } catch (const covest::ResourceExhausted& e) {
-    mark_limited(ResultStatus::kResourceExhausted, "estimate", e.what(),
-                 &result.estimate, ms_since(t_estimate), e.live_nodes(),
-                 e.budget());
-    return result;
-  }
-
-  try {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      governor->tick();  // Per-row deadline check.
-      SignalRow row =
-          estimate_row(request, names[i], specs, result.properties);
-
-      Progress p;
-      p.phase = Progress::Phase::kEstimate;
-      p.index = i + 1;
-      p.total = names.size();
-      p.item = names[i];
-      p.percent = row.percent;
-      result.signals.push_back(std::move(row));
-      if (!progress(p)) {
-        result.cancelled = true;
-        result.status = ResultStatus::kCancelled;
-        result.estimate = snap(ms_since(t_estimate));
-        result.total_ms = ms_since(t_run);
-        return result;
-      }
+    result.space_count = estimator_.space_count();
+    for (const std::string& name : suite.signals) {
+      governor->tick();  // Per-row stop check.
+      result.signals.push_back(
+          estimate_row(request, name, specs, result.properties));
     }
-  } catch (const covest::DeadlineExceeded& e) {
-    mark_limited(ResultStatus::kDeadlineExceeded, "estimate", e.what(),
-                 &result.estimate, ms_since(t_estimate), 0, 0);
-    return result;
-  } catch (const covest::ResourceExhausted& e) {
-    mark_limited(ResultStatus::kResourceExhausted, "estimate", e.what(),
-                 &result.estimate, ms_since(t_estimate), e.live_nodes(),
-                 e.budget());
+  } catch (const covest::RunStopped& stop) {
+    mark_stopped(stop, "estimate", &result.estimate, ms_since(t_estimate));
     return result;
   }
   result.estimate = snap(ms_since(t_estimate));
-
-  Progress done;
-  done.phase = Progress::Phase::kDone;
-  done.index = done.total = names.size();
-  progress(done);  // Cancellation after the last item is a no-op.
 
   result.total_ms = ms_since(t_run);
   return result;
@@ -425,15 +377,12 @@ std::unique_ptr<Session> Engine::open(const CoverageRequest& request) const {
                                    request.max_live_nodes);
 }
 
-SuiteResult Engine::run(const CoverageRequest& request,
-                        const RunHooks& hooks) const {
+SuiteResult Engine::run(const CoverageRequest& request) const {
   // One-shot runs are a one-job batch: submit to a single-worker
   // executor and wait, so this path and covest_batch execute the same
   // pipeline code.
   Executor executor{ExecutorOptions{}};
-  JobHooks job_hooks;
-  job_hooks.on_progress = hooks.on_progress;
-  SuiteResult result = executor.submit(request, job_hooks).take();
+  SuiteResult result = executor.submit(request).take();
   // Blocking callers keep exception semantics; only the batch layers
   // report errors structurally.
   if (!result.error.empty()) throw std::runtime_error(result.error);

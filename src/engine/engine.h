@@ -23,10 +23,12 @@
 // keeps the checker's memoized satisfaction sets and the estimator's
 // fix-point caches warm across runs.
 //
-// Progress and cancellation: `RunHooks::on_progress` is invoked after
-// every pipeline step at per-property and per-signal granularity;
-// returning false cancels the run, which finishes with the results
-// computed so far and `SuiteResult::cancelled = true`.
+// Stopping: a run stops early in one way, through its governor
+// (util/governance.h). A cancel (`JobHandle::cancel`, executor.h), an
+// expired `deadline_ms` and an exhausted node budget all land at the
+// next governor tick — a phase boundary, a property or row, or one
+// iteration of any fixpoint — and the run returns the results completed
+// so far with the matching `ResultStatus`.
 //
 // Threads: a `Session` (like the BDD manager it owns) is used by one
 // thread at a time; its rows are estimated one after another on the
@@ -36,7 +38,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,6 +51,10 @@
 #include "ctl/ctl.h"
 #include "fsm/symbolic_fsm.h"
 #include "model/model.h"
+
+namespace covest {
+class RunStopped;
+}  // namespace covest
 
 namespace covest::engine {
 
@@ -88,14 +93,13 @@ struct PropertySpec {
 };
 
 /// Structured final status of a suite run: the machine-readable failure
-/// taxonomy the result JSON, the executor and the CLIs all share. `kOk`
-/// and `kCancelled` mirror the pre-existing `cancelled` flag; `kError`
-/// mirrors a non-empty `SuiteResult::error`; the three governance
-/// statuses are new and always come with a partial (never corrupt)
-/// result.
+/// taxonomy the result JSON, the executor and the CLIs all share.
+/// `kError` mirrors a non-empty `SuiteResult::error`; the four stop
+/// statuses (cancel, deadline, budget, admission) always come with a
+/// partial (never corrupt) result.
 enum class ResultStatus {
   kOk,
-  kCancelled,          ///< A progress hook returned false.
+  kCancelled,          ///< `JobHandle::cancel` landed before the run ended.
   kDeadlineExceeded,   ///< `deadline_ms` expired mid-run.
   kResourceExhausted,  ///< The BddManager node budget was hit.
   kAdmissionRejected,  ///< A bounded executor queue refused the job.
@@ -105,6 +109,9 @@ enum class ResultStatus {
 /// JSON/CLI spelling: "ok", "cancelled", "deadline_exceeded",
 /// "resource_exhausted", "admission_rejected", "error".
 const char* to_string(ResultStatus status) noexcept;
+
+/// The status a governed stop (util/governance.h) ends a run with.
+ResultStatus status_of(const covest::RunStopped& stop) noexcept;
 
 /// Declarative description of one suite job.
 struct CoverageRequest {
@@ -144,9 +151,9 @@ struct CoverageRequest {
   /// Wall-clock budget for the whole run in milliseconds (0 = none).
   /// Measured on the monotonic clock from job start (under the
   /// executor, from submission — queue time counts). Expiry stops the
-  /// run at the next governance tick — the phase-boundary hook points
-  /// or the coarse tick inside the BDD fix-point loops — and yields the
-  /// partial result with `ResultStatus::kDeadlineExceeded`.
+  /// run at the next governor tick — a phase boundary, a property or
+  /// row, or a BDD fix-point iteration — and yields the partial result
+  /// with `ResultStatus::kDeadlineExceeded`.
   std::uint64_t deadline_ms = 0;
   /// Node budget for this run's BddManager, 0 = unlimited (see
   /// bdd::BddManager::set_max_live_nodes for the exact semantics).
@@ -262,14 +269,13 @@ struct SuiteResult {
   std::vector<SignalRow> signals;
 
   std::size_t failures = 0;  ///< Properties that failed verification.
-  bool cancelled = false;    ///< A progress hook aborted the run.
   /// Non-empty when the job failed before producing a full result: no
   /// model source, model/CTL parse error, unknown signal... The batch
   /// paths (executor, covest_batch) report errors structurally instead
   /// of throwing; `Engine::run` rethrows for API compatibility.
   std::string error;
   /// Structured status (the taxonomy above). Partial results from a
-  /// deadline/budget/admission stop are well-formed — completed
+  /// cancel/deadline/budget/admission stop are well-formed — completed
   /// property and row prefixes are byte-identical to the corresponding
   /// prefix of an unlimited run — just truncated.
   ResultStatus status = ResultStatus::kOk;
@@ -287,32 +293,6 @@ struct SuiteResult {
   double total_ms = 0.0;
 
   bool all_passed() const { return failures == 0 && error.empty(); }
-};
-
-// ---------------------------------------------------------------------------
-// Progress and cancellation
-// ---------------------------------------------------------------------------
-
-/// One progress tick. Phases advance monotonically; within kVerify and
-/// kEstimate, `index`/`total` count properties and signal rows.
-struct Progress {
-  enum class Phase { kElaborate, kVerify, kEstimate, kDone };
-  Phase phase = Phase::kElaborate;
-  std::size_t index = 0;  ///< Completed items in this phase (1-based).
-  std::size_t total = 0;  ///< Items in this phase.
-  std::string item;       ///< Property text or signal name just finished.
-  bool ok = true;         ///< kVerify: did the property hold?
-  double percent = 0.0;   ///< kEstimate: the row's coverage percentage.
-};
-
-/// Return false to cancel: the run stops after the current item and
-/// returns the partial SuiteResult with `cancelled` set.
-using ProgressFn = std::function<bool(const Progress&)>;
-
-struct RunHooks {
-  /// Verify ticks (one per property), then one tick per signal row,
-  /// then kDone.
-  ProgressFn on_progress;
 };
 
 // ---------------------------------------------------------------------------
@@ -338,12 +318,11 @@ struct RunHooks {
 /// text, collapsed-formula structural hash, observe lists, comments,
 /// `skip_failing`). A repeat `run` whose suite hashes to a stored
 /// record skips the verify phase entirely: the cached outcomes are
-/// replayed, `SuiteResult::verify.passes` reports 0, no verify
-/// progress ticks fire, and the estimate phase proceeds exactly as on
-/// the cold run — byte-identical results (stats aside), since every
-/// intermediate is a canonical BDD with exact counts. This is the
-/// per-request half of the warm model cache (session_cache.h holds the
-/// cross-request half).
+/// replayed, `SuiteResult::verify.passes` reports 0, and the estimate
+/// phase proceeds exactly as on the cold run — byte-identical results
+/// (stats aside), since every intermediate is a canonical BDD with exact
+/// counts. This is the per-request half of the warm model cache
+/// (session_cache.h holds the cross-request half).
 class Session {
  public:
   /// Takes the model (move it in; its FSM keeps the one copy).
@@ -362,14 +341,13 @@ class Session {
   /// request's model source is ignored), on the calling thread — which
   /// must own the session's manager (see
   /// `bdd::BddManager::rebind_to_current_thread`).
-  SuiteResult run(const CoverageRequest& request, const RunHooks& hooks = {});
+  SuiteResult run(const CoverageRequest& request);
 
   /// Runs an already resolved suite (`resolve_suite` on this session's
   /// model) under `request`'s policy fields; the request's properties
   /// and signals are not consulted. This is the executor's path: the
   /// job resolves and parses once, validates, then runs.
-  SuiteResult run(const CoverageRequest& request, const ResolvedSuite& suite,
-                  const RunHooks& hooks = {});
+  SuiteResult run(const CoverageRequest& request, const ResolvedSuite& suite);
 
   /// Cap on recorded verified suites per session: past it the record is
   /// cleared wholesale (the checker's per-formula memo stays, so a
@@ -407,13 +385,11 @@ class Session {
 /// `run` is layered on the multi-worker `engine::Executor`
 /// (executor.h): it submits the request to a single-worker executor and
 /// waits, so the one-shot path and the batch path execute the same
-/// code. Two consequences for callers: `RunHooks::on_progress` is
-/// invoked on the worker thread (the caller blocks meanwhile, so no
-/// synchronization is needed, but thread-affine callbacks must not
-/// assume the calling thread), and failures of any original exception
-/// type surface as the worker's structured `SuiteResult::error`,
-/// rethrown here as `std::runtime_error` carrying the original message
-/// — blocking callers keep exception semantics, batch callers get data.
+/// code. Failures of any original exception type surface as the
+/// worker's structured `SuiteResult::error`, rethrown here as
+/// `std::runtime_error` carrying the original message — blocking callers
+/// keep exception semantics, batch callers get data. A run that may
+/// need cancelling goes through `Executor::submit` and its handle.
 class Engine {
  public:
   /// Parses/copies the request's model (no elaboration).
@@ -423,8 +399,7 @@ class Engine {
   std::unique_ptr<Session> open(const CoverageRequest& request) const;
 
   /// One-shot: load, elaborate, verify, estimate, report.
-  SuiteResult run(const CoverageRequest& request,
-                  const RunHooks& hooks = {}) const;
+  SuiteResult run(const CoverageRequest& request) const;
 };
 
 }  // namespace covest::engine

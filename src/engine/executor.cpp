@@ -1,7 +1,6 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -22,16 +21,15 @@ namespace detail {
 struct JobState {
   std::uint64_t id = 0;
   CoverageRequest request;
-  JobHooks hooks;
-  JobEventFn executor_event;  ///< Executor-wide tap (may be empty).
+  std::function<void()> on_ready;  ///< May be empty.
+  JobEventFn on_event;             ///< Executor-wide tap (may be empty).
   /// Executor-owned warm model cache; nullptr when disabled. Outlives
   /// every job (the executor destructor drains before Impl dies).
   SessionCache* cache = nullptr;
 
-  /// The job-wide deadline clock, started at submission so queue time
-  /// counts; the worker ticks against it.
+  /// The job's deadline clock, started at submission so queue time
+  /// counts, and its cancel latch; the worker ticks it.
   std::shared_ptr<covest::RunGovernor> governor;
-  std::atomic<bool> cancel{false};
 
   mutable std::mutex mu;
   std::condition_variable cv;
@@ -48,18 +46,11 @@ struct JobState {
   /// kill a worker thread (std::terminate) or fail the job, so
   /// exceptions are swallowed here — the documented contract.
   void emit(JobEvent event) const {
+    if (!on_event) return;
     event.job = id;
-    if (hooks.on_event) {
-      try {
-        hooks.on_event(event);
-      } catch (...) {
-      }
-    }
-    if (executor_event) {
-      try {
-        executor_event(event);
-      } catch (...) {
-      }
+    try {
+      on_event(event);
+    } catch (...) {
     }
   }
 
@@ -69,16 +60,16 @@ struct JobState {
   /// until it returns, even if the consumer has taken the result and
   /// dropped the handle meanwhile.
   void publish() {
-    std::function<void()> on_ready;
+    std::function<void()> hook;
     {
       std::lock_guard<std::mutex> lock(mu);
       ready = true;
-      on_ready = std::move(hooks.on_ready);
+      hook = std::move(on_ready);
     }
     cv.notify_all();
-    if (on_ready) {
+    if (hook) {
       try {
-        on_ready();
+        hook();
       } catch (...) {
       }
     }
@@ -136,8 +127,7 @@ SuiteResult run_job(JobState& job) {
   const auto t0 = Clock::now();
   SuiteResult result;
 
-  if (job.cancel.load(std::memory_order_relaxed)) {
-    result.cancelled = true;
+  if (job.governor->cancelled()) {  // Cancelled while queued.
     result.status = ResultStatus::kCancelled;
     return result;
   }
@@ -146,9 +136,9 @@ SuiteResult run_job(JobState& job) {
   started.kind = JobEvent::Kind::kStarted;
   job.emit(started);
 
-  // Install the job's deadline governor for everything below: the
-  // session adopts it instead of creating its own, so parse and
-  // elaborate (which run before Session::run) are governed too.
+  // Install the job's governor for everything below: the session adopts
+  // it instead of creating its own, so parse and elaborate (which run
+  // before Session::run) stop on a deadline or cancel too.
   covest::RunGovernor::Scope governor_scope(job.governor.get());
   const char* stage = "parse";
   try {
@@ -198,7 +188,7 @@ SuiteResult run_job(JobState& job) {
     // the cache; only the non-cached path parks it on the job instead.
     LeaseReturn lease{job.cache, cache_key, leasable ? &session : nullptr};
 
-    job.governor->tick();  // Parse-phase deadline boundary.
+    job.governor->tick();  // Parse-phase boundary.
     const ResolvedSuite suite =
         validate_request(job.request, cache_hit ? session->model() : *parsed);
     if (!cache_hit) parse_ms = ms_since(t0);
@@ -210,63 +200,9 @@ SuiteResult run_job(JobState& job) {
                                           job.request.max_live_nodes);
     }
     const double elaborate_ms = ms_since(t0);
-    job.governor->tick();  // Elaborate-phase deadline boundary.
+    job.governor->tick();  // Elaborate-phase boundary.
 
-    // The facade's elaborate tick.
-    if (job.hooks.on_progress) {
-      Progress p;
-      p.phase = Progress::Phase::kElaborate;
-      p.index = p.total = 1;
-      p.item = session->model().name();
-      if (!job.hooks.on_progress(p)) {
-        job.cancel.store(true, std::memory_order_relaxed);
-        result.model_name = session->model().name();
-        result.state_bits = session->model().state_bit_count();
-        result.cancelled = true;
-        result.status = ResultStatus::kCancelled;
-        result.elaborate.ms = elaborate_ms;
-        result.elaborate.parse_ms = parse_ms;
-        result.total_ms = ms_since(t0);
-        return result;
-      }
-    }
-
-    RunHooks session_hooks;
-    bool estimating = false;
-    const std::size_t row_count = suite.signals.size();
-    const auto emit_estimating = [&job, &estimating, row_count] {
-      if (estimating) return;
-      estimating = true;
-      JobEvent ev;
-      ev.kind = JobEvent::Kind::kEstimating;
-      ev.progress.phase = Progress::Phase::kEstimate;
-      ev.progress.total = row_count;
-      job.emit(ev);
-    };
-    session_hooks.on_progress = [&job, &emit_estimating](const Progress& p) {
-      if (p.phase == Progress::Phase::kVerify ||
-          p.phase == Progress::Phase::kEstimate) {
-        // Estimation begins when the last property has been verified
-        // (the zero-property fallback fires before the first row tick).
-        if (p.phase == Progress::Phase::kEstimate) emit_estimating();
-        JobEvent ev;
-        ev.kind = p.phase == Progress::Phase::kVerify
-                      ? JobEvent::Kind::kVerifying
-                      : JobEvent::Kind::kRowDone;
-        ev.progress = p;
-        job.emit(ev);
-        if (p.phase == Progress::Phase::kVerify && p.index == p.total) {
-          emit_estimating();
-        }
-      }
-      bool keep_going = true;
-      if (job.hooks.on_progress) {
-        keep_going = job.hooks.on_progress(p);
-        if (!keep_going) job.cancel.store(true, std::memory_order_relaxed);
-      }
-      return keep_going && !job.cancel.load(std::memory_order_relaxed);
-    };
-    result = session->run(job.request, suite, session_hooks);
+    result = session->run(job.request, suite);
     result.elaborate.ms = elaborate_ms;
     result.elaborate.parse_ms = parse_ms;
     // Parse + elaborate never ran on a hit — the warm half of the
@@ -288,20 +224,18 @@ SuiteResult run_job(JobState& job) {
       result.retain = session;
       job.session = std::move(session);
     }
-  } catch (const covest::DeadlineExceeded& e) {
-    // Expired before Session::run could convert it (parse/elaborate
+  } catch (const covest::RunStopped& stop) {
+    // Stopped before Session::run could convert it (parse/elaborate
     // boundaries above; inside the run the session returns the status
     // as data).
     result = SuiteResult{};
-    result.status = ResultStatus::kDeadlineExceeded;
-    result.status_detail = std::string(stage) + ": " + e.what();
-    result.total_ms = ms_since(t0);
-  } catch (const covest::ResourceExhausted& e) {
-    result = SuiteResult{};
-    result.status = ResultStatus::kResourceExhausted;
-    result.status_detail = std::string(stage) + ": " + e.what();
-    result.elaborate.live_nodes = e.live_nodes();
-    result.elaborate.node_budget = e.budget();
+    result.status = status_of(stop);
+    result.status_detail = std::string(stage) + ": " + stop.what();
+    if (const auto* exhausted =
+            dynamic_cast<const covest::ResourceExhausted*>(&stop)) {
+      result.elaborate.live_nodes = exhausted->live_nodes();
+      result.elaborate.node_budget = exhausted->budget();
+    }
     result.total_ms = ms_since(t0);
   } catch (const std::exception& e) {
     // Error-only: a defect reports no partial suite.
@@ -346,7 +280,7 @@ bool JobHandle::wait_for(std::chrono::milliseconds timeout) const {
 }
 
 void JobHandle::cancel() const {
-  if (state_) state_->cancel.store(true, std::memory_order_relaxed);
+  if (state_) state_->governor->cancel();
 }
 
 SuiteResult JobHandle::take() const {
@@ -446,19 +380,18 @@ void Executor::worker_loop() {
     // stream is complete once a waiter unblocks.
     JobEvent ev;
     ev.kind = JobEvent::Kind::kFinished;
-    ev.cancelled = job->result.cancelled;
-    ev.error = job->result.error;
     ev.status = job->result.status;
     job->emit(ev);
     job->publish();
   }
 }
 
-JobHandle Executor::submit(CoverageRequest request, JobHooks hooks) {
+JobHandle Executor::submit(CoverageRequest request,
+                           std::function<void()> on_ready) {
   auto state = std::make_shared<JobState>();
   state->request = std::move(request);
-  state->hooks = std::move(hooks);
-  state->executor_event = impl_->on_event;
+  state->on_ready = std::move(on_ready);
+  state->on_event = impl_->on_event;
   state->cache = impl_->session_cache.get();
   // The deadline clock starts now: queue wait counts, as a server's
   // admission-to-response budget would.

@@ -24,15 +24,19 @@
 // errors, unknown signals and missing model sources all surface as
 // `SuiteResult::error` on that job's result.
 //
-// Events: per-job streaming events (queued / started / verifying /
-// estimating / row-done / finished) are a superset of the facade's
-// `RunHooks` progress ticks. Event callbacks run on worker threads
-// (kQueued on the submitting thread); the callee synchronizes.
+// Cancellation: `JobHandle::cancel` latches the job's run governor, so
+// a running job stops at its next governor tick — inside a fixpoint
+// too — with its completed prefix and `ResultStatus::kCancelled`.
 //
-// Readiness: `JobHooks::on_ready` is the one callback a consumer can
-// block on. It fires once per job *after* the result became takeable,
-// whereas kFinished fires *before* — a reader woken by kFinished could
-// probe `done()`, see false, and sleep past the result.
+// Events: the executor-wide tap (`ExecutorOptions::on_event`) sees each
+// job's lifecycle: queued, started, finished. Event callbacks run on
+// worker threads (kQueued on the submitting thread); the callee
+// synchronizes.
+//
+// Readiness: the `on_ready` callback given to `submit` is the one a
+// consumer can block on. It fires once per job *after* the result
+// became takeable, whereas kFinished fires *before* — a reader woken by
+// kFinished could probe `done()`, see false, and sleep past the result.
 #pragma once
 
 #include <chrono>
@@ -56,27 +60,17 @@ struct JobState;
 // Events
 // ---------------------------------------------------------------------------
 
-/// One streaming event in a job's lifecycle. `kVerifying`, `kEstimating`
-/// and `kRowDone` carry the underlying `Progress` tick.
+/// One lifecycle event of a job.
 struct JobEvent {
   enum class Kind {
-    kQueued,      ///< Accepted by `submit` (fires on the submitting thread).
-    kStarted,     ///< A worker began elaborating the job.
-    kVerifying,   ///< One property checked (`progress` has index/total/ok).
-    kEstimating,  ///< Verification done, coverage estimation begins.
-    kRowDone,     ///< One signal row estimated (`progress` has percent).
-    kFinished,    ///< Run over; `cancelled`/`error` summarize it. Fires
-                  ///< just *before* the result is takeable (on_ready
-                  ///< fires after).
+    kQueued,    ///< Accepted by `submit` (fires on the submitting thread).
+    kStarted,   ///< A worker began elaborating the job.
+    kFinished,  ///< Run over; `status` summarizes it. Fires just *before*
+                ///< the result is takeable (on_ready fires after).
   };
   std::uint64_t job = 0;  ///< Monotonic per-executor job id (submit order).
   Kind kind = Kind::kQueued;
-  Progress progress;       ///< Valid for kVerifying/kEstimating/kRowDone.
-  bool cancelled = false;  ///< kFinished: the job was cancelled.
-  std::string error;       ///< kFinished: the job's structured error.
-  /// kFinished: the job's structured status (deadline/budget/admission
-  /// outcomes included — `cancelled`/`error` above only mirror two of
-  /// the six statuses).
+  /// kFinished: the job's structured status.
   ResultStatus status = ResultStatus::kOk;
 };
 
@@ -84,23 +78,6 @@ struct JobEvent {
 /// Fire-and-forget: exceptions thrown by the callback are swallowed —
 /// an event tap can neither fail a job nor kill a worker.
 using JobEventFn = std::function<void(const JobEvent&)>;
-
-/// Per-job callbacks. `on_progress` follows the facade contract
-/// (RunHooks) and may cancel the whole job by returning false.
-/// `on_event` receives the job's streaming events.
-struct JobHooks {
-  ProgressFn on_progress;
-  JobEventFn on_event;
-  /// Completion notification: called exactly once per job, after the
-  /// kFinished event and after the result became takeable — `done()` is
-  /// already true and `take()` will not block. Runs on the worker that
-  /// finished the job, or on the submitting thread for a job refused at
-  /// admission. It runs outside the job's lock, so `take()` may return
-  /// while the hook is still running: anything it touches must not die
-  /// with the consumer (the worker holds the callable until it
-  /// returns). Exceptions are swallowed, as for `on_event`.
-  std::function<void()> on_ready;
-};
 
 // ---------------------------------------------------------------------------
 // Handles
@@ -126,9 +103,11 @@ class JobHandle {
   /// result became ready in time (false for empty handles too).
   bool wait_for(std::chrono::milliseconds timeout) const;
 
-  /// Requests cancellation: a queued job finishes immediately with
-  /// `cancelled` set; a running job stops after its current item and
-  /// returns the partial result (the facade's cancellation semantics).
+  /// Requests cancellation: a queued job finishes without running, and
+  /// a running job stops at its next governor tick — a phase boundary, a
+  /// property or row, or a fixpoint iteration — returning its completed
+  /// prefix. Either way the status is `kCancelled`. A no-op once the job
+  /// has finished or been stopped by its deadline.
   void cancel() const;
 
   /// Blocks, then moves the result out (valid once per job). The BDD
@@ -162,8 +141,7 @@ enum class AdmissionPolicy {
 struct ExecutorOptions {
   /// Worker threads; 0 means one per hardware thread.
   std::size_t workers = 1;
-  /// Executor-wide event tap, called in addition to each job's own
-  /// `JobHooks::on_event`.
+  /// Event tap: every job's kQueued, kStarted and kFinished.
   JobEventFn on_event;
   /// Bounded admission: when nonzero, `submit` refuses to grow the job
   /// queue past this many queued jobs. 0 =
@@ -204,13 +182,23 @@ class Executor {
   /// Enqueues one suite job as one task. Never throws for request
   /// defects — they come back as `SuiteResult::error` on the handle.
   ///
+  /// `on_ready` (optional) is the completion notification: called
+  /// exactly once, after the kFinished event and after the result
+  /// became takeable — `done()` is already true and `take()` will not
+  /// block. It runs on the worker that finished the job, or on the
+  /// submitting thread for a job refused at admission, and outside the
+  /// job's lock, so `take()` may return while it is still running:
+  /// anything it touches must not die with the consumer (the worker
+  /// holds the callable until it returns). Exceptions are swallowed.
+  ///
   /// Governance: a request's `deadline_ms` clock starts here, at
   /// submission — time spent waiting in the queue counts against the
   /// deadline, as a server's would. With a bounded queue
   /// (`ExecutorOptions::max_queue_depth`) a full queue either blocks
   /// this call (kBlock) or finishes the job immediately with
   /// `ResultStatus::kAdmissionRejected` (kReject).
-  JobHandle submit(CoverageRequest request, JobHooks hooks = {});
+  JobHandle submit(CoverageRequest request,
+                   std::function<void()> on_ready = {});
 
   /// Convenience barrier: submits every request, waits, and returns the
   /// results in request order.

@@ -128,9 +128,9 @@ void NdjsonDispatcher::push(ParsedLine line) {
   } else {
     // Only an event loop that asked for `ready_fd()` gets signalled; the
     // batch path (push, then drain) makes no system call per job.
-    JobHooks hooks;
-    if (ready_) hooks.on_ready = [signal = ready_] { signal->notify(); };
-    p.handle = executor_.submit(std::move(line.request), std::move(hooks));
+    std::function<void()> on_ready;
+    if (ready_) on_ready = [signal = ready_] { signal->notify(); };
+    p.handle = executor_.submit(std::move(line.request), std::move(on_ready));
   }
   pending_.push_back(std::move(p));
   while (pending_.size() > window_) emit_front();

@@ -128,14 +128,14 @@ class NdjsonDispatcher {
 
   /// Readiness signal for event loops: a nonblocking eventfd that turns
   /// readable whenever one of this dispatcher's jobs has finished since
-  /// the last `flush_ready()` (written from `JobHooks::on_ready`, i.e.
-  /// only once the result is takeable). The first call creates it, and
-  /// only jobs pushed after that call signal it, so an event loop calls
-  /// this before its first `push`; a dispatcher that never calls it (the
-  /// batch driver) costs its jobs no system call. Input-error lines never
-  /// signal — they are ready at `push`; flush after pushing. -1 when the
-  /// eventfd could not be created (descriptor exhaustion). Owned here;
-  /// do not close it.
+  /// the last `flush_ready()` (written from the job's `on_ready`
+  /// callback, i.e. only once the result is takeable). The first call
+  /// creates it, and only jobs pushed after that call signal it, so an
+  /// event loop calls this before its first `push`; a dispatcher that
+  /// never calls it (the batch driver) costs its jobs no system call.
+  /// Input-error lines never signal — they are ready at `push`; flush
+  /// after pushing. -1 when the eventfd could not be created (descriptor
+  /// exhaustion). Owned here; do not close it.
   int ready_fd();
 
   /// Emits every in-flight result, blocking until the last worker

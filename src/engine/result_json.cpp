@@ -201,7 +201,7 @@ std::string to_json(const SuiteResult& r, const JsonOptions& options) {
   w.key("all_passed");
   w.boolean(r.all_passed());
   w.key("cancelled");
-  w.boolean(r.cancelled);
+  w.boolean(r.status == ResultStatus::kCancelled);
   if (r.status != ResultStatus::kOk) {  // Successful runs stay byte-stable.
     w.key("status");
     w.string(to_string(r.status));

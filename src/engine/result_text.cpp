@@ -48,7 +48,7 @@ std::string render_text(const SuiteResult& r, const TextOptions& options) {
     if (options.cli_hints) os << " (use --skip-failing to include the rest)";
     os << ".\n";
   }
-  if (r.cancelled) {
+  if (r.status == ResultStatus::kCancelled) {
     os << "\nrun cancelled; partial results follow.\n";
   }
 

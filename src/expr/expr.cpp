@@ -337,9 +337,18 @@ bool structural_equal(const Expr& a, const Expr& b) {
 
 Expr substitute_signal(const Expr& e, const std::string& signal,
                        const Expr& replacement) {
+  return substitute_signals(e, [&](const std::string& name) {
+    return name == signal ? &replacement : nullptr;
+  });
+}
+
+Expr substitute_signals(
+    const Expr& e,
+    const std::function<const Expr*(const std::string&)>& replacement) {
   const ExprNode& n = e.node();
   if (n.op == Op::kVarRef) {
-    return n.name == signal ? replacement : e;
+    const Expr* r = replacement(n.name);
+    return r != nullptr ? *r : e;
   }
   if (n.args.empty()) return e;
 
@@ -347,7 +356,7 @@ Expr substitute_signal(const Expr& e, const std::string& signal,
   std::vector<Expr> new_args;
   new_args.reserve(n.args.size());
   for (const Expr& a : n.args) {
-    Expr repl = substitute_signal(a, signal, replacement);
+    Expr repl = substitute_signals(a, replacement);
     if (!repl.same_node(a)) changed = true;
     new_args.push_back(std::move(repl));
   }
@@ -355,7 +364,6 @@ Expr substitute_signal(const Expr& e, const std::string& signal,
   if (n.op == Op::kExtract) {
     return Expr::extract(new_args[0], static_cast<unsigned>(n.value));
   }
-  if (n.op == Op::kConst) return e;
   return Expr::make(n.op, std::move(new_args));
 }
 

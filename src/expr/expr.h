@@ -154,6 +154,13 @@ bool structural_equal(const Expr& a, const Expr& b);
 Expr substitute_signal(const Expr& e, const std::string& signal,
                        const Expr& replacement);
 
+/// Rewrites every signal reference for which `replacement(name)` returns
+/// an expression (not nullptr) with it, in one pass; untouched subtrees
+/// stay shared.
+Expr substitute_signals(
+    const Expr& e,
+    const std::function<const Expr*(const std::string&)>& replacement);
+
 /// Pretty-prints with minimal parentheses.
 std::string to_string(const Expr& e);
 

@@ -1,7 +1,11 @@
 #include "model/model.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "expr/lexer.h"
 
 namespace covest::model {
 
@@ -12,8 +16,27 @@ void Model::add_signal(Signal signal) {
   if (index_.count(signal.name) != 0) {
     throw std::runtime_error("duplicate signal '" + signal.name + "'");
   }
+  Expr expansion;
+  if (signal.kind == SignalKind::kDefine) {
+    for (const std::string& ref : expr::referenced_signals(signal.define)) {
+      if (ref == signal.name) {
+        throw std::runtime_error("cyclic DEFINE detected while expanding '" +
+                                 expr::to_string(signal.define) + "'");
+      }
+    }
+    // Every define it names is declared, so already expanded.
+    expansion = expand_defines(signal.define);
+    if (expansion.depth() > expr::kMaxSyntaxDepth) {
+      throw expr::SyntaxTooDeep("DEFINE '" + signal.name +
+                                "' expands deeper than " +
+                                std::to_string(expr::kMaxSyntaxDepth) +
+                                " levels");
+    }
+    signal.type = expr::infer_type(expansion, type_resolver());
+  }
   index_.emplace(signal.name, signals_.size());
   signals_.push_back(std::move(signal));
+  expansions_.push_back(std::move(expansion));
 }
 
 void Model::add_init_constraint(Expr constraint) {
@@ -74,27 +97,51 @@ expr::TypeResolver Model::type_resolver() const {
 }
 
 Expr Model::expand_defines(const Expr& e, const std::string* except) const {
-  // Iterate to a fixed point; cycle detection via a depth bound equal to
-  // the number of defines (a legal chain can be at most that long).
-  Expr current = e;
-  std::size_t num_defines = 0;
-  for (const Signal& s : signals_) {
-    if (s.kind == SignalKind::kDefine) ++num_defines;
-  }
-  for (std::size_t round = 0; round <= num_defines; ++round) {
-    bool changed = false;
-    for (const std::string& name : expr::referenced_signals(current)) {
-      if (except != nullptr && name == *except) continue;
-      const Signal* s = find_signal(name);
-      if (s != nullptr && s->kind == SignalKind::kDefine) {
-        current = expr::substitute_signal(current, name, s->define);
-        changed = true;
+  // Every define is its stored expansion, except a define kept symbolic
+  // (`except` naming a DEFINE). Defines declared before the kept one
+  // cannot name it, so their stored expansions stand; each later one
+  // that `e` reaches is re-expanded around it, in declaration order,
+  // which puts every define after the ones it names.
+  const auto kept_it = except == nullptr ? index_.end() : index_.find(*except);
+  const std::size_t kept =
+      kept_it != index_.end() && expansions_[kept_it->second].valid()
+          ? kept_it->second
+          : signals_.size();
+  std::vector<std::size_t> later;
+  if (kept < signals_.size()) {
+    std::unordered_set<std::size_t> seen;
+    std::vector<std::string> pending = expr::referenced_signals(e);
+    while (!pending.empty()) {
+      const auto it = index_.find(pending.back());
+      pending.pop_back();
+      if (it == index_.end() || it->second <= kept ||
+          !expansions_[it->second].valid() ||
+          !seen.insert(it->second).second) {
+        continue;
+      }
+      later.push_back(it->second);
+      for (std::string& ref :
+           expr::referenced_signals(signals_[it->second].define)) {
+        pending.push_back(std::move(ref));
       }
     }
-    if (!changed) return current;
+    std::sort(later.begin(), later.end());
   }
-  throw std::runtime_error("cyclic DEFINE detected while expanding '" +
-                           expr::to_string(e) + "'");
+  std::unordered_map<std::size_t, Expr> redone;
+  const auto replacement = [&](const std::string& name) -> const Expr* {
+    const auto it = index_.find(name);
+    if (it == index_.end() || it->second == kept ||
+        !expansions_[it->second].valid()) {
+      return nullptr;
+    }
+    return it->second < kept ? &expansions_[it->second]
+                             : &redone.at(it->second);
+  };
+  for (const std::size_t i : later) {
+    redone.emplace(i,
+                   expr::substitute_signals(signals_[i].define, replacement));
+  }
+  return expr::substitute_signals(e, replacement);
 }
 
 unsigned Model::state_bit_count() const {
@@ -129,9 +176,6 @@ void Model::validate() const {
                                    to_string(s.type));
         }
       }
-    }
-    if (s.kind == SignalKind::kDefine) {
-      expr::infer_type(expand_defines(s.define), types);  // Checks cycles too.
     }
   }
   for (const Expr& e : init_constraints_) {
@@ -212,16 +256,8 @@ Expr ModelBuilder::define(const std::string& name, Expr value) {
   Signal s;
   s.name = name;
   s.kind = SignalKind::kDefine;
-  // The define's type is inferred lazily during validation; record the
-  // best-effort type now for the resolver (bool if inference fails).
   s.define = std::move(value);
-  try {
-    s.type = expr::infer_type(model_.expand_defines(s.define),
-                              model_.type_resolver());
-  } catch (const std::exception&) {
-    throw;  // A define must only reference already-declared signals.
-  }
-  model_.add_signal(std::move(s));
+  model_.add_signal(std::move(s));  // Infers the define's type.
   return Expr::var(name);
 }
 

@@ -54,7 +54,12 @@ class Model {
 
   // -- Construction -----------------------------------------------------------
 
-  /// Declares a signal; throws on duplicate names.
+  /// Declares a signal; throws on duplicate names. A DEFINE may name
+  /// only signals declared before it (so DEFINEs never form a cycle):
+  /// it is expanded once, here, and its `type` is inferred from that
+  /// expansion. Throws for a DEFINE that names itself or an undeclared
+  /// signal, and `expr::SyntaxTooDeep` for one whose expansion is deeper
+  /// than `expr::kMaxSyntaxDepth`.
   void add_signal(Signal signal);
   void add_init_constraint(expr::Expr constraint);
   void add_fairness(expr::Expr constraint);
@@ -85,24 +90,30 @@ class Model {
   /// Type resolver over the model's signals (defines included).
   expr::TypeResolver type_resolver() const;
 
-  /// Expands DEFINE references transitively; throws on cyclic definitions.
-  /// When `except` is non-null, references to that define are preserved
-  /// (the coverage estimator keeps an observed DEFINE signal symbolic so
-  /// its label can be flipped).
+  /// Expands DEFINE references transitively, from the expansions stored
+  /// at declaration: linear in the size of `e`. When `except` is
+  /// non-null, references to that define are preserved (the coverage
+  /// estimator keeps an observed DEFINE signal symbolic so its label can
+  /// be flipped); the defines declared after it that `e` reaches are
+  /// then re-expanded once each.
   expr::Expr expand_defines(const expr::Expr& e,
                             const std::string* except = nullptr) const;
 
   /// Total number of latched state bits (word signals count their width).
   unsigned state_bit_count() const;
 
-  /// Checks that every expression in the model is well-typed, that `next`
-  /// and `init` types match their signals, and that DEFINEs are acyclic.
-  /// Throws `std::runtime_error` with a descriptive message otherwise.
+  /// Checks that every expression in the model is well-typed and that
+  /// `next` and `init` types match their signals (DEFINEs are checked as
+  /// they are added). Throws `std::runtime_error` with a descriptive
+  /// message otherwise.
   void validate() const;
 
  private:
   std::string name_;
   std::vector<Signal> signals_;
+  /// Per signal: a DEFINE's body with every DEFINE reference expanded;
+  /// invalid for the other kinds.
+  std::vector<expr::Expr> expansions_;
   std::unordered_map<std::string, std::size_t> index_;
   std::vector<expr::Expr> init_constraints_;
   std::vector<expr::Expr> fairness_;

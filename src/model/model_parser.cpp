@@ -98,18 +98,20 @@ Model parse_model(const std::string& source) {
     }
 
     if (keyword == "DEFINE") {
+      const std::size_t name_at = ts.position();
       Signal s;
       s.name = ts.expect_ident().text;
       ts.expect_punct(":=");
       s.kind = SignalKind::kDefine;
       s.define = parse_rhs_expression(ts);
       ts.expect_punct(";");
-      // Infer the define's declared type from its expansion.
-      Model probe = model;  // Defines may reference earlier signals only.
-      probe.add_signal(s);
-      s.type = expr::infer_type(probe.expand_defines(s.define),
-                                probe.type_resolver());
-      model.add_signal(std::move(s));
+      // Expands the define once and infers its type from the expansion.
+      try {
+        model.add_signal(std::move(s));
+      } catch (const expr::SyntaxTooDeep& e) {
+        ts.rewind(name_at);  // Located at the define's name.
+        ts.fail(e.what());
+      }
       continue;
     }
 

@@ -29,15 +29,20 @@
 // order; a line exceeding `max_line_bytes` produces a single
 // `admission_rejected` status line and the stream resynchronizes at the
 // next newline; a connection over `max_connections` is answered with
-// one `admission_rejected` line and closed. Client disconnects mid-suite
-// cancel that connection's in-flight jobs; workers never throw.
+// one `admission_rejected` line and closed. A client found dead
+// mid-suite (a reply to it fails to send) has that connection's
+// in-flight jobs cancelled; each cancel lands at the job's next governor
+// tick, mid-fixpoint included, so the workers are free at once. End of
+// input (EOF) is a half-close: its jobs still run and reply. Workers
+// never throw.
 //
 // Lifecycle: `start` binds and listens; `serve` runs the accept loop on
 // the calling thread until `request_shutdown` (async-signal-safe — the
 // SIGINT/SIGTERM handlers call it). Shutdown rejects new connections,
 // stops reading from live ones, drains in-flight jobs
-// (`JobHandle::wait_for` with a per-job grace; expired drains cancel),
-// flushes their result lines, and `serve` returns. `exit_code` then
+// (`JobHandle::wait_for` with a per-job grace; an expired drain cancels
+// the rest, and those cancels also land mid-fixpoint), flushes their
+// result lines, and `serve` returns. `exit_code` then
 // reports the batch-compatible verdict over everything served:
 // 0 = every suite ran and passed, 1 = some error or property failure,
 // 3 = some job was stopped by a resource limit (wins over 1).

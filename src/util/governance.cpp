@@ -40,6 +40,11 @@ RunGovernor::Scope::Scope(RunGovernor* governor) noexcept
 
 RunGovernor::Scope::~Scope() { tl_governor = prev_; }
 
+void RunGovernor::throw_latched() const {
+  if (stop_.load(std::memory_order_relaxed) == kCancelled) throw Cancelled();
+  throw DeadlineExceeded(budget_ms_);
+}
+
 void governor_tick() {
   if (RunGovernor* governor = tl_governor) {
     governor->tick();

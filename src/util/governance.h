@@ -1,8 +1,8 @@
-// Resource governance: the typed limit exceptions every layer converts
-// into structured statuses, the per-run deadline governor threaded
-// through the engine's tick points and the BDD fixpoint loops, and a
-// deterministic fault injector for the chaos battery. Lives in util/
-// because both src/bdd/ and src/engine/ depend on it.
+// Resource governance: the typed stop exceptions every layer converts
+// into structured statuses, the per-run governor (deadline and cancel
+// latch) threaded through the engine's tick points and the BDD fixpoint
+// loops, and a deterministic fault injector for the chaos battery.
+// Lives in util/ because both src/bdd/ and src/engine/ depend on it.
 #pragma once
 
 #include <atomic>
@@ -14,16 +14,36 @@
 
 namespace covest {
 
+/// Base of the three ways a governed run stops before it finishes: a
+/// cancel, an expired deadline and an exhausted node budget. Each leaves
+/// the run's state consistent, and the engine turns any of them into a
+/// partial result whose status names the cause, so a catch site needs
+/// one clause for all three.
+class RunStopped : public std::runtime_error {
+ public:
+  enum class Cause { kCancelled, kDeadline, kNodeBudget };
+  Cause cause() const noexcept { return cause_; }
+
+ protected:
+  RunStopped(Cause cause, const std::string& what)
+      : std::runtime_error(what), cause_(cause) {}
+
+ private:
+  Cause cause_;
+};
+
 /// Thrown by BddManager when a configured `max_live_nodes` budget would
 /// be exceeded (or by fault injection). Carries the occupancy observed
 /// at the throw site and the configured budget so the engine can record
 /// them in PhaseStats. Never leaves the pool inconsistent: it fires
 /// before any slot is handed out.
-class ResourceExhausted : public std::runtime_error {
+class ResourceExhausted : public RunStopped {
  public:
   ResourceExhausted(const std::string& what, std::size_t live_nodes,
                     std::size_t budget)
-      : std::runtime_error(what), live_nodes_(live_nodes), budget_(budget) {}
+      : RunStopped(Cause::kNodeBudget, what),
+        live_nodes_(live_nodes),
+        budget_(budget) {}
 
   /// Pool occupancy (live + uncollected garbage) when the limit fired.
   std::size_t live_nodes() const noexcept { return live_nodes_; }
@@ -38,21 +58,21 @@ class ResourceExhausted : public std::runtime_error {
 
 /// Thrown by RunGovernor::tick once a run's wall-clock deadline has
 /// passed (or fault injection fired the deadline site).
-class DeadlineExceeded : public std::runtime_error {
+class DeadlineExceeded : public RunStopped {
  public:
+  /// `budget_ms` = 0 for injected expiries on a run with no deadline.
   explicit DeadlineExceeded(std::uint64_t budget_ms)
-      : std::runtime_error(budget_ms == 0
-                               ? std::string("deadline expired (injected)")
-                               : "deadline of " + std::to_string(budget_ms) +
-                                     " ms expired"),
-        budget_ms_(budget_ms) {}
+      : RunStopped(Cause::kDeadline,
+                   budget_ms == 0 ? std::string("deadline expired (injected)")
+                                  : "deadline of " +
+                                        std::to_string(budget_ms) +
+                                        " ms expired") {}
+};
 
-  /// The deadline budget in milliseconds (0 for injected expiries on a
-  /// run with no real deadline).
-  std::uint64_t budget_ms() const noexcept { return budget_ms_; }
-
- private:
-  std::uint64_t budget_ms_;
+/// Thrown by RunGovernor::tick once the run's cancel latch is set.
+class Cancelled : public RunStopped {
+ public:
+  Cancelled() : RunStopped(Cause::kCancelled, "cancelled") {}
 };
 
 /// Process-wide deterministic fault injection. Always compiled in;
@@ -95,14 +115,14 @@ class FaultInjector {
   static std::atomic<std::uint64_t> fire_at_;
 };
 
-/// Wall-clock governor for one suite run. The deadline is fixed at
-/// construction (steady clock, so unaffected by wall-time jumps);
-/// `tick()` throws DeadlineExceeded once it has passed and keeps
-/// throwing via a latched flag, so every later tick of the run — phase
-/// boundaries and fixpoint loops alike — stops too. The executor
-/// creates a job's governor on the submitting thread and ticks it on the
-/// worker; ticking reads an immutable time point and one atomic, so
-/// `expired()` may be polled from any thread.
+/// Governor for one suite run: its wall-clock deadline and its cancel
+/// latch, both checked by `tick()`. The deadline is fixed at
+/// construction (steady clock, so unaffected by wall-time jumps). A stop
+/// is latched — an expiry seen by `tick()`, or `cancel()` from any
+/// thread — and every later tick of the run throws it again, so phase
+/// boundaries and fixpoint loops alike stop. The first stop latched
+/// wins. The executor creates a job's governor on the submitting thread,
+/// cancels it from the job's handle and ticks it on the worker.
 class RunGovernor {
  public:
   /// `budget_ms` = 0 means no real deadline; ticks still honour fault
@@ -112,24 +132,26 @@ class RunGovernor {
         deadline_(std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(budget_ms)) {}
 
-  std::uint64_t budget_ms() const noexcept { return budget_ms_; }
+  /// Latches a cancel: the run's next tick throws Cancelled. Safe from
+  /// any thread; a no-op once a stop is latched.
+  void cancel() noexcept { latch(kCancelled); }
 
-  /// Non-throwing poll of the latched state.
-  bool expired() const noexcept {
-    return expired_.load(std::memory_order_relaxed);
+  /// Non-throwing poll: has a cancel been latched?
+  bool cancelled() const noexcept {
+    return stop_.load(std::memory_order_relaxed) == kCancelled;
   }
 
-  /// Throws DeadlineExceeded when the deadline has passed (latched) or
-  /// the kDeadline fault-injection site fires.
+  /// Throws the latched stop (Cancelled or DeadlineExceeded), or
+  /// DeadlineExceeded when the deadline has just passed or the kDeadline
+  /// fault-injection site fires. One relaxed load when nothing is
+  /// latched.
   void tick() {
-    if (expired_.load(std::memory_order_relaxed)) {
-      throw DeadlineExceeded(budget_ms_);
-    }
+    if (stop_.load(std::memory_order_relaxed) != kRunning) throw_latched();
     if (FaultInjector::should_fail(FaultInjector::Site::kDeadline) ||
         (budget_ms_ != 0 &&
          std::chrono::steady_clock::now() >= deadline_)) {
-      expired_.store(true, std::memory_order_relaxed);
-      throw DeadlineExceeded(budget_ms_);
+      latch(kExpired);
+      throw_latched();
     }
   }
 
@@ -151,9 +173,17 @@ class RunGovernor {
   };
 
  private:
+  enum : std::uint8_t { kRunning, kExpired, kCancelled };
+
+  void latch(std::uint8_t stop) noexcept {
+    std::uint8_t running = kRunning;
+    stop_.compare_exchange_strong(running, stop, std::memory_order_relaxed);
+  }
+  [[noreturn]] void throw_latched() const;
+
   std::uint64_t budget_ms_;
   std::chrono::steady_clock::time_point deadline_;
-  std::atomic<bool> expired_{false};
+  std::atomic<std::uint8_t> stop_{kRunning};
 };
 
 /// The coarse-grained tick dropped into BDD fixpoint loops: no-op when

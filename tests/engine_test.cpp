@@ -1,6 +1,6 @@
 // The engine facade: declarative CoverageRequest -> SuiteResult runs,
-// progress/cancellation hooks, equivalence with the core estimator API,
-// and golden-file tests for the JSON serializer.
+// governed stops (cancel), equivalence with the core estimator API, and
+// golden-file tests for the JSON serializer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,15 +14,15 @@
 #include "engine/result_json.h"
 #include "engine/result_text.h"
 #include "model/model_parser.h"
+#include "util/governance.h"
 
 namespace covest {
 namespace {
 
 using engine::CoverageRequest;
 using engine::Engine;
-using engine::Progress;
 using engine::PropertySpec;
-using engine::RunHooks;
+using engine::ResultStatus;
 using engine::Session;
 using engine::SuiteResult;
 
@@ -64,7 +64,7 @@ TEST(EngineTest, ModelSpecsDriveTheWholeSuite) {
   EXPECT_EQ(r.state_bits, 2u);
   ASSERT_EQ(r.properties.size(), 2u);
   EXPECT_TRUE(r.all_passed());
-  EXPECT_FALSE(r.cancelled);
+  EXPECT_EQ(r.status, ResultStatus::kOk);
   ASSERT_EQ(r.signals.size(), 1u);
   EXPECT_EQ(r.signals[0].name, "ack");
   EXPECT_EQ(r.signals[0].num_properties, 2u);
@@ -419,63 +419,66 @@ TEST(EngineTest, SessionReuseSharesWorkAcrossSuites) {
 }
 
 // --------------------------------------------------------------------------
-// Progress and cancellation
+// Cancellation: a latch on the run governor
 // --------------------------------------------------------------------------
+// `JobHandle::cancel` latches the job's governor (executor_test covers
+// the handle); here the latch is set on a governor installed around
+// `Session::run`, which adopts it, so the landing point is deterministic.
 
-TEST(EngineProgressTest, TicksArriveInPhaseOrderWithTotals) {
+TEST(EngineCancelTest, CancelDuringVerifyReturnsAnEmptyPrefix) {
   CoverageRequest req;
   req.model = model::parse_model(kHandshakeSource);
+  const std::unique_ptr<Session> session = Engine().open(req);
 
-  std::vector<Progress> ticks;
-  RunHooks hooks;
-  hooks.on_progress = [&ticks](const Progress& p) {
-    ticks.push_back(p);
-    return true;
-  };
-  const SuiteResult r = Engine().run(req, hooks);
-  EXPECT_FALSE(r.cancelled);
-
-  // elaborate, 2 properties, 1 signal, done.
-  ASSERT_EQ(ticks.size(), 5u);
-  EXPECT_EQ(ticks[0].phase, Progress::Phase::kElaborate);
-  EXPECT_EQ(ticks[1].phase, Progress::Phase::kVerify);
-  EXPECT_EQ(ticks[1].index, 1u);
-  EXPECT_EQ(ticks[1].total, 2u);
-  EXPECT_TRUE(ticks[1].ok);
-  EXPECT_EQ(ticks[2].phase, Progress::Phase::kVerify);
-  EXPECT_EQ(ticks[2].index, 2u);
-  EXPECT_EQ(ticks[3].phase, Progress::Phase::kEstimate);
-  EXPECT_EQ(ticks[3].item, "ack");
-  EXPECT_DOUBLE_EQ(ticks[3].percent, 100.0);
-  EXPECT_EQ(ticks[4].phase, Progress::Phase::kDone);
-}
-
-TEST(EngineProgressTest, CancellingDuringVerifyReturnsPartialResult) {
-  CoverageRequest req;
-  req.model = model::parse_model(kHandshakeSource);
-
-  RunHooks hooks;
-  hooks.on_progress = [](const Progress& p) {
-    return p.phase != Progress::Phase::kVerify;  // Cancel on first property.
-  };
-  const SuiteResult r = Engine().run(req, hooks);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_EQ(r.properties.size(), 1u);  // Stopped after the first check.
+  RunGovernor governor(0);
+  const RunGovernor::Scope scope(&governor);
+  governor.cancel();
+  const SuiteResult r = session->run(req);
+  EXPECT_EQ(r.status, ResultStatus::kCancelled);
+  EXPECT_EQ(r.status_detail, "verify: cancelled");
+  EXPECT_TRUE(r.properties.empty());  // Stopped before the first check.
   EXPECT_TRUE(r.signals.empty());     // Never reached estimation.
+  EXPECT_NE(engine::to_json(r).find("\"cancelled\": true"),
+            std::string::npos);
 }
 
-TEST(EngineProgressTest, CancellingDuringEstimateKeepsVerification) {
+TEST(EngineCancelTest, CancelDuringEstimateKeepsTheVerifiedSuite) {
   CoverageRequest req;
   req.model = model::parse_model(kHandshakeSource);
+  const std::unique_ptr<Session> session = Engine().open(req);
+  const SuiteResult full = session->run(req);
+  ASSERT_EQ(full.status, ResultStatus::kOk);
 
-  RunHooks hooks;
-  hooks.on_progress = [](const Progress& p) {
-    return p.phase != Progress::Phase::kEstimate;
-  };
-  const SuiteResult r = Engine().run(req, hooks);
-  EXPECT_TRUE(r.cancelled);
+  // The warm run replays the verified suite without ticking, so the
+  // latched cancel lands at the first row.
+  RunGovernor governor(0);
+  const RunGovernor::Scope scope(&governor);
+  governor.cancel();
+  const SuiteResult r = session->run(req);
+  EXPECT_EQ(r.status, ResultStatus::kCancelled);
+  EXPECT_EQ(r.status_detail, "estimate: cancelled");
   EXPECT_EQ(r.properties.size(), 2u);  // Verification completed.
-  EXPECT_EQ(r.signals.size(), 1u);     // First row done, then stopped.
+  EXPECT_TRUE(r.signals.empty());
+  EXPECT_EQ(r.verify.passes, 0u);
+}
+
+TEST(EngineCancelTest, TheFirstLatchedStopWins) {
+  RunGovernor governor(0);
+  governor.cancel();
+  EXPECT_TRUE(governor.cancelled());
+  EXPECT_THROW(governor.tick(), Cancelled);
+  EXPECT_THROW(governor.tick(), Cancelled);  // Latched.
+
+  struct Disarm {
+    ~Disarm() { FaultInjector::disarm(); }
+  } disarm;
+  RunGovernor expired(0);
+  FaultInjector::arm(FaultInjector::Site::kDeadline, 1);
+  EXPECT_THROW(expired.tick(), DeadlineExceeded);
+  FaultInjector::disarm();
+  expired.cancel();  // A later cancel does not replace the expiry.
+  EXPECT_FALSE(expired.cancelled());
+  EXPECT_THROW(expired.tick(), DeadlineExceeded);
 }
 
 // --------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -34,9 +35,9 @@ using engine::Engine;
 using engine::Executor;
 using engine::ExecutorOptions;
 using engine::JobEvent;
+using engine::JobEventFn;
 using engine::JobHandle;
-using engine::JobHooks;
-using engine::Progress;
+using engine::ResultStatus;
 using engine::SuiteResult;
 
 std::string model_path(const char* name) {
@@ -55,6 +56,35 @@ CoverageRequest path_request(const char* name) {
   CoverageRequest req;
   req.model_path = model_path(name);
   return req;
+}
+
+/// Holds one job on its worker: the executor-wide tap blocks inside that
+/// job's kStarted event until `release()`, so a test can fill the queue
+/// or cancel behind a running job deterministically. Job ids count
+/// submits from 1; the first job is gated unless told otherwise.
+struct StartGate {
+  std::uint64_t job = 1;
+  std::atomic<bool> started{false};
+  std::atomic<bool> released{false};
+
+  JobEventFn tap() {
+    return [this](const JobEvent& e) {
+      if (e.kind != JobEvent::Kind::kStarted || e.job != job) return;
+      started.store(true);
+      while (!released.load()) std::this_thread::yield();
+    };
+  }
+  void wait_started() const {
+    while (!started.load()) std::this_thread::yield();
+  }
+  void release() { released.store(true); }
+};
+
+ExecutorOptions gated_options(StartGate& gate, std::size_t workers = 1) {
+  ExecutorOptions options;
+  options.workers = workers;
+  options.on_event = gate.tap();
+  return options;
 }
 
 // --------------------------------------------------------------------------
@@ -155,46 +185,33 @@ TEST(ExecutorTest, RandomizedInterleavedBatchesRunEachPhaseOnce) {
 TEST(ExecutorEventsTest, LifecycleEventsArriveInOrder) {
   std::mutex mu;
   std::vector<JobEvent> events;
-  JobHooks hooks;
-  hooks.on_event = [&](const JobEvent& e) {
+  ExecutorOptions options;
+  options.workers = 1;
+  options.on_event = [&](const JobEvent& e) {
     std::lock_guard<std::mutex> lock(mu);
     events.push_back(e);
   };
 
-  Executor ex{ExecutorOptions{1, nullptr}};
-  ex.submit(path_request("handshake.cov"), hooks).take();
+  Executor ex(std::move(options));
+  ex.submit(path_request("handshake.cov")).take();
 
   std::lock_guard<std::mutex> lock(mu);
-  // queued, started, 3 properties, estimating, 1 row, finished.
-  ASSERT_EQ(events.size(), 8u);
+  ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, JobEvent::Kind::kQueued);
   EXPECT_EQ(events[1].kind, JobEvent::Kind::kStarted);
-  for (int i = 2; i <= 4; ++i) {
-    EXPECT_EQ(events[i].kind, JobEvent::Kind::kVerifying);
-    EXPECT_EQ(events[i].progress.index, static_cast<std::size_t>(i - 1));
-    EXPECT_EQ(events[i].progress.total, 3u);
-    EXPECT_TRUE(events[i].progress.ok);
-  }
-  EXPECT_EQ(events[5].kind, JobEvent::Kind::kEstimating);
-  EXPECT_EQ(events[6].kind, JobEvent::Kind::kRowDone);
-  EXPECT_EQ(events[6].progress.item, "ack");
-  EXPECT_DOUBLE_EQ(events[6].progress.percent, 100.0);
-  EXPECT_EQ(events[7].kind, JobEvent::Kind::kFinished);
-  EXPECT_FALSE(events[7].cancelled);
-  EXPECT_TRUE(events[7].error.empty());
+  EXPECT_EQ(events[2].kind, JobEvent::Kind::kFinished);
+  EXPECT_EQ(events[2].status, ResultStatus::kOk);
   for (const JobEvent& e : events) EXPECT_EQ(e.job, events[0].job);
 }
 
 TEST(ExecutorEventsTest, ThrowingEventCallbacksAreSwallowed) {
   // An event tap is fire-and-forget: a throwing callback must neither
   // kill a worker thread nor fail the job.
-  JobHooks hooks;
-  hooks.on_event = [](const JobEvent&) { throw std::runtime_error("tap"); };
   ExecutorOptions options;
   options.workers = 2;
   options.on_event = [](const JobEvent&) { throw 42; };
   Executor ex(std::move(options));
-  const SuiteResult r = ex.submit(path_request("counter.cov"), hooks).take();
+  const SuiteResult r = ex.submit(path_request("counter.cov")).take();
   EXPECT_TRUE(r.error.empty()) << r.error;
   ASSERT_EQ(r.signals.size(), 1u);
   EXPECT_DOUBLE_EQ(r.signals[0].percent, 80.0);
@@ -223,39 +240,134 @@ TEST(ExecutorEventsTest, ExecutorWideTapSeesEveryJob) {
 // --------------------------------------------------------------------------
 
 TEST(ExecutorCancelTest, CancellingAQueuedJobSkipsItsRun) {
-  Executor ex{ExecutorOptions{1, nullptr}};
-
-  // Job A blocks the single worker until job B has been cancelled, so
-  // B is deterministically still queued when the cancel lands.
-  std::atomic<bool> b_cancelled{false};
-  JobHooks gate;
-  gate.on_progress = [&](const Progress&) {
-    while (!b_cancelled.load()) std::this_thread::yield();
-    return true;
-  };
-  JobHandle a = ex.submit(path_request("counter.cov"), gate);
+  // Job A holds the single worker until job B has been cancelled, so B
+  // is deterministically still queued when the cancel lands.
+  StartGate gate;
+  Executor ex(gated_options(gate));
+  JobHandle a = ex.submit(path_request("counter.cov"));
   JobHandle b = ex.submit(path_request("arbiter.cov"));
   b.cancel();
-  b_cancelled.store(true);
+  gate.release();
 
   const SuiteResult rb = b.take();
-  EXPECT_TRUE(rb.cancelled);
+  EXPECT_EQ(rb.status, ResultStatus::kCancelled);
   EXPECT_TRUE(rb.signals.empty());
   const SuiteResult ra = a.take();
-  EXPECT_FALSE(ra.cancelled);
+  EXPECT_EQ(ra.status, ResultStatus::kOk);
   EXPECT_EQ(ra.signals.size(), 1u);
 }
 
-TEST(ExecutorCancelTest, ProgressHookCancelsLikeTheFacade) {
-  JobHooks hooks;
-  hooks.on_progress = [](const Progress& p) {
-    return p.phase != Progress::Phase::kEstimate;
+TEST(ExecutorCancelTest, CancelLandsAtTheNextTickOfAStartedJob) {
+  // A cancel sent while the job sits at its start lands at the parse
+  // boundary: no phase runs, and the status says where it stopped.
+  StartGate gate;
+  Executor ex(gated_options(gate));
+  JobHandle h = ex.submit(path_request("handshake.cov"));
+  gate.wait_started();
+  h.cancel();
+  gate.release();
+  const SuiteResult r = h.take();
+  EXPECT_EQ(r.status, ResultStatus::kCancelled);
+  EXPECT_EQ(r.status_detail, "parse: cancelled");
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_TRUE(r.properties.empty());
+  EXPECT_TRUE(r.signals.empty());
+}
+
+/// A counter whose reachability fixpoint takes one image step per state:
+/// 2^width steps before the first property can be checked.
+CoverageRequest long_fixpoint_request(unsigned width) {
+  CoverageRequest req;
+  req.model_source = "MODULE spin;\nVAR x : uint<" + std::to_string(width) +
+                     ">;\nVAR f : bool;\nINIT x := 0;\nINIT f := false;\n"
+                     "NEXT x := x + 1;\nNEXT f := f;\n"
+                     "SPEC AG (!f) OBSERVE f;\n";
+  return req;
+}
+
+/// Runs `long_fixpoint_request` to the end and returns its wall time in
+/// ms: the yardstick a cancelled run is measured against, taken in the
+/// same build (Release, Debug or a sanitizer) as the cancelled run.
+double uncancelled_ms(const CoverageRequest& req) {
+  Executor ex(1);
+  const auto t0 = std::chrono::steady_clock::now();
+  const SuiteResult r = ex.submit(req).take();
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_EQ(r.status, ResultStatus::kOk) << r.error;
+  EXPECT_TRUE(r.all_passed());
+  return ms;
+}
+
+constexpr unsigned kLongFixpointWidth = 18;
+
+TEST(ExecutorCancelTest, CancelLandsInsideALongFixpoint) {
+  // The job is cancelled a few ms after it starts, while the reachability
+  // fixpoint runs; it must come back long before that fixpoint could
+  // have finished, with a completed (here: empty) prefix.
+  const CoverageRequest req = long_fixpoint_request(kLongFixpointWidth);
+  const double full_ms = uncancelled_ms(req);
+
+  std::atomic<bool> started{false};
+  ExecutorOptions options;
+  options.workers = 1;
+  options.on_event = [&](const JobEvent& e) {
+    if (e.kind == JobEvent::Kind::kStarted) started.store(true);
   };
-  Executor ex{ExecutorOptions{2, nullptr}};
-  const SuiteResult r = ex.submit(path_request("handshake.cov"), hooks).take();
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_EQ(r.properties.size(), 3u);  // Verification completed.
-  EXPECT_EQ(r.signals.size(), 1u);     // First row, then stopped.
+  Executor ex(std::move(options));
+  JobHandle h = ex.submit(req);
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto t_cancel = std::chrono::steady_clock::now();
+  h.cancel();
+  const SuiteResult r = h.take();
+  const double cancel_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t_cancel)
+                               .count();
+
+  EXPECT_EQ(r.status, ResultStatus::kCancelled);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_NE(r.status_detail.find(": cancelled"), std::string::npos)
+      << r.status_detail;
+  EXPECT_TRUE(r.properties.empty());  // Stopped inside reachability.
+  EXPECT_TRUE(r.signals.empty());
+  EXPECT_LT(cancel_ms, full_ms / 4)
+      << "cancel took " << cancel_ms << " ms; the whole run takes "
+      << full_ms << " ms";
+}
+
+TEST(ExecutorCancelTest, DestroyingADispatcherCancelsItsJobMidFixpoint) {
+  // The server-disconnect path: a connection's dispatcher dies with a
+  // job inside a long fixpoint; its destructor cancels and absorbs the
+  // job, and must return as promptly as a direct cancel.
+  const CoverageRequest req = long_fixpoint_request(kLongFixpointWidth);
+  const double full_ms = uncancelled_ms(req);
+
+  std::atomic<bool> started{false};
+  ExecutorOptions options;
+  options.workers = 1;
+  options.on_event = [&](const JobEvent& e) {
+    if (e.kind == JobEvent::Kind::kStarted) started.store(true);
+  };
+  Executor ex(std::move(options));
+  std::size_t emitted = 0;
+  std::optional<engine::NdjsonDispatcher> dispatch;
+  dispatch.emplace(ex, 4, [&emitted](const SuiteResult&) { ++emitted; });
+  engine::ParsedLine line;
+  line.request = req;
+  dispatch->push(std::move(line));
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto t_destroy = std::chrono::steady_clock::now();
+  dispatch.reset();
+  const double destroy_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t_destroy)
+                                .count();
+  EXPECT_EQ(emitted, 0u);  // An abandoned dispatcher emits nothing.
+  EXPECT_LT(destroy_ms, full_ms / 4)
+      << "destruction took " << destroy_ms << " ms; the whole run takes "
+      << full_ms << " ms";
 }
 
 // --------------------------------------------------------------------------
@@ -294,7 +406,7 @@ TEST(ExecutorErrorTest, LaterRowErrorsAreErrorOnly) {
   const SuiteResult r = ex.submit(req).take();
   EXPECT_FALSE(r.error.empty());
   EXPECT_TRUE(r.signals.empty());
-  EXPECT_FALSE(r.cancelled);  // A defect is not a user cancel.
+  EXPECT_EQ(r.status, ResultStatus::kError);  // A defect is not a cancel.
   EXPECT_EQ(canonical(r), canonical(expect));
 }
 
@@ -674,7 +786,6 @@ TEST(ExecutorGovernanceTest, DeadlinePartialsOnAWorkerPoolArePrefixes) {
     } else {
       ASSERT_EQ(r.status, engine::ResultStatus::kDeadlineExceeded) << n;
       EXPECT_TRUE(r.error.empty()) << r.error;
-      EXPECT_FALSE(r.cancelled);  // Expiry is not a user cancel.
       expect_governed_prefix(r, base);
     }
     // Recovery: a full pass on a fresh manager.
@@ -699,20 +810,14 @@ TEST(ExecutorAdmissionTest, RejectPolicyBoundsTheQueueDeterministically) {
   options.workers = 1;
   options.max_queue_depth = 1;
   options.admission = engine::AdmissionPolicy::kReject;
+  StartGate gate;
+  options.on_event = gate.tap();
   Executor ex(std::move(options));
 
   // Gate job A on the worker so B (queued) fills the bound and C must
   // be turned away at the door.
-  std::atomic<bool> a_started{false};
-  std::atomic<bool> release{false};
-  JobHooks gate;
-  gate.on_progress = [&](const Progress&) {
-    a_started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    return true;
-  };
-  JobHandle a = ex.submit(path_request("counter.cov"), gate);
-  while (!a_started.load()) std::this_thread::yield();
+  JobHandle a = ex.submit(path_request("counter.cov"));
+  gate.wait_started();
   JobHandle b = ex.submit(path_request("counter.cov"));
   JobHandle c = ex.submit(path_request("counter.cov"));
 
@@ -725,7 +830,7 @@ TEST(ExecutorAdmissionTest, RejectPolicyBoundsTheQueueDeterministically) {
   EXPECT_NE(rc.status_detail.find("max_queue_depth=1"), std::string::npos)
       << rc.status_detail;
 
-  release.store(true);
+  gate.release();
   EXPECT_EQ(a.take().status, engine::ResultStatus::kOk);
   EXPECT_EQ(b.take().status, engine::ResultStatus::kOk);
   // With the queue drained, admission is open again.
@@ -740,29 +845,25 @@ TEST(ExecutorAdmissionTest, RejectedJobEmitsASingleFinishedEvent) {
   options.workers = 1;
   options.max_queue_depth = 1;
   options.admission = engine::AdmissionPolicy::kReject;
-  options.on_event = [&](const JobEvent& e) {
-    std::lock_guard<std::mutex> lock(mu);
-    events.push_back(e);
+  StartGate gate;
+  options.on_event = [&, gated = gate.tap()](const JobEvent& e) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      events.push_back(e);
+    }
+    gated(e);
   };
   Executor ex(std::move(options));
 
   // As above: A must be on the worker before B fills the queue, or the
   // worker could pop A between B's and C's submits and admit C.
-  std::atomic<bool> a_started{false};
-  std::atomic<bool> release{false};
-  JobHooks gate;
-  gate.on_progress = [&](const Progress&) {
-    a_started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    return true;
-  };
-  JobHandle a = ex.submit(path_request("counter.cov"), gate);
-  while (!a_started.load()) std::this_thread::yield();
+  JobHandle a = ex.submit(path_request("counter.cov"));
+  gate.wait_started();
   JobHandle b = ex.submit(path_request("counter.cov"));
   JobHandle c = ex.submit(path_request("counter.cov"));
   const std::uint64_t rejected_job = c.id();
   ASSERT_TRUE(c.done());
-  release.store(true);
+  gate.release();
   a.wait();
   b.wait();
 
@@ -782,18 +883,12 @@ TEST(ExecutorAdmissionTest, BlockPolicyAppliesBackpressure) {
   options.workers = 1;
   options.max_queue_depth = 1;
   options.admission = engine::AdmissionPolicy::kBlock;
+  StartGate gate;
+  options.on_event = gate.tap();
   Executor ex(std::move(options));
 
-  std::atomic<bool> a_started{false};
-  std::atomic<bool> release{false};
-  JobHooks gate;
-  gate.on_progress = [&](const Progress&) {
-    a_started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    return true;
-  };
-  JobHandle a = ex.submit(path_request("counter.cov"), gate);
-  while (!a_started.load()) std::this_thread::yield();
+  JobHandle a = ex.submit(path_request("counter.cov"));
+  gate.wait_started();
   JobHandle b = ex.submit(path_request("counter.cov"));  // Fills the queue.
 
   // C's submit must block until the worker frees a slot: the submitting
@@ -807,7 +902,7 @@ TEST(ExecutorAdmissionTest, BlockPolicyAppliesBackpressure) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(c_admitted.load());
 
-  release.store(true);
+  gate.release();
   submitter.join();
   EXPECT_TRUE(c_admitted.load());
   EXPECT_EQ(a.take().status, engine::ResultStatus::kOk);
@@ -815,13 +910,15 @@ TEST(ExecutorAdmissionTest, BlockPolicyAppliesBackpressure) {
 }
 
 // --------------------------------------------------------------------------
-// Completion hook (JobHooks::on_ready)
+// Completion hook (`on_ready`)
 // --------------------------------------------------------------------------
 
-/// One job's `on_ready` observations. `handle` is assigned before the job
-/// can finish; the fields are read only once the executor is gone, since
-/// the hook may still be running when `take()` returns.
+/// One job's `on_ready` observations. `job` is the probed job's id
+/// (submits count from 1); `handle` is assigned before the job can
+/// finish. The fields are read only once the executor is gone, since the
+/// hook may still be running when `take()` returns.
 struct ReadyProbe {
+  std::uint64_t job = 1;
   JobHandle handle;
   std::atomic<int> fired{0};
   std::atomic<bool> finished_seen{false};
@@ -829,34 +926,36 @@ struct ReadyProbe {
   std::atomic<bool> done_in_hook{false};
   std::thread::id thread;
 
-  JobHooks hooks() {
-    JobHooks h;
-    h.on_event = [this](const JobEvent& e) {
-      if (e.kind == JobEvent::Kind::kFinished) finished_seen.store(true);
+  /// Records the probed job's kFinished, then passes every event on.
+  JobEventFn tap(JobEventFn next = {}) {
+    return [this, next](const JobEvent& e) {
+      if (e.kind == JobEvent::Kind::kFinished && e.job == job) {
+        finished_seen.store(true);
+      }
+      if (next) next(e);
     };
-    h.on_ready = [this] {
+  }
+  std::function<void()> on_ready() {
+    return [this] {
       ++fired;
       after_finished.store(finished_seen.load());
       done_in_hook.store(handle.valid() && handle.done());
       thread = std::this_thread::get_id();
     };
-    return h;
   }
 };
 
 TEST(ExecutorReadyHookTest, FiresOnceAfterTheResultIsTakeable) {
   ReadyProbe probe;
-  std::atomic<bool> published{false};
+  StartGate gate;
   {
-    Executor ex(1);
-    JobHooks hooks = probe.hooks();
+    ExecutorOptions options;
+    options.workers = 1;
+    options.on_event = probe.tap(gate.tap());
+    Executor ex(std::move(options));
     // Hold the run until the handle is visible to the hook.
-    hooks.on_progress = [&](const Progress&) {
-      while (!published.load()) std::this_thread::yield();
-      return true;
-    };
-    probe.handle = ex.submit(path_request("counter.cov"), hooks);
-    published.store(true);
+    probe.handle = ex.submit(path_request("counter.cov"), probe.on_ready());
+    gate.release();
     EXPECT_EQ(probe.handle.take().status, engine::ResultStatus::kOk);
   }
   EXPECT_EQ(probe.fired.load(), 1);
@@ -867,19 +966,18 @@ TEST(ExecutorReadyHookTest, FiresOnceAfterTheResultIsTakeable) {
 
 TEST(ExecutorReadyHookTest, FiresOnceForAJobCancelledWhileQueued) {
   ReadyProbe probe;
-  std::atomic<bool> release{false};
+  probe.job = 2;
+  StartGate gate;
   {
-    Executor ex(1);
-    JobHooks gate;
-    gate.on_progress = [&](const Progress&) {
-      while (!release.load()) std::this_thread::yield();
-      return true;
-    };
-    JobHandle a = ex.submit(path_request("counter.cov"), gate);
-    probe.handle = ex.submit(path_request("arbiter.cov"), probe.hooks());
+    ExecutorOptions options;
+    options.workers = 1;
+    options.on_event = probe.tap(gate.tap());
+    Executor ex(std::move(options));
+    JobHandle a = ex.submit(path_request("counter.cov"));
+    probe.handle = ex.submit(path_request("arbiter.cov"), probe.on_ready());
     probe.handle.cancel();
-    release.store(true);
-    EXPECT_TRUE(probe.handle.take().cancelled);
+    gate.release();
+    EXPECT_EQ(probe.handle.take().status, ResultStatus::kCancelled);
     a.take();
   }
   EXPECT_EQ(probe.fired.load(), 1);
@@ -891,27 +989,22 @@ TEST(ExecutorReadyHookTest, FiresOnceOnTheSubmitterForAnAdmissionReject) {
   // A refused job never reaches a worker: the hook runs inside `submit`,
   // after the single kFinished event, and `submit` returns a done handle.
   ReadyProbe probe;
+  probe.job = 3;
+  StartGate gate;
   ExecutorOptions options;
   options.workers = 1;
   options.max_queue_depth = 1;
   options.admission = engine::AdmissionPolicy::kReject;
-  std::atomic<bool> release{false};
+  options.on_event = probe.tap(gate.tap());
   {
     Executor ex(std::move(options));
-    std::atomic<bool> a_started{false};
-    JobHooks gate;
-    gate.on_progress = [&](const Progress&) {
-      a_started.store(true);
-      while (!release.load()) std::this_thread::yield();
-      return true;
-    };
-    JobHandle a = ex.submit(path_request("counter.cov"), gate);
-    while (!a_started.load()) std::this_thread::yield();
+    JobHandle a = ex.submit(path_request("counter.cov"));
+    gate.wait_started();
     JobHandle b = ex.submit(path_request("counter.cov"));  // Fills the queue.
-    JobHandle c = ex.submit(path_request("counter.cov"), probe.hooks());
+    JobHandle c = ex.submit(path_request("counter.cov"), probe.on_ready());
     EXPECT_TRUE(c.done());
     EXPECT_EQ(probe.fired.load(), 1);
-    release.store(true);
+    gate.release();
     EXPECT_EQ(c.take().status, engine::ResultStatus::kAdmissionRejected);
     a.take();
     b.take();
@@ -922,12 +1015,14 @@ TEST(ExecutorReadyHookTest, FiresOnceOnTheSubmitterForAnAdmissionReject) {
 }
 
 TEST(ExecutorReadyHookTest, ThrowingReadyHooksAreSwallowed) {
-  JobHooks throwing;
-  throwing.on_ready = [] { throw std::runtime_error("ready"); };
+  const auto throwing = [] { throw std::runtime_error("ready"); };
+  StartGate gate;
+  gate.job = 3;  // The first job after the two worker-path jobs.
   ExecutorOptions options;
   options.workers = 1;
   options.max_queue_depth = 1;
   options.admission = engine::AdmissionPolicy::kReject;
+  options.on_event = gate.tap();
   Executor ex(std::move(options));
 
   // Worker path: the job still delivers, and the worker survives to run
@@ -938,19 +1033,12 @@ TEST(ExecutorReadyHookTest, ThrowingReadyHooksAreSwallowed) {
             engine::ResultStatus::kOk);
 
   // Admission path: the throw must not escape `submit`.
-  std::atomic<bool> a_started{false}, release{false};
-  JobHooks gate;
-  gate.on_progress = [&](const Progress&) {
-    a_started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    return true;
-  };
-  JobHandle a = ex.submit(path_request("counter.cov"), gate);
-  while (!a_started.load()) std::this_thread::yield();
+  JobHandle a = ex.submit(path_request("counter.cov"));
+  gate.wait_started();
   JobHandle b = ex.submit(path_request("counter.cov"));
   JobHandle c = ex.submit(path_request("counter.cov"), throwing);
   EXPECT_EQ(c.take().status, engine::ResultStatus::kAdmissionRejected);
-  release.store(true);
+  gate.release();
   EXPECT_EQ(a.take().status, engine::ResultStatus::kOk);
   EXPECT_EQ(b.take().status, engine::ResultStatus::kOk);
 }
@@ -979,17 +1067,12 @@ TEST(ExecutorReadyHookTest, DispatcherReadyFdSignalsFinishedJobs) {
 }
 
 TEST(ExecutorGovernanceTest, WaitForTimesOutThenDelivers) {
-  Executor ex{ExecutorOptions{1, nullptr}};
-  std::atomic<bool> release{false};
-  JobHooks gate;
-  gate.on_progress = [&](const Progress&) {
-    while (!release.load()) std::this_thread::yield();
-    return true;
-  };
-  JobHandle h = ex.submit(path_request("counter.cov"), gate);
+  StartGate gate;
+  Executor ex(gated_options(gate));
+  JobHandle h = ex.submit(path_request("counter.cov"));
   EXPECT_FALSE(h.wait_for(std::chrono::milliseconds(10)));
   EXPECT_FALSE(h.done());
-  release.store(true);
+  gate.release();
   EXPECT_TRUE(h.wait_for(std::chrono::milliseconds(10000)));
   EXPECT_TRUE(h.done());
   EXPECT_EQ(h.take().status, engine::ResultStatus::kOk);

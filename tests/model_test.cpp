@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -207,6 +208,73 @@ TEST(ModelParserTest, RejectsUnknownObserveTarget) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("ghost"), std::string::npos);
   }
+}
+
+/// A model whose DEFINE d<i> is the negation of d<i-1> (d0 := x), so
+/// d<i> expands to a tree i + 1 levels deep. One DEFINE per line.
+std::string define_chain(std::size_t n) {
+  std::string source = "MODULE chain;\nVAR x : bool;\nDEFINE d0 := x;\n";
+  for (std::size_t i = 1; i <= n; ++i) {
+    source += "DEFINE d" + std::to_string(i) + " := !d" +
+              std::to_string(i - 1) + ";\n";
+  }
+  return source + "NEXT x := d" + std::to_string(n) + ";\n";
+}
+
+TEST(ModelParserTest, DefineChainsExpandOnceAndAreDepthBounded) {
+  // Each DEFINE is expanded once, at declaration, from the expansions
+  // before it; a chain whose expansion passes the syntax-depth bound is
+  // refused at the first DEFINE past it, located at its name.
+  const auto t0 = std::chrono::steady_clock::now();
+  const Model m = parse_model(define_chain(200));
+  EXPECT_EQ(m.expand_defines(Expr::var("d200")).depth(), 201u);
+  EXPECT_EQ(m.signal("d200").type, Type::boolean());
+  try {
+    parse_model(define_chain(1000));
+    ADD_FAILURE() << "a 1,000-level DEFINE chain was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "syntax error at line 259, column 8: DEFINE 'd256' expands "
+                 "deeper than 256 levels (found 'd256')");
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_LT(ms, 1000.0);
+}
+
+TEST(ModelBuilderTest, KeptDefineStaysSymbolicThroughLaterDefines) {
+  // The estimator keeps an observed DEFINE symbolic: later defines that
+  // name it are re-expanded around it, earlier ones expand as stored.
+  ModelBuilder b;
+  auto x = b.state_bool("x");
+  auto y = b.state_bool("y");
+  auto a = b.define("a", x & y);
+  auto nb = b.define("b", !a);
+  b.define("c", nb | y);
+  const Model m = b.build();
+  const std::string a_name = "a", b_name = "b", c_name = "c";
+  EXPECT_EQ(expr::to_string(m.expand_defines(Expr::var("c"))),
+            "!(x & y) | y");
+  EXPECT_EQ(expr::to_string(m.expand_defines(Expr::var("c"), &a_name)),
+            "!a | y");
+  EXPECT_EQ(expr::to_string(m.expand_defines(Expr::var("c"), &b_name)),
+            "b | y");
+  EXPECT_EQ(expr::to_string(m.expand_defines(Expr::var("b"), &c_name)),
+            "!(x & y)");
+  EXPECT_EQ(expr::to_string(m.expand_defines(Expr::var("c"), &c_name)), "c");
+}
+
+TEST(ModelBuilderTest, DefineNamingItselfIsACycle) {
+  Model m;
+  Signal x;
+  x.name = "x";
+  m.add_signal(x);
+  Signal d;
+  d.name = "d";
+  d.kind = SignalKind::kDefine;
+  d.define = !Expr::var("d") & Expr::var("x");
+  EXPECT_THROW(m.add_signal(d), std::runtime_error);
 }
 
 // --------------------------------------------------------------------------
