@@ -63,9 +63,9 @@
 // The manager records its owning thread and, in debug builds, asserts
 // that every node construction happens on that thread, so an executor
 // bug that leaks a manager across workers fails loudly instead of
-// corrupting the pool. A consumer that legitimately takes over another
-// thread's manager (e.g. `engine::JobHandle::take`, or a worker leasing
-// a warm session) calls `rebind_to_current_thread` first.
+// corrupting the pool. A thread that legitimately takes over another
+// thread's manager (a worker leasing a warm session) calls
+// `rebind_to_current_thread` first.
 #pragma once
 
 #include <array>
@@ -401,8 +401,8 @@ class BddManager {
   std::thread::id owner_thread() const noexcept { return owner_thread_; }
   /// Transfers ownership to the calling thread. Only legal once the
   /// previous owner has stopped using the manager — the hand-off a
-  /// multi-worker executor performs when a finished job's results (and
-  /// their live `Bdd` handles) are consumed on another thread.
+  /// multi-worker executor performs when a worker leases a session
+  /// another worker parked in the warm cache.
   void rebind_to_current_thread() noexcept {
     owner_thread_ = std::this_thread::get_id();
   }

@@ -378,11 +378,15 @@ std::unique_ptr<Session> Engine::open(const CoverageRequest& request) const {
 }
 
 SuiteResult Engine::run(const CoverageRequest& request) const {
-  // One-shot runs are a one-job batch: submit to a single-worker
-  // executor and wait, so this path and covest_batch execute the same
-  // pipeline code.
-  Executor executor{ExecutorOptions{}};
-  SuiteResult result = executor.submit(request).take();
+  // A one-shot run is the executor's job pipeline run inline, on the
+  // calling thread, so this path and covest_batch execute the same code.
+  // The session stays in `retain`: the rows' `covered` handles remain
+  // composable for as long as the result lives.
+  CoverageRequest job = request;
+  covest::RunGovernor governor(job.deadline_ms);
+  std::shared_ptr<Session> session;
+  SuiteResult result = detail::run_job(job, governor, nullptr, session);
+  result.retain = std::move(session);
   // Blocking callers keep exception semantics; only the batch layers
   // report errors structurally.
   if (!result.error.empty()) throw std::runtime_error(result.error);

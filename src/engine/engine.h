@@ -217,6 +217,7 @@ struct SignalRow {
   double estimate_ms = 0.0;
   /// Live BDD handle of the covered set, for library callers that keep
   /// composing (valid while the Session/Engine's manager is alive).
+  /// Invalid in executor results, which are detached.
   bdd::Bdd covered;
 };
 
@@ -257,7 +258,8 @@ struct SuiteResult {
   /// handles in `signals` outlive the call. Declared first: members are
   /// destroyed in reverse declaration order, and the handles below must
   /// die before their manager. `Session::run` results instead stay valid
-  /// for the session's lifetime.
+  /// for the session's lifetime; executor results are detached (no
+  /// `covered` handles, empty `retain`).
   std::shared_ptr<void> retain;
 
   std::string model_name;
@@ -382,11 +384,13 @@ class Session {
 /// pipeline. Stateless — each `run` elaborates a fresh session; use
 /// `open` to keep the session (and its caches) for follow-up suites.
 ///
-/// `run` is layered on the multi-worker `engine::Executor`
-/// (executor.h): it submits the request to a single-worker executor and
-/// waits, so the one-shot path and the batch path execute the same
-/// code. Failures of any original exception type surface as the
-/// worker's structured `SuiteResult::error`, rethrown here as
+/// `run` executes the `engine::Executor`'s job pipeline
+/// (`detail::run_job`, executor.h) inline on the calling thread, so the
+/// one-shot path and the batch path execute the same code; unlike an
+/// executor result, its result keeps the session in `retain`, so the
+/// rows' `covered` handles stay composable. Failures of any original
+/// exception type surface as the pipeline's structured
+/// `SuiteResult::error`, rethrown here as
 /// `std::runtime_error` carrying the original message — blocking callers
 /// keep exception semantics, batch callers get data. A run that may
 /// need cancelling goes through `Executor::submit` and its handle.

@@ -35,12 +35,7 @@ struct JobState {
   std::condition_variable cv;
   bool ready = false;
   bool taken = false;
-  /// The job's own session when it was not leased from the warm cache:
-  /// the manager behind `result`'s `covered` handles, which `take()`
-  /// rebinds to the consuming thread. Written by the worker before
-  /// `publish`, read by `take()` after it.
-  std::shared_ptr<Session> session;
-  SuiteResult result;
+  SuiteResult result;  ///< Detached: owns no BDD state.
 
   /// Events are a fire-and-forget tap: a throwing callback must not
   /// kill a worker thread (std::terminate) or fail the job, so
@@ -84,10 +79,10 @@ using detail::JobState;
 using util::Clock;
 using util::ms_since;
 
-/// Fail-fast request validation, run on the worker before any BDD work:
+/// Fail-fast request validation, run before any BDD work:
 /// every property must parse (`resolve_suite` parses each one once and
 /// names the property in its error) and every requested signal must
-/// exist. Throws std::runtime_error with a per-job message; the worker
+/// exist. Throws std::runtime_error with a per-job message; `run_job`
 /// turns it into `SuiteResult::error`. The resolved suite is what the
 /// session then runs.
 ResolvedSuite validate_request(const CoverageRequest& request,
@@ -101,9 +96,9 @@ ResolvedSuite validate_request(const CoverageRequest& request,
 
 /// Returns a leased (or leasable, freshly elaborated) session to the
 /// warm cache on every exit path of `run_job`. Destruction happens on
-/// the worker thread, which owns the manager and is therefore the only
-/// thread allowed to measure `live_node_count` — the occupancy figure
-/// recorded with the parked entry.
+/// the thread that ran the job, which owns the manager and is therefore
+/// the only thread allowed to measure `live_node_count` — the occupancy
+/// figure recorded with the parked entry.
 struct LeaseReturn {
   SessionCache* cache = nullptr;
   SessionKey key;
@@ -117,29 +112,26 @@ struct LeaseReturn {
   }
 };
 
-/// Runs one job on the calling (worker) thread: the session is built
-/// once, verification runs once, and `Session::run` estimates the rows
-/// one after another.
-///
-/// Everything symbolic — manager, FSM, session — is owned by this job;
-/// only the JobState slots are shared with other threads. Never throws.
-SuiteResult run_job(JobState& job) {
+/// Drops every row's live `covered` handle: what is left is plain data,
+/// readable and destructible on any thread, with or without the session.
+void detach(SuiteResult& result) {
+  for (SignalRow& row : result.signals) row.covered = bdd::Bdd();
+}
+
+}  // namespace
+
+namespace detail {
+
+SuiteResult run_job(CoverageRequest& request, covest::RunGovernor& governor,
+                    SessionCache* cache,
+                    std::shared_ptr<Session>& session_out) {
   const auto t0 = Clock::now();
   SuiteResult result;
-
-  if (job.governor->cancelled()) {  // Cancelled while queued.
-    result.status = ResultStatus::kCancelled;
-    return result;
-  }
-
-  JobEvent started;
-  started.kind = JobEvent::Kind::kStarted;
-  job.emit(started);
 
   // Install the job's governor for everything below: the session adopts
   // it instead of creating its own, so parse and elaborate (which run
   // before Session::run) stop on a deadline or cancel too.
-  covest::RunGovernor::Scope governor_scope(job.governor.get());
+  covest::RunGovernor::Scope governor_scope(&governor);
   const char* stage = "parse";
   try {
     // Warm model cache: lease a parked session keyed by the raw source
@@ -149,60 +141,56 @@ SuiteResult run_job(JobState& job) {
     std::optional<model::Model> parsed;
     SessionKey cache_key;
     double parse_ms = 0.0;
-    const bool leasable =
-        job.cache != nullptr && !job.request.model.has_value();
+    const bool leasable = cache != nullptr && !request.model.has_value();
     if (leasable) {
       // Inline source is hashed and parsed in place; a file is read once.
       std::string file_source;
-      if (job.request.model_source.empty()) {
-        if (job.request.model_path.empty()) {
+      if (request.model_source.empty()) {
+        if (request.model_path.empty()) {
           throw std::runtime_error(
               "CoverageRequest: set `model`, `model_source` or `model_path` "
               "as the model source");
         }
-        file_source = model::read_model_file(job.request.model_path);
+        file_source = model::read_model_file(request.model_path);
       }
-      const std::string& source = job.request.model_source.empty()
-                                      ? file_source
-                                      : job.request.model_source;
-      cache_key = SessionCache::key_of(source, job.request.options,
-                                       job.request.max_live_nodes);
-      session = job.cache->acquire(cache_key);
+      const std::string& source =
+          request.model_source.empty() ? file_source : request.model_source;
+      cache_key = SessionCache::key_of(source, request.options,
+                                       request.max_live_nodes);
+      session = cache->acquire(cache_key);
       if (!session) {
         // Parse the very bytes that were hashed: a file edited between
         // read and parse cannot poison the key.
-        parsed = job.request.model_source.empty()
-                     ? model::parse_model_source(source,
-                                                 job.request.model_path)
+        parsed = request.model_source.empty()
+                     ? model::parse_model_source(source, request.model_path)
                      : model::parse_model(source);
       }
-    } else if (job.request.model) {
+    } else if (request.model) {
       // The job owns its request: the model moves into the session's
       // FSM, which keeps the one copy.
-      parsed = std::move(*job.request.model);
+      parsed = std::move(*request.model);
     } else {
-      parsed = Engine::load_model(job.request);
+      parsed = Engine::load_model(request);
     }
     const bool cache_hit = session != nullptr;
     // Whatever exit path runs below, a leasable session goes back to
-    // the cache; only the non-cached path parks it on the job instead.
-    LeaseReturn lease{job.cache, cache_key, leasable ? &session : nullptr};
+    // the cache; any other session stays with the caller.
+    LeaseReturn lease{cache, cache_key, leasable ? &session : nullptr};
 
-    job.governor->tick();  // Parse-phase boundary.
+    governor.tick();  // Parse-phase boundary.
     const ResolvedSuite suite =
-        validate_request(job.request, cache_hit ? session->model() : *parsed);
+        validate_request(request, cache_hit ? session->model() : *parsed);
     if (!cache_hit) parse_ms = ms_since(t0);
 
     stage = "elaborate";
     if (!session) {
-      session = std::make_shared<Session>(std::move(*parsed),
-                                          job.request.options,
-                                          job.request.max_live_nodes);
+      session = std::make_shared<Session>(
+          std::move(*parsed), request.options, request.max_live_nodes);
     }
     const double elaborate_ms = ms_since(t0);
-    job.governor->tick();  // Elaborate-phase boundary.
+    governor.tick();  // Elaborate-phase boundary.
 
-    result = session->run(job.request, suite);
+    result = session->run(request, suite);
     result.elaborate.ms = elaborate_ms;
     result.elaborate.parse_ms = parse_ms;
     // Parse + elaborate never ran on a hit — the warm half of the
@@ -213,16 +201,10 @@ SuiteResult run_job(JobState& job) {
 
     if (leasable) {
       // Parked sessions are re-leased by arbitrary workers: no live
-      // handle may escape this result to a consumer thread, where its
-      // destruction would race the next lease. Rows stay exact — only
-      // the composable `covered` handle is dropped (the cache-enabled
-      // contract documented on ExecutorOptions::session_cache).
-      for (SignalRow& row : result.signals) row.covered = bdd::Bdd();
+      // handle may outlive the lease.
+      detach(result);
     } else {
-      // The result's `covered` handles keep the session (and so its
-      // manager) alive; `take()` rebinds the manager to the consumer.
-      result.retain = session;
-      job.session = std::move(session);
+      session_out = std::move(session);
     }
   } catch (const covest::RunStopped& stop) {
     // Stopped before Session::run could convert it (parse/elaborate
@@ -252,7 +234,7 @@ SuiteResult run_job(JobState& job) {
   return result;
 }
 
-}  // namespace
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // JobHandle
@@ -291,16 +273,7 @@ SuiteResult JobHandle::take() const {
     throw std::runtime_error("JobHandle::take: result already taken");
   }
   state_->taken = true;
-  // Hand the symbolic state over to the consuming thread: the worker is
-  // done with this manager, and the caller may keep composing with the
-  // result's covered-set handles.
-  if (state_->session) state_->session->fsm().mgr().rebind_to_current_thread();
-  SuiteResult result = std::move(state_->result);
-  // Session lifetime now rides on the result's `retain` alone: a live
-  // JobHandle must not pin a finished job's BDD manager, or a batch
-  // that holds its handles keeps every node pool resident at once.
-  state_->session.reset();
-  return result;
+  return std::move(state_->result);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,8 +283,8 @@ SuiteResult JobHandle::take() const {
 struct Executor::Impl {
   std::mutex mu;
   std::condition_variable cv;
-  /// Signalled by workers when they pop a task; blocked (kBlock-policy)
-  /// submitters wait on it for queue room.
+  /// Signalled once per popped task when the queue is bounded; blocked
+  /// (kBlock-policy) submitters wait on it for queue room.
   std::condition_variable space_cv;
   std::deque<std::shared_ptr<JobState>> queue;
   bool stopping = false;
@@ -369,9 +342,21 @@ void Executor::worker_loop() {
       job = std::move(impl_->queue.front());
       impl_->queue.pop_front();
     }
-    impl_->space_cv.notify_all();  // A bounded queue just gained room.
+    // One freed slot admits one blocked submitter.
+    if (impl_->max_queue_depth != 0) impl_->space_cv.notify_one();
 
-    SuiteResult result = run_job(*job);
+    SuiteResult result;
+    std::shared_ptr<Session> session;
+    if (job->governor->cancelled()) {  // Cancelled while queued.
+      result.status = ResultStatus::kCancelled;
+    } else {
+      JobEvent started;
+      started.kind = JobEvent::Kind::kStarted;
+      job->emit(started);
+      result = detail::run_job(job->request, *job->governor, job->cache,
+                               session);
+      detach(result);
+    }
     {
       std::lock_guard<std::mutex> lock(job->mu);
       job->result = std::move(result);
@@ -383,6 +368,11 @@ void Executor::worker_loop() {
     ev.status = job->result.status;
     job->emit(ev);
     job->publish();
+    // The session dies here, on the worker that built it, once the
+    // result is out: its node pools go back to this thread's allocator
+    // instead of the consumer's, and the teardown adds nothing to the
+    // job's latency.
+    session.reset();
   }
 }
 
@@ -446,7 +436,7 @@ JobHandle Executor::submit(CoverageRequest request,
     }
     impl_->queue.push_back(state);
   }
-  impl_->cv.notify_all();
+  impl_->cv.notify_one();  // One job needs one worker.
   return JobHandle(state);
 }
 

@@ -8,13 +8,20 @@
 // jobs there is no shared mutable symbolic state — only the job queue
 // and result slots are synchronized. Every job is one task on one
 // worker, and each BDD manager is used by one thread at a time (bdd.h):
-// a warm session leased from the cache, or a result taken on another
-// thread, is rebound to its new thread first.
+// a warm session leased from the cache is rebound to its new worker.
+//
+// Hand-off: a submit wakes one idle worker, and every result comes back
+// *detached* — each row's `covered` handle is stripped and `retain` is
+// empty, so a result is plain data that any thread may read or drop.
+// The worker tears the job's session down itself, after publishing the
+// result. Library callers that compose with `covered` sets use
+// `Engine::run`, which runs the same pipeline inline and keeps the
+// session alive in `retain`.
 //
 //   engine::Executor ex(engine::ExecutorOptions{4});
 //   engine::JobHandle a = ex.submit(request_a);
 //   engine::JobHandle b = ex.submit(request_b);
-//   engine::SuiteResult ra = a.take();   // blocks; rebinds managers
+//   engine::SuiteResult ra = a.take();   // blocks; detached result
 //
 // Deterministic ordering: `run_all` returns one result per request in
 // submit order regardless of which worker finishes first, and every row
@@ -50,10 +57,28 @@
 #include "engine/engine.h"
 #include "engine/session_cache.h"
 
+namespace covest {
+class RunGovernor;
+}  // namespace covest
+
 namespace covest::engine {
 
 namespace detail {
 struct JobState;
+
+/// One job's pipeline on the calling thread: resolve and validate the
+/// suite, lease or parse-and-elaborate a session, `Session::run`. The
+/// executor's workers and `Engine::run` both run it. `governor` is
+/// installed for the whole job, so parse and elaborate stop on it too;
+/// the request's model, if in memory, is moved out. With a `cache`, a
+/// model given as text leases its session from it and parks it again
+/// before returning, and the result comes back detached; otherwise a
+/// session that ran moves into `session_out` and the rows' `covered`
+/// handles point into it. Never throws: defects come back as
+/// `SuiteResult::error`, stops as a status.
+SuiteResult run_job(CoverageRequest& request, covest::RunGovernor& governor,
+                    SessionCache* cache,
+                    std::shared_ptr<Session>& session_out);
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -110,9 +135,9 @@ class JobHandle {
   /// has finished or been stopped by its deadline.
   void cancel() const;
 
-  /// Blocks, then moves the result out (valid once per job). The BDD
-  /// managers behind the result's live `covered` handles are rebound to
-  /// the calling thread, so library callers may keep composing with them.
+  /// Blocks, then moves the result out (valid once per job). The result
+  /// is detached: its rows' `covered` handles are invalid, `retain` is
+  /// empty, and it stays readable after the executor is destroyed.
   SuiteResult take() const;
 
  private:
@@ -154,11 +179,10 @@ struct ExecutorOptions {
   /// parked session keyed by the source bytes + elaboration options
   /// instead of re-parsing/elaborating — and, when
   /// the suite matches the session's verified-suite record, skips
-  /// verification too. Leased jobs return *detached* results: the live
-  /// `covered` BDD handles are stripped before the session is parked
-  /// (they would otherwise race the next lease), so library callers
-  /// that compose with covered sets should not enable the cache.
-  /// nullptr (the default) preserves the session-per-job behavior.
+  /// verification too. The session is parked again before the result
+  /// is published, so a client's next request can lease it. Results
+  /// are detached either way (see `JobHandle::take`). nullptr (the
+  /// default) elaborates a session per job.
   std::shared_ptr<SessionCache> session_cache;
 };
 

@@ -98,8 +98,10 @@ ParsedLine parse_request_line(const std::string& raw,
 /// (or records its input error) and, once more than `window` lines are
 /// in flight, blocks on the *oldest* one and emits its result — so
 /// results stream strictly in input order while up to `window` jobs
-/// overlap, and a finished-but-unprinted job (whose covered-set handles
-/// pin BDD node pools) never waits behind more than `window` peers.
+/// overlap, and resident memory is bounded by the window, not the
+/// stream. A finished-but-unprinted job holds only its detached result:
+/// its worker has already torn down the session, so no BDD node pool
+/// waits on the printing order.
 class NdjsonDispatcher {
  public:
   using EmitFn = std::function<void(const SuiteResult&)>;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace covest::expr {
@@ -278,6 +279,30 @@ std::vector<std::string> referenced_signals(const Expr& e) {
   std::unordered_set<std::string> seen;
   collect_signals(e, out, seen);
   return out;
+}
+
+namespace {
+
+std::uint64_t tree_size_of(
+    const ExprNode& n, std::uint64_t limit,
+    std::unordered_map<const ExprNode*, std::uint64_t>& memo) {
+  if (n.args.empty()) return 1;
+  const auto it = memo.find(&n);
+  if (it != memo.end()) return it->second;
+  std::uint64_t size = 1;
+  for (const Expr& a : n.args) {
+    size = std::min(limit, size + tree_size_of(a.node(), limit, memo));
+  }
+  memo.emplace(&n, size);
+  return size;
+}
+
+}  // namespace
+
+std::uint64_t tree_size(const Expr& e, std::uint64_t limit) {
+  if (!e.valid()) return 0;
+  std::unordered_map<const ExprNode*, std::uint64_t> memo;
+  return std::min(limit, tree_size_of(e.node(), limit, memo));
 }
 
 std::size_t structural_hash(const Expr& e) {

@@ -139,6 +139,12 @@ std::uint64_t eval(const Expr& e, const ValueResolver& values,
 /// All distinct signal names referenced by `e`, in first-use order.
 std::vector<std::string> referenced_signals(const Expr& e);
 
+/// Node count of `e` read as a tree — a subexpression shared by several
+/// parents counts once per use, as a walk without a memo visits it —
+/// saturated at `limit`. One visit per distinct node: linear in the
+/// DAG, however large the tree it stands for.
+std::uint64_t tree_size(const Expr& e, std::uint64_t limit);
+
 /// Structural hash: equal for structurally identical expressions even when
 /// the shared AST nodes differ (e.g. the same atom parsed twice).
 std::size_t structural_hash(const Expr& e);

@@ -32,6 +32,14 @@ void Model::add_signal(Signal signal) {
                                 std::to_string(expr::kMaxSyntaxDepth) +
                                 " levels");
     }
+    // Counted before any tree walk: a DAG of a few hundred nodes can
+    // stand for a tree too large to walk at all.
+    if (expr::tree_size(expansion, kMaxDefineTreeSize + 1) >
+        kMaxDefineTreeSize) {
+      throw DefineTooLarge("DEFINE '" + signal.name +
+                           "' expands to more than " +
+                           std::to_string(kMaxDefineTreeSize) + " nodes");
+    }
     signal.type = expr::infer_type(expansion, type_resolver());
   }
   index_.emplace(signal.name, signals_.size());

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +39,20 @@ struct Signal {
   expr::Expr define;  ///< kDefine only.
 };
 
+/// Largest DEFINE expansion `Model::add_signal` accepts, in tree nodes
+/// (`expr::tree_size`). A DEFINE that names an earlier one twice
+/// (`DEFINE d1 := d0 & d0;`) expands to a DAG that shares it, but type
+/// inference, bit-blasting and evaluation walk the tree, so each such
+/// DEFINE doubles their work; past this bound it is refused instead.
+inline constexpr std::uint64_t kMaxDefineTreeSize = std::uint64_t{1} << 20;
+
+/// The error a DEFINE past kMaxDefineTreeSize is refused with; the
+/// parser locates it at the DEFINE's name.
+class DefineTooLarge : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// A property line from a model file: raw CTL text plus the observed
 /// signals declared for coverage ("SPEC <ctl> [OBSERVE name[, name]*];").
 struct SpecEntry {
@@ -58,8 +73,9 @@ class Model {
   /// only signals declared before it (so DEFINEs never form a cycle):
   /// it is expanded once, here, and its `type` is inferred from that
   /// expansion. Throws for a DEFINE that names itself or an undeclared
-  /// signal, and `expr::SyntaxTooDeep` for one whose expansion is deeper
-  /// than `expr::kMaxSyntaxDepth`.
+  /// signal, `expr::SyntaxTooDeep` for one whose expansion is deeper
+  /// than `expr::kMaxSyntaxDepth`, and `DefineTooLarge` for one whose
+  /// expansion, read as a tree, has more than `kMaxDefineTreeSize` nodes.
   void add_signal(Signal signal);
   void add_init_constraint(expr::Expr constraint);
   void add_fairness(expr::Expr constraint);

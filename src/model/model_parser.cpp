@@ -105,11 +105,15 @@ Model parse_model(const std::string& source) {
       s.kind = SignalKind::kDefine;
       s.define = parse_rhs_expression(ts);
       ts.expect_punct(";");
-      // Expands the define once and infers its type from the expansion.
+      // Expands the define once and infers its type from the expansion;
+      // an expansion past either bound is located at the define's name.
       try {
         model.add_signal(std::move(s));
       } catch (const expr::SyntaxTooDeep& e) {
-        ts.rewind(name_at);  // Located at the define's name.
+        ts.rewind(name_at);
+        ts.fail(e.what());
+      } catch (const DefineTooLarge& e) {
+        ts.rewind(name_at);
         ts.fail(e.what());
       }
       continue;

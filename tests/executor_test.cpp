@@ -1,7 +1,8 @@
 // The async multi-worker executor: submit/wait round-trips, deterministic
 // ordering, bit-identical parity with the serial engine, streaming job
-// events, cancellation, structured per-job errors, and the BDD
-// thread-affinity hand-off.
+// events, cancellation, structured per-job errors, and the hand-off:
+// detached results, wakeups under a blocking queue, and BDD thread
+// affinity.
 #include <gtest/gtest.h>
 #include <poll.h>
 
@@ -667,19 +668,122 @@ SPEC AG (y & u -> AX y) OBSERVE y;
 }
 
 // --------------------------------------------------------------------------
-// Thread-affinity guard
+// Hand-off: detached executor results, live handles from Engine::run
 // --------------------------------------------------------------------------
 
-TEST(ThreadAffinityTest, TakeRebindsManagersToTheConsumer) {
-  Executor ex{ExecutorOptions{2, nullptr}};
-  const SuiteResult r = ex.submit(path_request("arbiter.cov")).take();
+/// True when no row of `r` holds a live BDD handle and nothing pins a
+/// session.
+bool detached(const SuiteResult& r) {
+  if (r.retain != nullptr) return false;
+  for (const engine::SignalRow& row : r.signals) {
+    if (row.covered.valid()) return false;
+  }
+  return true;
+}
+
+TEST(ExecutorHandOffTest, ResultsAreDetachedAndOutliveTheExecutor) {
+  // Cold, cached and failed jobs alike hand back plain data: the worker
+  // strips every `covered` handle and keeps the session, so the results
+  // read the same after the executor (and every session) is gone.
+  CoverageRequest bad_signal = path_request("arbiter.cov");
+  bad_signal.signals = {"no_such_signal"};
+  const std::vector<CoverageRequest> requests = {
+      path_request("arbiter.cov"), path_request("counter.cov"),
+      path_request("arbiter.cov"), bad_signal};
+  std::vector<std::string> serial;  // Every job but the failing last one.
+  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
+    serial.push_back(canonical(Engine().run(requests[i])));
+  }
+
+  for (const bool cached : {false, true}) {
+    std::vector<SuiteResult> results;
+    {
+      ExecutorOptions options;
+      options.workers = 2;
+      if (cached) {
+        options.session_cache = std::make_shared<engine::SessionCache>(4);
+      }
+      Executor ex(std::move(options));
+      results = ex.run_all(requests);
+    }
+    ASSERT_EQ(results.size(), requests.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_TRUE(detached(results[i])) << "cached=" << cached << " job " << i;
+    }
+    for (std::size_t i = 0; i + 1 < results.size(); ++i) {
+      ASSERT_FALSE(results[i].signals.empty());
+      EXPECT_EQ(canonical(results[i]), serial[i]) << "cached=" << cached;
+    }
+    EXPECT_EQ(results.back().status, ResultStatus::kError);
+    EXPECT_NE(results.back().error.find("no_such_signal"), std::string::npos);
+  }
+}
+
+TEST(ThreadAffinityTest, EngineRunResultsComposeOnTheCaller) {
+  // `Engine::run` runs the pipeline on the calling thread and parks the
+  // session in `retain`: the caller owns the manager and may keep
+  // composing with the covered sets.
+  const SuiteResult r = Engine().run(path_request("arbiter.cov"));
   ASSERT_FALSE(r.signals.empty());
+  ASSERT_NE(r.retain, nullptr);
   const bdd::Bdd& covered = r.signals[0].covered;
   ASSERT_TRUE(covered.valid());
   EXPECT_EQ(covered.manager()->owner_thread(), std::this_thread::get_id());
-  // Node construction on the consuming thread is now legal.
   const bdd::Bdd sum = covered | !covered;
   EXPECT_TRUE(sum.is_true());
+}
+
+TEST(ExecutorHandOffTest, BlockedSubmittersAndIdleWorkersMissNoWakeup) {
+  // One wake per submit and one per freed slot: three submitters share
+  // a depth-1 blocking queue in front of four workers. A lost wakeup
+  // would hang a submitter or strand a queued job; every result must
+  // arrive, equal to the serial run of its model.
+  constexpr int kModels = 4;
+  constexpr int kSubmitters = 3;
+  constexpr int kJobsPerSubmitter = 700;
+  std::vector<CoverageRequest> models;
+  std::vector<std::string> serial;
+  for (int m = 0; m < kModels; ++m) {
+    CoverageRequest req;
+    req.model_source = "MODULE tiny" + std::to_string(m) + R"(;
+VAR   x : bool;
+IVAR  t : bool;
+INIT  x := )" + (m % 2 == 0 ? "false" : "true") + R"(;
+NEXT  x := t ? !x : x;
+SPEC AG (x & !t -> AX x) OBSERVE x;
+)";
+    if (m >= 2) req.model_source += "SPEC AG (!x & !t -> AX !x) OBSERVE x;\n";
+    serial.push_back(canonical(Engine().run(req)));
+    models.push_back(std::move(req));
+  }
+
+  ExecutorOptions options;
+  options.workers = 4;
+  options.max_queue_depth = 1;
+  options.admission = engine::AdmissionPolicy::kBlock;
+  Executor ex(std::move(options));
+  std::vector<std::vector<JobHandle>> handles(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int j = 0; j < kJobsPerSubmitter; ++j) {
+        handles[s].push_back(ex.submit(models[(s + j) % kModels]));
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+
+  int taken = 0;
+  for (int s = 0; s < kSubmitters; ++s) {
+    ASSERT_EQ(handles[s].size(), static_cast<std::size_t>(kJobsPerSubmitter));
+    for (int j = 0; j < kJobsPerSubmitter; ++j) {
+      ASSERT_TRUE(handles[s][j].wait_for(std::chrono::seconds(60)))
+          << "submitter " << s << " job " << j << " never finished";
+      EXPECT_EQ(canonical(handles[s][j].take()), serial[(s + j) % kModels]);
+      ++taken;
+    }
+  }
+  EXPECT_EQ(taken, kSubmitters * kJobsPerSubmitter);
 }
 
 // --------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ctl/ctl_parser.h"
+#include "engine/engine.h"
 #include "expr/expr_parser.h"
 #include "model/model.h"
 #include "model/model_parser.h"
@@ -241,6 +242,68 @@ TEST(ModelParserTest, DefineChainsExpandOnceAndAreDepthBounded) {
                         std::chrono::steady_clock::now() - t0)
                         .count();
   EXPECT_LT(ms, 1000.0);
+}
+
+/// A model whose DEFINE d<i> names d<i-1> twice (d0 := x), so d<i>
+/// expands to a DAG of i + 2 nodes that stands for a tree of
+/// 2^(i+1) - 1, and still means x. One DEFINE per line, from line 6;
+/// the SPEC names `spec_atom` (d<n> by default).
+std::string doubling_chain(std::size_t n, std::string spec_atom = "") {
+  if (spec_atom.empty()) spec_atom = "d" + std::to_string(n);
+  std::string source =
+      "MODULE doubling;\nVAR x : bool;\nIVAR t : bool;\n"
+      "INIT x := false;\nNEXT x := t ? !x : x;\nDEFINE d0 := x;\n";
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::string prev = "d" + std::to_string(i - 1);
+    source += "DEFINE d" + std::to_string(i) + " := " + prev + " & " + prev +
+              ";\n";
+  }
+  return source + "SPEC AG (" + spec_atom + " & !t -> AX x) OBSERVE x;\n";
+}
+
+TEST(ModelParserTest, DoublingDefineChainsAreBoundedByTreeSize) {
+  // The expansion's tree size is counted over the DAG before any tree
+  // walk runs, so a chain that doubles it per DEFINE is refused at the
+  // first DEFINE past the bound (d20: 2^21 - 1 nodes) instead of
+  // walking ever larger trees.
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    parse_model(doubling_chain(40));
+    ADD_FAILURE() << "a 40-define doubling chain was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "syntax error at line 26, column 8: DEFINE 'd20' expands "
+                 "to more than 1048576 nodes (found 'd20')");
+  }
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_LT(ms, 1000.0);
+
+  // A 16-define chain is well inside the bound: same type, same value,
+  // same coverage as naming x itself.
+  const Model m = parse_model(doubling_chain(16));
+  EXPECT_EQ(m.signal("d16").type, Type::boolean());
+  const Expr d16 = m.expand_defines(Expr::var("d16"));
+  EXPECT_EQ(expr::tree_size(d16, kMaxDefineTreeSize), (1u << 17) - 1);
+  for (const std::uint64_t x : {0u, 1u}) {
+    EXPECT_EQ(expr::eval(
+                  d16, [x](const std::string&) { return x; },
+                  m.type_resolver()),
+              x);
+  }
+  engine::CoverageRequest chained;
+  chained.model_source = doubling_chain(16);
+  engine::CoverageRequest direct;
+  direct.model_source = doubling_chain(16, "x");
+  const engine::SuiteResult a = engine::Engine().run(chained);
+  const engine::SuiteResult b = engine::Engine().run(direct);
+  ASSERT_EQ(a.signals.size(), 1u);
+  ASSERT_EQ(b.signals.size(), 1u);
+  EXPECT_TRUE(a.properties[0].holds);
+  EXPECT_EQ(a.signals[0].covered_count, b.signals[0].covered_count);
+  EXPECT_EQ(a.signals[0].percent, b.signals[0].percent);
+  EXPECT_EQ(a.signals[0].uncovered, b.signals[0].uncovered);
 }
 
 TEST(ModelBuilderTest, KeptDefineStaysSymbolicThroughLaterDefines) {
